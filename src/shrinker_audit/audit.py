@@ -36,7 +36,13 @@ from .models import (
 )
 from .numgeom import Chart, FDConfig, potential_field, scalar_field, weighted_laplacian_fd
 from .paths import PhiPath
-from .phigeo import PhiParams, integrate_ivp, phi_value, solve_bvp_shooting
+from .phigeo import (
+    DEFAULT_DRIFT_TOL,
+    PhiParams,
+    integrate_ivp,
+    phi_value,
+    solve_bvp_shooting,
+)
 
 DEFAULT_TOL = 1e-6
 
@@ -481,7 +487,8 @@ class GoodPointResult:
 
 def find_good_point(model: ModelSpec, params: PhiParams, y: np.ndarray,
                     density: int = 16, step: float = 1e-2,
-                    tol: float = DEFAULT_TOL) -> GoodPointResult:
+                    tol: float = DEFAULT_TOL,
+                    drift_tol: float = DEFAULT_DRIFT_TOL) -> GoodPointResult:
     """Scan a base-to-y minimal candidate for a point of controlled curvature.
 
     Solves the boundary-value problem from the base point O to y, verifies
@@ -502,7 +509,8 @@ def find_good_point(model: ModelSpec, params: PhiParams, y: np.ndarray,
         raise CutoffUndefinedError(
             f"{model}: scan needs r(y) >= 2 for the cutoff (got {r_y:.4g})"
         )
-    first = solve_bvp_shooting(model, params, origin, y, step=step, density=density)
+    first = solve_bvp_shooting(model, params, origin, y, step=step, density=density,
+                               drift_tol=drift_tol)
     a_bound = _speed_bound(first, params)
     required = max(math.sqrt(2.0 * n), 3.0 * a_bound)
     if r_y < required:
@@ -518,7 +526,7 @@ def find_good_point(model: ModelSpec, params: PhiParams, y: np.ndarray,
         )
     s_out, breaks = quadrature.audit_grid(s_bar, density, extra_breaks=(w0,))
     path = integrate_ivp(model, params, origin, first.vel[0], s_bar, step,
-                         s_out=s_out, breaks=breaks)
+                         s_out=s_out, breaks=breaks, drift_tol=drift_tol)
     path.flags.append("shooting")
     window_mask = (path.s >= w0 - 1e-12) & (path.s <= s_bar - 1.0 + 1e-12)
     window_idx = np.nonzero(window_mask)[0]

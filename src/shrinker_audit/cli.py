@@ -6,9 +6,7 @@ Four subcommands: ``verify-identities`` (pointwise identity suite),
 ``scan`` (the good-point scanner with the empirical uniform constant).
 
 Reports are JSON with sorted keys, paths are CSV; identical configuration
-and seed produce byte-identical output. ``SHRINKER_AUDIT_THREADS`` caps how
-many grid cells run concurrently (results are ordered deterministically
-regardless).
+and seed produce byte-identical output.
 
 Exit codes: 0 success, 2 bad configuration / degenerate endpoints, 3 solver
 failure, 4 typed refusal (precondition, degenerate model, short cutoff).
@@ -18,9 +16,7 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields
 from pathlib import Path
 
@@ -162,24 +158,6 @@ def _float_list(text: str) -> tuple:
         raise argparse.ArgumentTypeError(f"expected comma-separated floats, got {text!r}") from exc
 
 
-def _thread_count() -> int:
-    raw = os.environ.get("SHRINKER_AUDIT_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
-def _grid_map(func, cells):
-    """Evaluate func over grid cells, preserving cell order."""
-    cells = list(cells)
-    workers = _thread_count()
-    if workers == 1 or len(cells) <= 1:
-        return [func(cell) for cell in cells]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(func, cells))
-
-
 def _write_json(out_dir: Path, name: str, payload: dict) -> Path:
     out_dir.mkdir(parents=True, exist_ok=True)
     dest = out_dir / name
@@ -255,7 +233,8 @@ def cmd_geodesic(config: RunConfig) -> int:
     x = base_point(model)
     y = canonical_target(model, config.ry[0])
     shoot = solve_bvp_shooting(
-        model, params, x, y, tol=config.shoot_tol, step=config.step, density=config.density
+        model, params, x, y, tol=config.shoot_tol, step=config.step, density=config.density,
+        drift_tol=config.drift_tol,
     )
     disc = minimize_action_discrete(model, params, x, y, N=config.N, max_iters=config.max_iters)
     evidence = certify_minimal_candidate(model, params, shoot, disc)
@@ -287,7 +266,8 @@ def _audit_cell(model, config, cell):
     x = base_point(model)
     y = canonical_target(model, ry)
     shoot = solve_bvp_shooting(
-        model, params, x, y, tol=config.shoot_tol, step=config.step, density=config.density
+        model, params, x, y, tol=config.shoot_tol, step=config.step, density=config.density,
+        drift_tol=config.drift_tol,
     )
     disc = minimize_action_discrete(model, params, x, y, N=config.N, max_iters=config.max_iters)
     certify_minimal_candidate(model, params, shoot, disc)
@@ -310,7 +290,7 @@ def cmd_audit_chain(config: RunConfig) -> int:
         if not c_val < 1.0:
             raise ConfigError(f"c must be < 1 for the audit chain (got {c_val})")
     cells = [(c_val, ry) for c_val in config.c for ry in config.ry]
-    results = _grid_map(lambda cell: _audit_cell(model, config, cell), cells)
+    results = [_audit_cell(model, config, cell) for cell in cells]
     all_ok = all(cell["ok"] for cell in results)
     for cell in results:
         print(f"cell c={cell['c']} ry={cell['ry']}:")
@@ -339,7 +319,8 @@ def cmd_scan(config: RunConfig) -> int:
         params = PhiParams(c_val)
         y = canonical_target(model, ry)
         result = audit_mod.find_good_point(
-            model, params, y, density=config.density, step=config.step, tol=config.audit_tol
+            model, params, y, density=config.density, step=config.step, tol=config.audit_tol,
+            drift_tol=config.drift_tol,
         )
         return {
             "c": c_val,
@@ -354,7 +335,7 @@ def cmd_scan(config: RunConfig) -> int:
             "ok": _report_ok(result.report) and result.d_zy <= ry / 2.0 + 1e-9,
         }
 
-    results = _grid_map(run_cell, cells)
+    results = [run_cell(cell) for cell in cells]
     c_hat_sup = max(cell["c_hat"] for cell in results)
     all_ok = all(cell["ok"] for cell in results)
     for cell in results:

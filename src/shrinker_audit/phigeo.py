@@ -15,9 +15,10 @@ Euclidean blocks; sphere components feel only the constraint curvature.
 
 Two independent boundary-value solvers are provided so each can serve as the
 other's oracle: damped-Newton shooting on the endpoint-miss map, and direct
-minimization of the discretized action over interior nodes (first-order
-descent with Barzilai-Borwein steps and a nonmonotone Armijo backtracking
-line search).
+minimization of the discretized action over interior nodes (H¹-preconditioned
+Barzilai-Borwein descent -- the Sobolev gradient of Neuberger, *Sobolev
+Gradients and Differential Equations*, LNM 1670 (1997) -- with a nonmonotone
+Armijo backtracking line search).
 """
 
 from __future__ import annotations
@@ -292,6 +293,7 @@ def solve_bvp_shooting(
     density: int = 16,
     s_out=None,
     breaks=None,
+    drift_tol: float = DEFAULT_DRIFT_TOL,
 ) -> PhiPath:
     """Find the initial velocity whose trajectory lands on y at s = d(x, y).
 
@@ -299,7 +301,8 @@ def solve_bvp_shooting(
     finds. Initial guess: the background-geodesic velocity scaled to speed
     sqrt(1 + c * mean(R/f)). Newton iterations act on velocity coefficients
     in an orthonormal tangent basis, with a forward-difference Jacobian and
-    Armijo damping on the endpoint miss.
+    Armijo damping on the endpoint miss. The recorded path must keep the
+    first integral within ``drift_tol``.
     """
     validate_point(model, x)
     validate_point(model, y)
@@ -374,7 +377,8 @@ def solve_bvp_shooting(
                 best_miss=best,
             )
     v0 = a @ basis_x
-    path = integrate_ivp(model, params, x, v0, s_bar, step, s_out=s_out, breaks=breaks)
+    path = integrate_ivp(model, params, x, v0, s_bar, step, s_out=s_out, breaks=breaks,
+                         drift_tol=drift_tol)
     path.flags.append("shooting")
     return path
 
@@ -401,6 +405,21 @@ def _discrete_gradient(model, params, pos, ds):
     return grad
 
 
+def _solve_dirichlet_laplacian(rhs: np.ndarray) -> np.ndarray:
+    """Solve tridiag(-1, 2, -1) u = rhs along axis 0, with zero Dirichlet ends.
+
+    On interior nodes i, j = 1..n-1 the inverse is the Green's function
+    min(i, j) * (n - max(i, j)) / n, evaluated in O(n) per column with a
+    forward and a reverse prefix sum.
+    """
+    n = rhs.shape[0] + 1
+    i = np.arange(1, n, dtype=float).reshape((n - 1,) + (1,) * (rhs.ndim - 1))
+    head = np.cumsum(i * rhs, axis=0)
+    tail = np.zeros_like(head)
+    tail[:-1] = np.cumsum(((n - i) * rhs)[:0:-1], axis=0)[::-1]
+    return ((n - i) * head + i * tail) / n
+
+
 def minimize_action_discrete(
     model: ModelSpec,
     params: PhiParams,
@@ -413,11 +432,18 @@ def minimize_action_discrete(
     """Minimize the discretized action over interior nodes.
 
     Initialization is the background geodesic; endpoints stay fixed and the
-    interval length is pinned to d(x, y). Descent uses Barzilai-Borwein
-    steps with a nonmonotone (10-step memory) Armijo backtracking safeguard;
-    if backtracking hits its floor without progress the last iterate is
-    returned with a ``stalled`` flag. Velocities are reconstructed by
-    central differences of log maps (second-order one-sided at endpoints).
+    interval length is pinned to d(x, y). Descent is H¹-preconditioned
+    Barzilai-Borwein (BB): steps follow the Sobolev gradient of Neuberger
+    (*Sobolev Gradients and Differential Equations*, LNM 1670, 1997), the
+    Riemannian gradient mapped through the inverse of the kinetic Hessian
+    M = (2/ds) tridiag(-1, 2, -1) and projected onto the tangent spaces, so
+    the iteration count does not grow with N. BB step lengths are measured
+    in M, under a nonmonotone (10-step memory) Armijo safeguard (Raydan,
+    SIAM J. Optim. 7, 1997); if backtracking hits its floor without progress
+    the last iterate is returned with a ``stalled`` flag. Convergence is
+    judged on the Euclidean norm of the Riemannian gradient. Velocities are
+    reconstructed by central differences of log maps (second-order one-sided
+    at endpoints).
     """
     if N < 16:
         raise ValueError("N must be >= 16")
@@ -433,34 +459,44 @@ def minimize_action_discrete(
     grad = _discrete_gradient(model, params, pos, ds)
     g_norm = float(np.linalg.norm(grad))
     recent = [j_val]
-    eta = ds / 4.0
+    eta = 1.0
     prev_mid = None
     prev_grad = None
     iters = 0
+    backtracks = 0
     while iters < max_iters and g_norm > grad_tol * (1.0 + abs(j_val)):
         iters += 1
+        mid = pos[1:-1]
         if prev_mid is not None:
-            dz = pos[1:-1] - prev_mid
+            dz = mid - prev_mid
             dg = grad - prev_grad
             denom = float(np.sum(dz * dg))
             if denom > 1e-300:
-                eta = float(np.sum(dz * dz)) / denom
+                lap_dz = 2.0 * dz
+                lap_dz[1:] -= dz[:-1]
+                lap_dz[:-1] -= dz[1:]
+                eta = (2.0 / ds) * float(np.sum(dz * lap_dz)) / denom
             eta = min(max(eta, 1e-10), 1e3)
+        direction = project_tangent(
+            model, mid, _solve_dirichlet_laplacian(grad) * (0.5 * ds)
+        )
+        slope = float(np.sum(grad * direction))
         j_ref = max(recent)
         accepted = False
         trial = eta
         for _ in range(40):
             cand = pos.copy()
-            cand[1:-1] = exp_map(model, pos[1:-1], -trial * grad)
+            cand[1:-1] = exp_map(model, mid, -trial * direction)
             j_new = _discrete_action(model, params, cand, ds, weights)
-            if j_new <= j_ref - 1e-4 * trial * g_norm * g_norm:
+            if j_new <= j_ref - 1e-4 * trial * slope:
                 accepted = True
                 break
             trial *= 0.5
+            backtracks += 1
         if not accepted:
             flags.append("stalled")
             break
-        prev_mid = pos[1:-1].copy()
+        prev_mid = mid
         prev_grad = grad
         pos = cand
         j_val = j_new
@@ -484,6 +520,8 @@ def minimize_action_discrete(
     path.action_J = action(model, params, path)
     path.minimal_evidence["descent"] = {
         "iterations": iters,
+        "backtracks": backtracks,
+        "stop_reason": flags[-1] if flags else "converged",
         "grad_norm": g_norm,
         "grad_tol": grad_tol * (1.0 + abs(j_val)),
         "discrete_action": j_val,

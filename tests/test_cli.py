@@ -1,7 +1,9 @@
 import json
 import math
 
-from shrinker_audit.cli import EXIT_CONFIG, EXIT_OK, EXIT_REFUSED, main
+import pytest
+
+from shrinker_audit.cli import EXIT_CONFIG, EXIT_OK, EXIT_REFUSED, EXIT_SOLVER, main
 
 
 def read_json(path):
@@ -137,17 +139,6 @@ def test_byte_reproducibility(tmp_path):
     ).read_bytes()
 
 
-def test_threaded_grid_is_deterministic(tmp_path, monkeypatch):
-    args = ["scan", "--model", "cylinder:k=2,m=2", "--c", "0.1,0.5", "--ry", "5"]
-    monkeypatch.setenv("SHRINKER_AUDIT_THREADS", "1")
-    assert main(args + ["--out", str(tmp_path / "serial")]) == EXIT_OK
-    monkeypatch.setenv("SHRINKER_AUDIT_THREADS", "4")
-    assert main(args + ["--out", str(tmp_path / "threaded")]) == EXIT_OK
-    assert (tmp_path / "serial" / "scan.json").read_bytes() == (
-        tmp_path / "threaded" / "scan.json"
-    ).read_bytes()
-
-
 def test_config_file_roundtrip(tmp_path, capsys):
     config = {
         "model": "cylinder:k=2,m=2",
@@ -173,6 +164,18 @@ def test_config_file_roundtrip(tmp_path, capsys):
     assert code == EXIT_OK
     payload = read_json(tmp_path / "out2" / "verify_identities.json")
     assert payload["config"]["samples"] == 5
+
+
+@pytest.mark.parametrize("command", ["geodesic", "scan"])
+def test_config_drift_tol_reaches_the_solver(tmp_path, capsys, command):
+    cfg_path = tmp_path / "tight.json"
+    cfg_path.write_text(json.dumps({"drift_tol": 1e-15}))
+    code = main([
+        command, "--model", "cylinder:k=2,m=2", "--c", "0.1", "--ry", "5",
+        "--config", str(cfg_path), "--out", str(tmp_path),
+    ])
+    assert code == EXIT_SOLVER
+    assert "drift" in capsys.readouterr().err
 
 
 def test_config_file_unknown_field_exit_2(tmp_path, capsys):

@@ -246,6 +246,55 @@ def test_minimize_euler_lagrange_consistency():
     assert descent["grad_norm"] <= 1e-6 * (1.0 + abs(descent["discrete_action"]))
 
 
+@pytest.mark.parametrize("m", [1, 2, 15, 255])
+def test_dirichlet_laplacian_solve_matches_dense(rng, m):
+    lap = 2.0 * np.eye(m) - np.eye(m, k=1) - np.eye(m, k=-1)
+    rhs = rng.standard_normal((m, 3))
+    expected = np.linalg.solve(lap, rhs)
+    got = phigeo._solve_dirichlet_laplacian(rhs)
+    assert np.linalg.norm(got - expected) <= 1e-12 * np.linalg.norm(expected)
+
+
+def test_minimize_iterations_independent_of_mesh():
+    m = models.sphere_cylinder(2, 2)
+    params = PhiParams(0.5)
+    x = models.base_point(m)
+    y = models.canonical_target(m, 10.0)
+    shoot = solve_bvp_shooting(m, params, x, y)
+    for n_grid in (128, 256, 512):
+        disc = minimize_action_discrete(m, params, x, y, N=n_grid)
+        descent = disc.minimal_evidence["descent"]
+        assert disc.flags == []
+        assert descent["stop_reason"] == "converged"
+        assert descent["iterations"] <= 20
+        evidence = certify_minimal_candidate(m, params, shoot, disc)
+        assert evidence["J_agree"] and evidence["C_agree"] and evidence["below_background"]
+
+
+@pytest.mark.parametrize("c", [0.1, 0.5])
+def test_minimize_random_endpoints_moving_sphere_block(rng, c):
+    m = models.sphere_cylinder(3, 1)
+    for _ in range(4):
+        x = models.random_point(m, rng)
+        y = models.random_point(m, rng)
+        disc = minimize_action_discrete(m, PhiParams(c), x, y, N=128)
+        descent = disc.minimal_evidence["descent"]
+        assert disc.flags == []
+        assert descent["grad_norm"] <= descent["grad_tol"]
+
+
+def test_minimize_budget_exhausted_stop_reason():
+    m = models.sphere_cylinder(2, 2)
+    x = models.base_point(m)
+    y = models.canonical_target(m, 5.0)
+    path = minimize_action_discrete(m, PhiParams(0.5), x, y, N=64, max_iters=1)
+    descent = path.minimal_evidence["descent"]
+    assert path.flags == ["budget-exhausted"]
+    assert descent["stop_reason"] == "budget-exhausted"
+    assert descent["iterations"] == 1
+    assert descent["backtracks"] >= 0
+
+
 def test_minimize_requires_enough_nodes():
     m = models.gaussian(2)
     with pytest.raises(ValueError):
