@@ -33,6 +33,7 @@ from .models import (
     grad_potential,
     potential_f,
     radial_distance,
+    validate_point,
 )
 from .numgeom import Chart, FDConfig, potential_field, scalar_field, weighted_laplacian_fd
 from .paths import PhiPath
@@ -67,13 +68,6 @@ class CutoffZeta:
         """Slope +1 / 0 / -1; the kink points take the plateau value."""
         s = np.asarray(s, dtype=float)
         return np.where(s < 1.0, 1.0, np.where(s > self.s_bar - 1.0, -1.0, 0.0))
-
-    def slope_at_midpoint(self, mid: float) -> float:
-        if mid < 1.0:
-            return 1.0
-        if mid > self.s_bar - 1.0:
-            return -1.0
-        return 0.0
 
     @property
     def integral_zeta_sq(self) -> float:
@@ -146,36 +140,18 @@ def _aligned_pieces(path: PhiPath, zeta: CutoffZeta):
     out = []
     for i0, i1 in quadrature.piece_slices(path.s, breaks):
         mid = 0.5 * (path.s[i0] + path.s[i1])
-        out.append((i0, i1, zeta.slope_at_midpoint(float(mid))))
+        out.append((i0, i1, float(zeta.zeta_prime(mid))))
     return out
-
-
-def _piece_integral(s: np.ndarray, vals: np.ndarray, i0: int, i1: int):
-    fine = quadrature.simpson_uniform(s[i0 : i1 + 1], vals[i0 : i1 + 1])
-    n = i1 - i0
-    if n >= 2 and n % 2 == 0:
-        coarse = quadrature.simpson_uniform(s[i0 : i1 + 1 : 2], vals[i0 : i1 + 1 : 2])
-    else:
-        coarse = float(np.trapezoid(vals[i0 : i1 + 1], s[i0 : i1 + 1]))
-    return fine, abs(fine - coarse)
 
 
 def _integral(path: PhiPath, zeta: CutoffZeta, vals: np.ndarray, slope_weight: bool = False):
     """Integral of vals ds, or of slope(zeta) * vals ds, with error estimate."""
-    total = 0.0
-    err = 0.0
-    for i0, i1, slope in _aligned_pieces(path, zeta):
-        if slope_weight:
-            if slope == 0.0:
-                continue
-            part, part_err = _piece_integral(path.s, vals, i0, i1)
-            total += slope * part
-            err += part_err
-        else:
-            part, part_err = _piece_integral(path.s, vals, i0, i1)
-            total += part
-            err += part_err
-    return total, err
+    pieces = _aligned_pieces(path, zeta)
+    if slope_weight:
+        pieces = [piece for piece in pieces if piece[2] != 0.0]
+    else:
+        pieces = [(i0, i1, 1.0) for i0, i1, _ in pieces]
+    return quadrature.integrate_pieces(path.s, vals, pieces)
 
 
 def _grad_f_dot_velocity(model: ModelSpec, path: PhiPath) -> np.ndarray:
@@ -358,14 +334,14 @@ def combined_integral_audit(model: ModelSpec, params: PhiParams, path: PhiPath,
                             tol: float = DEFAULT_TOL) -> AuditReport:
     """Combined inequality mixing the curvature ratio, the speed, and the
     boundary coupling, all weighted by the cutoff."""
+    validate_point(model, path.pos)
     zeta = CutoffZeta(path.s_bar)
     zs = zeta.zeta(path.s)
     n = model.n
     f = potential_f(model, path.pos)
     safe = f > 0.0
     inv_f = np.where(safe, 1.0 / np.where(safe, f, 1.0), 0.0)
-    rc_sq = np.array([eval_geometry(model, p).ricci_norm_sq for p in path.pos])
-    i_rc, err_rc = _integral(path, zeta, zs * zs * rc_sq * inv_f)
+    i_rc, err_rc = _integral(path, zeta, zs * zs * model.ricci_norm_sq * inv_f)
     i_invf, err_invf = _integral(path, zeta, zs * zs * inv_f)
     i_speed, err_speed = _integral(path, zeta, zs * zs * path.speed_sq())
     coupling = _grad_f_dot_velocity(model, path)
@@ -421,13 +397,13 @@ def weighted_ricci_integral_audit(model: ModelSpec, params: PhiParams, path: Phi
         raise DegenerateModelError(
             f"{model}: weighted curvature integral needs f(O) > 0 (degenerate: R == 0)"
         )
+    validate_point(model, path.pos)
     x = path.pos[0] if x is None else x
     y = path.pos[-1] if y is None else y
     zeta = CutoffZeta(path.s_bar)
     zs = zeta.zeta(path.s)
     f = potential_f(model, path.pos)
-    rc_sq = np.array([eval_geometry(model, p).ricci_norm_sq for p in path.pos])
-    lhs, qerr = _integral(path, zeta, zs * zs * rc_sq / f)
+    lhs, qerr = _integral(path, zeta, zs * zs * model.ricci_norm_sq / f)
     n = model.n
     a_bound = _speed_bound(path, params)
     f_origin = float(potential_f(model, base_point(model)))
@@ -528,11 +504,10 @@ def find_good_point(model: ModelSpec, params: PhiParams, y: np.ndarray,
     path = integrate_ivp(model, params, origin, first.vel[0], s_bar, step,
                          s_out=s_out, breaks=breaks, drift_tol=drift_tol)
     path.flags.append("shooting")
+    validate_point(model, path.pos)
     window_mask = (path.s >= w0 - 1e-12) & (path.s <= s_bar - 1.0 + 1e-12)
     window_idx = np.nonzero(window_mask)[0]
-    rc_norms = np.array(
-        [math.sqrt(eval_geometry(model, path.pos[i]).ricci_norm_sq) for i in window_idx]
-    )
+    rc_norms = np.full(len(window_idx), math.sqrt(model.ricci_norm_sq))
     k = int(window_idx[int(np.argmin(rc_norms))])
     z = path.pos[k]
     rc_z = float(np.min(rc_norms))
@@ -542,17 +517,13 @@ def find_good_point(model: ModelSpec, params: PhiParams, y: np.ndarray,
             f"{model}: scanned point is too far from y (d = {d_zy:.4g} > r(y)/2)"
         )
     f = potential_f(model, path.pos)
-    rc_sq = np.array([eval_geometry(model, p).ricci_norm_sq for p in path.pos])
-    window_vals = np.where(window_mask, rc_sq / f, 0.0)
-    slices = quadrature.piece_slices(path.s, path.breaks)
-    window_integral = 0.0
-    window_err = 0.0
-    for i0, i1 in slices:
-        mid = 0.5 * (path.s[i0] + path.s[i1])
-        if w0 - 1e-12 <= mid <= s_bar - 1.0 + 1e-12:
-            part, part_err = _piece_integral(path.s, window_vals, i0, i1)
-            window_integral += part
-            window_err += part_err
+    window_vals = np.where(window_mask, model.ricci_norm_sq / f, 0.0)
+    window_pieces = [
+        (i0, i1, 1.0)
+        for i0, i1 in quadrature.piece_slices(path.s, path.breaks)
+        if w0 - 1e-12 <= 0.5 * (path.s[i0] + path.s[i1]) <= s_bar - 1.0 + 1e-12
+    ]
+    window_integral, window_err = quadrature.integrate_pieces(path.s, window_vals, window_pieces)
     span = r_y / (2.0 * a_bound) - 1.0
     denom = (math.sqrt(n / 2.0) + 1.5 * r_y) ** 2
     lower = span * (rc_z**2) / denom

@@ -16,8 +16,9 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
-from dataclasses import dataclass, fields
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -37,10 +38,11 @@ from .errors import (
 from .models import (
     base_point,
     canonical_target,
+    chart_ricci,
     parse_model,
     random_point,
 )
-from .numgeom import Chart, FDConfig, ricci_fd
+from .numgeom import CHART_RADIUS, Chart, FDConfig, ricci_fd
 from .phigeo import (
     PhiParams,
     certify_minimal_candidate,
@@ -80,6 +82,17 @@ class RunConfig:
     max_iters: int = 10000
 
     def validate(self) -> None:
+        for f in fields(self):
+            value = getattr(self, f.name)
+            kind = type(f.default)
+            if kind is tuple:
+                ok = isinstance(value, tuple) and all(_is_finite_number(v) for v in value)
+            elif kind is float:
+                ok = _is_finite_number(value)
+            else:  # int or str
+                ok = isinstance(value, kind) and not isinstance(value, bool)
+            if not ok:
+                raise ConfigError(f"{f.name} must be {_KIND_NAMES[kind]} (got {value!r})")
         if self.samples < 1:
             raise ConfigError(f"samples must be >= 1 (got {self.samples})")
         if self.seed < 0:
@@ -91,6 +104,8 @@ class RunConfig:
         for name in ("shoot_tol", "drift_tol", "audit_tol", "fd_h"):
             if not getattr(self, name) > 0.0:
                 raise ConfigError(f"{name} must be positive (got {getattr(self, name)})")
+        if not self.fd_h < CHART_RADIUS / 10.0:
+            raise ConfigError(f"fd_h must be below {CHART_RADIUS / 10.0} (got {self.fd_h})")
         if self.density < 4:
             raise ConfigError(f"density must be >= 4 (got {self.density})")
         if self.max_iters < 1:
@@ -107,21 +122,24 @@ class RunConfig:
                 raise ConfigError(f"ry must be positive (got {value})")
 
     def to_dict(self) -> dict:
-        return {
-            "model": self.model,
-            "c": list(self.c),
-            "ry": list(self.ry),
-            "samples": self.samples,
-            "seed": self.seed,
-            "N": self.N,
-            "step": self.step,
-            "shoot_tol": self.shoot_tol,
-            "density": self.density,
-            "drift_tol": self.drift_tol,
-            "audit_tol": self.audit_tol,
-            "fd_h": self.fd_h,
-            "max_iters": self.max_iters,
-        }
+        out = asdict(self)
+        del out["out"]
+        return out
+
+
+_KIND_NAMES = {
+    tuple: "a list of finite numbers",
+    float: "a finite number",
+    int: "an integer",
+    str: "a string",
+}
+
+
+def _is_finite_number(value) -> bool:
+    """An int or a finite float; bools are not numbers here."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return False
+    return isinstance(value, int) or math.isfinite(value)
 
 
 def _config_from_args(args) -> RunConfig:
@@ -141,7 +159,11 @@ def _config_from_args(args) -> RunConfig:
             if key not in known:
                 raise ConfigError(f"unknown config field {key!r}")
             if key in ("c", "ry"):
-                value = tuple(float(v) for v in (value if isinstance(value, list) else [value]))
+                items = value if isinstance(value, list) else [value]
+                if not all(_is_finite_number(v) for v in items):
+                    raise ConfigError(f"{key} must be a finite number or a list of them "
+                                      f"(got {value!r})")
+                value = tuple(float(v) for v in items)
             setattr(cfg, key, value)
     for key in known:
         value = getattr(args, key, None)
@@ -195,17 +217,9 @@ def cmd_verify_identities(config: RunConfig) -> int:
     worst = 0.0
     for p in points[: min(10, len(points))]:
         chart = Chart(model, p)
-        rc = ricci_fd(chart, np.zeros(model.n), fd_cfg)
-        g0 = chart.metric_at(np.zeros(model.n))
-        closed = np.zeros_like(g0)
-        offset = 0
-        for f in model.factors:
-            if f.kind == "sphere":
-                closed[offset : offset + f.dim, offset : offset + f.dim] = (
-                    0.5 * g0[offset : offset + f.dim, offset : offset + f.dim]
-                )
-            offset += f.dim
-        worst = max(worst, float(np.max(np.abs(rc - closed))))
+        origin = np.zeros(model.n)
+        closed = chart_ricci(model, chart.metric_at(origin))
+        worst = max(worst, float(np.max(np.abs(ricci_fd(chart, origin, fd_cfg) - closed))))
     reports.append(
         audit_mod.AuditReport(
             "ricci-fd-vs-closed", worst, 1e-4, 0.0, context={"model": model.label}
@@ -373,13 +387,13 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--model", help="model string, e.g. cylinder:k=2,m=2")
         p.add_argument("--c", type=_float_list, help="comma-separated potential constants")
         p.add_argument("--ry", type=_float_list, help="comma-separated target radii")
-        p.add_argument("--seed", type=int, help="random seed (default 0)")
         p.add_argument("--out", help="output directory for reports (default ./reports)")
         p.add_argument("--config", help="JSON config file; flags override its fields")
 
     p_verify = sub.add_parser("verify-identities", help="pointwise identity suite")
     add_common(p_verify)
     p_verify.add_argument("--samples", type=int, help="random sample points (default 100)")
+    p_verify.add_argument("--seed", type=int, help="random seed (default 0)")
 
     p_geo = sub.add_parser("geodesic", help="solve one boundary-value case both ways")
     add_common(p_geo)

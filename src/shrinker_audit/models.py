@@ -362,6 +362,19 @@ def eval_geometry(model: ModelSpec, p: np.ndarray) -> GeometryEval:
     )
 
 
+def chart_ricci(model: ModelSpec, g: np.ndarray) -> np.ndarray:
+    """Closed-form Ricci in factor-ordered intrinsic coordinates (the layout of
+    ``numgeom.Chart``) with metric ``g``: g/2 on sphere blocks, 0 on flat ones."""
+    out = np.zeros_like(g)
+    offset = 0
+    for f in model.factors:
+        if f.kind == "sphere":
+            block = slice(offset, offset + f.dim)
+            out[block, block] = 0.5 * g[block, block]
+        offset += f.dim
+    return out
+
+
 # ---------------------------------------------------------------------------
 # Distances, exponential and logarithm maps
 # ---------------------------------------------------------------------------
@@ -455,54 +468,43 @@ def log_map(model: ModelSpec, pos: np.ndarray, target: np.ndarray) -> np.ndarray
     return out
 
 
+def sphere_frame(f: Factor, pos: np.ndarray) -> np.ndarray:
+    """Orthonormal frame of sphere factor ``f`` at ``pos``, rows of shape (dim, ambient).
+
+    Gram-Schmidt of the factor's ambient basis vectors against the unit
+    position u_hat, skipping those (nearly) parallel to what is already spanned.
+    """
+    u_hat = pos[f.start : f.stop] / f.radius
+    frame = []
+    for i in range(f.ambient_dim):
+        cand = np.zeros(f.ambient_dim)
+        cand[i] = 1.0
+        cand -= np.dot(cand, u_hat) * u_hat
+        for prev in frame:
+            cand -= np.dot(cand, prev) * prev
+        norm = np.linalg.norm(cand)
+        if norm > 1e-8:
+            frame.append(cand / norm)
+        if len(frame) == f.dim:
+            break
+    return np.array(frame)
+
+
 def tangent_basis(model: ModelSpec, pos: np.ndarray) -> np.ndarray:
     """Deterministic orthonormal basis of the tangent space, rows of shape (n, ambient)."""
     pos = np.asarray(pos, dtype=float)
-    rows = []
+    basis = np.zeros((model.n, model.ambient_dim))
+    row = 0
     for f in model.factors:
-        if f.kind == "euclidean":
-            for i in range(f.dim):
-                row = np.zeros(model.ambient_dim)
-                row[f.start + i] = 1.0
-                rows.append(row)
-            continue
-        u_hat = pos[f.start : f.stop] / f.radius
-        frame = []
-        for i in range(f.ambient_dim):
-            cand = np.zeros(f.ambient_dim)
-            cand[i] = 1.0
-            cand -= np.dot(cand, u_hat) * u_hat
-            for prev in frame:
-                cand -= np.dot(cand, prev) * prev
-            norm = np.linalg.norm(cand)
-            if norm > 1e-8:
-                frame.append(cand / norm)
-            if len(frame) == f.dim:
-                break
-        for vec in frame:
-            row = np.zeros(model.ambient_dim)
-            row[f.start : f.stop] = vec
-            rows.append(row)
-    return np.array(rows)
+        block = np.eye(f.dim) if f.kind == "euclidean" else sphere_frame(f, pos)
+        basis[row : row + f.dim, f.start : f.stop] = block
+        row += f.dim
+    return basis
 
 
 # ---------------------------------------------------------------------------
 # Background (phi = 0) minimal geodesics and canonical targets
 # ---------------------------------------------------------------------------
-
-
-def _antipodal_axis(f: Factor, u: np.ndarray) -> np.ndarray:
-    """Deterministic great-circle direction for an antipodal pair: rotate
-    toward the first ambient basis vector not parallel to u."""
-    u_hat = u / f.radius
-    for i in range(f.ambient_dim):
-        cand = np.zeros(f.ambient_dim)
-        cand[i] = 1.0
-        cand -= np.dot(cand, u_hat) * u_hat
-        norm = np.linalg.norm(cand)
-        if norm > 1e-8:
-            return cand / norm
-    raise InvalidPointError("could not construct antipodal tie-break axis")
 
 
 def background_geodesic(model: ModelSpec, p: np.ndarray, q: np.ndarray, N: int) -> PhiPath:
@@ -539,7 +541,8 @@ def background_geodesic(model: ModelSpec, p: np.ndarray, q: np.ndarray, N: int) 
             vel[:, f.start : f.stop] = 0.0
             continue
         if theta > math.pi - ANTIPODAL_TOL:
-            axis = _antipodal_axis(f, a)
+            # deterministic great circle: rotate toward the first frame direction
+            axis = sphere_frame(f, p)[0]
             flags.append(f"antipodal-tiebreak:factor@{f.start}")
         else:
             w = b - cosang * a

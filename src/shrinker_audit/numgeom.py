@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidPointError, MetricConditionError, PreconditionError
-from .models import ModelSpec, potential_f, validate_point
+from .models import ModelSpec, potential_f, sphere_frame, validate_point
 
 CHART_RADIUS = 1.0
 MAX_METRIC_CONDITION = 1e12
@@ -31,16 +31,13 @@ MAX_METRIC_CONDITION = 1e12
 
 @dataclass(frozen=True)
 class FDConfig:
-    """Central-difference configuration. Order 2 is the only implemented order."""
+    """Step of the second-order central differences used throughout."""
 
     h: float = 1e-3
-    order: int = 2
 
     def __post_init__(self):
         if not 0.0 < self.h < CHART_RADIUS / 10.0:
             raise ValueError(f"FD step h={self.h} must lie in (0, {CHART_RADIUS / 10.0})")
-        if self.order != 2:
-            raise ValueError("only order-2 central differences are implemented")
 
 
 class Chart:
@@ -57,22 +54,10 @@ class Chart:
         self.model = model
         self.center = np.asarray(center, dtype=float)
         self.radius = CHART_RADIUS
-        self._frames = {}
-        for f in model.sphere_factors:
-            u_hat = self.center[f.start : f.stop] / f.radius
-            frame = []
-            for i in range(f.ambient_dim):
-                cand = np.zeros(f.ambient_dim)
-                cand[i] = 1.0
-                cand -= np.dot(cand, u_hat) * u_hat
-                for prev in frame:
-                    cand -= np.dot(cand, prev) * prev
-                norm = np.linalg.norm(cand)
-                if norm > 1e-8:
-                    frame.append(cand / norm)
-                if len(frame) == f.dim:
-                    break
-            self._frames[f.start] = (u_hat, np.array(frame))
+        self._frames = {
+            f.start: (self.center[f.start : f.stop] / f.radius, sphere_frame(f, self.center))
+            for f in model.sphere_factors
+        }
 
     @property
     def dim(self) -> int:
@@ -155,26 +140,6 @@ def scalar_field(chart: Chart, func_on_points):
 
 def potential_field(chart: Chart):
     return scalar_field(chart, lambda pos: potential_f(chart.model, pos))
-
-
-def curvature_field(chart: Chart):
-    R = chart.model.scalar_R
-
-    def field(coords):
-        coords = np.asarray(coords, dtype=float)
-        return np.full(coords.shape[:-1], R)
-
-    return field
-
-
-def curvature_ratio_field(chart: Chart):
-    """R/f as a chart scalar field."""
-    R = chart.model.scalar_R
-
-    def field(coords):
-        return R / potential_f(chart.model, chart.to_manifold(coords))
-
-    return field
 
 
 # ---------------------------------------------------------------------------

@@ -49,12 +49,6 @@ class PhiPath:
     def n_nodes(self) -> int:
         return int(self.s.shape[0])
 
-    def point(self, i: int) -> np.ndarray:
-        return self.pos[i]
-
-    def velocity(self, i: int) -> np.ndarray:
-        return self.vel[i]
-
     def speed_sq(self) -> np.ndarray:
         """Squared node speeds |S|^2 (ambient dot; the embedding is isometric)."""
         return np.einsum("ij,ij->i", self.vel, self.vel)

@@ -23,7 +23,6 @@ Armijo backtracking line search).
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -616,7 +615,3 @@ def path_json_dict(model: ModelSpec, params: PhiParams, path: PhiPath) -> dict:
         "start": [float(v) for v in path.pos[0]],
         "end": [float(v) for v in path.pos[-1]],
     }
-
-
-def path_json(model: ModelSpec, params: PhiParams, path: PhiPath) -> str:
-    return json.dumps(path_json_dict(model, params, path), indent=2, sort_keys=True)

@@ -61,30 +61,29 @@ def piece_slices(s: np.ndarray, breaks) -> list:
 
 def integrate(s: np.ndarray, y: np.ndarray, breaks=()) -> float:
     """Piecewise composite Simpson over break-aligned uniform pieces."""
-    total = 0.0
-    for i0, i1 in piece_slices(s, breaks):
-        total += simpson_uniform(s[i0 : i1 + 1], y[i0 : i1 + 1])
-    return total
+    return integrate_pieces(s, y, [(i0, i1, 1.0) for i0, i1 in piece_slices(s, breaks)])[0]
 
 
-def integrate_with_error(s: np.ndarray, y: np.ndarray, breaks=()):
-    """Integral plus a conservative Richardson error estimate.
+def integrate_pieces(s: np.ndarray, y: np.ndarray, pieces):
+    """Weighted sum of per-piece Simpson integrals, with an error estimate.
 
-    The estimate compares the full grid against its 2x coarsening whenever
-    every piece has an even interval count; otherwise it falls back to the
-    (much cruder) Simpson-versus-trapezoid difference.
+    ``pieces`` holds ``(i0, i1, weight)`` index ranges from ``piece_slices``;
+    the result is ``(sum of weight * integral, sum of piece errors)``, summed
+    in piece order. A piece's error compares its Simpson value against the
+    rule on the 2x-coarsened piece when the interval count is even, else
+    against the (much cruder) trapezoid rule.
     """
-    slices = piece_slices(s, breaks)
-    fine = 0.0
-    coarse = 0.0
-    coarsenable = all((i1 - i0) % 2 == 0 and i1 - i0 >= 2 for i0, i1 in slices)
-    for i0, i1 in slices:
-        fine += simpson_uniform(s[i0 : i1 + 1], y[i0 : i1 + 1])
-        if coarsenable:
-            coarse += simpson_uniform(s[i0 : i1 + 1 : 2], y[i0 : i1 + 1 : 2])
+    total = 0.0
+    err = 0.0
+    for i0, i1, weight in pieces:
+        fine = simpson_uniform(s[i0 : i1 + 1], y[i0 : i1 + 1])
+        if (i1 - i0) % 2 == 0:
+            coarse = simpson_uniform(s[i0 : i1 + 1 : 2], y[i0 : i1 + 1 : 2])
         else:
-            coarse += float(np.trapezoid(y[i0 : i1 + 1], s[i0 : i1 + 1]))
-    return fine, abs(fine - coarse)
+            coarse = float(np.trapezoid(y[i0 : i1 + 1], s[i0 : i1 + 1]))
+        total += weight * fine
+        err += abs(fine - coarse)
+    return total, err
 
 
 def uniform_grid(s_bar: float, n_intervals: int) -> np.ndarray:

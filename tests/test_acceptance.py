@@ -64,19 +64,6 @@ def report(number: int, label: str, ok: bool, detail: str = ""):
     assert ok, f"criterion {number} failed: {label} {suffix}"
 
 
-def closed_chart_ricci(chart, coords):
-    g = chart.metric_at(coords)
-    out = np.zeros_like(g)
-    offset = 0
-    for f in chart.model.factors:
-        if f.kind == "sphere":
-            out[offset : offset + f.dim, offset : offset + f.dim] = (
-                0.5 * g[offset : offset + f.dim, offset : offset + f.dim]
-            )
-        offset += f.dim
-    return out
-
-
 def test_criterion_1_identity_suite():
     rng = np.random.default_rng(101)
     cfg = FDConfig()
@@ -141,7 +128,7 @@ def test_criterion_2_fd_convergence():
             coords = rng.uniform(0.15, 0.35, size=model.n) * rng.choice(
                 [-1.0, 1.0], size=model.n
             )
-            closed = closed_chart_ricci(chart, coords)
+            closed = models.chart_ricci(model, chart.metric_at(coords))
             err_h = float(np.max(np.abs(ricci_fd(chart, coords, FDConfig(h=2e-3)) - closed)))
             err_h2 = float(np.max(np.abs(ricci_fd(chart, coords, FDConfig(h=1e-3)) - closed)))
             if err_h < 1e-13:

@@ -1,9 +1,22 @@
+import argparse
 import json
 import math
+from dataclasses import fields
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from shrinker_audit.cli import EXIT_CONFIG, EXIT_OK, EXIT_REFUSED, EXIT_SOLVER, main
+from shrinker_audit.cli import (
+    EXIT_CONFIG,
+    EXIT_OK,
+    EXIT_REFUSED,
+    EXIT_SOLVER,
+    RunConfig,
+    _config_from_args,
+    main,
+)
+from shrinker_audit.errors import ConfigError
 
 
 def read_json(path):
@@ -193,3 +206,57 @@ def test_config_invalid_values_exit_2(tmp_path, capsys):
     ])
     assert code == EXIT_CONFIG
     assert "samples" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "config, argv, field",
+    [
+        ({"samples": "abc"}, ["verify-identities"], "samples"),
+        ({"samples": True}, ["verify-identities"], "samples"),
+        ({"c": "x"}, ["verify-identities"], "c"),
+        ({"step": None}, ["geodesic"], "step"),
+        ({"seed": 1.5}, ["verify-identities"], "seed"),
+        ({"fd_h": 0.5}, ["verify-identities"], "fd_h"),
+        ({}, ["geodesic", "--c", "inf"], "c"),
+        ({}, ["geodesic", "--ry", "nan"], "ry"),
+    ],
+    ids=["samples-str", "samples-bool", "c-str", "step-null", "seed-float", "fd_h-range",
+         "c-inf", "ry-nan"],
+)
+def test_config_type_errors_exit_2(tmp_path, capsys, config, argv, field):
+    cfg_path = tmp_path / "bad.json"
+    cfg_path.write_text(json.dumps(config))
+    code = main(argv + ["--config", str(cfg_path), "--out", str(tmp_path)])
+    assert code == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and field in err
+
+
+@pytest.mark.parametrize("command", ["geodesic", "audit-chain", "scan"])
+def test_seed_flag_only_on_verify_identities(capsys, command):
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--seed", "3"])
+    assert exc.value.code == EXIT_CONFIG
+    assert "--seed" in capsys.readouterr().err
+
+
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3),
+    max_leaves=4,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.dictionaries(st.sampled_from([f.name for f in fields(RunConfig)]), _JSON_VALUES,
+                       max_size=4))
+def test_fuzzed_config_file_is_accepted_or_a_config_error(tmp_path_factory, data):
+    cfg_path = tmp_path_factory.mktemp("fuzz") / "run.json"
+    cfg_path.write_text(json.dumps(data))
+    try:
+        cfg = _config_from_args(argparse.Namespace(config=str(cfg_path)))
+    except ConfigError:
+        return
+    for key, value in data.items():
+        if key not in ("c", "ry"):
+            assert getattr(cfg, key) == value

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from shrinker_audit import models
 from shrinker_audit.errors import (
@@ -273,6 +275,35 @@ def test_tangent_basis_orthonormal(model, rng):
     assert np.allclose(basis @ basis.T, np.eye(model.n), atol=1e-12)
     for row in basis:
         models.validate_tangent(model, p, row)
+
+
+@pytest.mark.parametrize(
+    "label",
+    ["gaussian:n=3", "sphere:n=3", "cylinder:k=2,m=2", "cylinder:k=3,m=1",
+     "sphereproduct:k=2,m=2"],
+)
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), length=st.floats(0.0, 3.5))
+def test_sphere_frame_and_maps_properties(label, seed, length):
+    model = models.parse_model(label)
+    rng = np.random.default_rng(seed)
+    p = models.random_point(model, rng)
+    for f in model.sphere_factors:
+        frame = models.sphere_frame(f, p)
+        assert frame.shape == (f.dim, f.ambient_dim)
+        assert np.allclose(frame @ frame.T, np.eye(f.dim), atol=1e-12)
+        assert np.max(np.abs(frame @ (p[f.start : f.stop] / f.radius))) <= 1e-12
+    # |v| <= 3.5 keeps every sphere angle below pi (radius >= sqrt(2))
+    v = models.random_tangent(model, p, rng)
+    v *= length / np.linalg.norm(v)
+    q = models.exp_map(model, p, v)
+    assert np.allclose(models.log_map(model, p, q), v, atol=1e-9)
+    assert float(models.distance(model, p, q)) == pytest.approx(length, abs=1e-9)
+    r = models.random_point(model, rng)
+    for a, b in [(p, q), (p, r), (q, r)]:
+        assert float(models.distance(model, a, b)) == pytest.approx(
+            float(models.distance(model, b, a)), abs=1e-12
+        )
 
 
 def test_canonical_target_radius(model):

@@ -1,0 +1,46 @@
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from shrinker_audit import quadrature
+
+_COEFF = st.floats(-1.0, 1.0)
+_CUBIC = st.tuples(_COEFF, _COEFF, _COEFF, _COEFF)
+
+
+def _cubic(coeffs, a, b, s):
+    """Cubic in t = (s - a)/(b - a) and its exact integral over [a, b]."""
+    t = (s - a) / (b - a)
+    c0, c1, c2, c3 = coeffs
+    return c0 + c1 * t + c2 * t**2 + c3 * t**3, (b - a) * (c0 + c1 / 2 + c2 / 3 + c3 / 4)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    s_bar=st.floats(2.0, 60.0),
+    density=st.integers(4, 32),
+    extra=st.floats(0.01, 0.99),
+    coeffs=_CUBIC,
+)
+def test_integrate_pieces_exact_on_cubics_over_audit_grid(s_bar, density, extra, coeffs):
+    s, breaks = quadrature.audit_grid(s_bar, density, extra_breaks=(extra * s_bar,))
+    y, exact = _cubic(coeffs, 0.0, s_bar, s)
+    pieces = [(i0, i1, 1.0) for i0, i1 in quadrature.piece_slices(s, breaks)]
+    total, err = quadrature.integrate_pieces(s, y, pieces)
+    assert abs(total - exact) <= 1e-9 * max(1.0, abs(exact))
+    assert err <= 1e-9
+
+
+@settings(max_examples=50, deadline=None)
+@given(intervals=st.sampled_from([3, 5, 7, 15, 31]), length=st.floats(0.5, 20.0),
+       coeffs=_CUBIC)
+def test_integrate_pieces_odd_piece_falls_back_to_trapezoid(intervals, length, coeffs):
+    s = np.linspace(1.0, 1.0 + length, intervals + 1)
+    y, exact = _cubic(coeffs, s[0], s[-1], s)
+    total, err = quadrature.integrate_pieces(s, y, [(0, intervals, 1.0)])
+    # Simpson with a 3/8 tail stays exact; the estimate is the trapezoid gap
+    assert abs(total - exact) <= 1e-9 * max(1.0, abs(exact))
+    assert err == pytest.approx(abs(total - float(np.trapezoid(y, s))), rel=1e-12, abs=1e-15)
+    flipped, flipped_err = quadrature.integrate_pieces(s, y, [(0, intervals, -1.0)])
+    assert flipped == -total and flipped_err == err
