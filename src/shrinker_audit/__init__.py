@@ -5,7 +5,7 @@ potential-geodesic boundary-value solvers, and audits that evaluate a chain
 of comparison-geometry identities and inequalities with explicit margins.
 """
 
-from . import audit, cli, models, numgeom, paths, phigeo
+from . import audit, models, numgeom, paths, phigeo
 from .errors import ShrinkerAuditError
 
 __version__ = "0.1.0"

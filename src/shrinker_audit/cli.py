@@ -135,6 +135,19 @@ _KIND_NAMES = {
 }
 
 
+# The config fields each subcommand reads; a config file may set no others.
+# model, c, ry and out are flags of every subcommand.
+_COMMON_FIELDS = {"model", "c", "ry", "out"}
+_COMMAND_FIELDS = {
+    "verify-identities": _COMMON_FIELDS | {"samples", "seed", "fd_h"},
+    "geodesic": _COMMON_FIELDS | {"N", "step", "shoot_tol", "density", "drift_tol",
+                                  "max_iters"},
+    "audit-chain": _COMMON_FIELDS | {"N", "step", "shoot_tol", "density", "drift_tol",
+                                     "max_iters", "audit_tol", "fd_h"},
+    "scan": _COMMON_FIELDS | {"step", "density", "drift_tol", "audit_tol"},
+}
+
+
 def _is_finite_number(value) -> bool:
     """An int or a finite float; bools are not numbers here."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
@@ -145,6 +158,8 @@ def _is_finite_number(value) -> bool:
 def _config_from_args(args) -> RunConfig:
     cfg = RunConfig()
     known = {f.name for f in fields(RunConfig)}
+    command = getattr(args, "command", None)
+    read = _COMMAND_FIELDS.get(command, known)
     if getattr(args, "config", None):
         try:
             with open(args.config, "r", encoding="utf-8") as handle:
@@ -158,6 +173,8 @@ def _config_from_args(args) -> RunConfig:
         for key, value in data.items():
             if key not in known:
                 raise ConfigError(f"unknown config field {key!r}")
+            if key not in read:
+                raise ConfigError(f"config field {key!r} is not read by {command}")
             if key in ("c", "ry"):
                 items = value if isinstance(value, list) else [value]
                 if not all(_is_finite_number(v) for v in items):

@@ -473,16 +473,21 @@ def sphere_frame(f: Factor, pos: np.ndarray) -> np.ndarray:
 
     Gram-Schmidt of the factor's ambient basis vectors against the unit
     position u_hat, skipping those (nearly) parallel to what is already spanned.
+    A candidate that lost more than 99% of its length is projected a second
+    time, since one pass leaves it only about eps/|cand| away from orthogonal.
     """
     u_hat = pos[f.start : f.stop] / f.radius
     frame = []
     for i in range(f.ambient_dim):
         cand = np.zeros(f.ambient_dim)
         cand[i] = 1.0
-        cand -= np.dot(cand, u_hat) * u_hat
-        for prev in frame:
-            cand -= np.dot(cand, prev) * prev
-        norm = np.linalg.norm(cand)
+        for _ in range(2):
+            cand -= np.dot(cand, u_hat) * u_hat
+            for prev in frame:
+                cand -= np.dot(cand, prev) * prev
+            norm = np.linalg.norm(cand)
+            if norm >= 1e-2:
+                break
         if norm > 1e-8:
             frame.append(cand / norm)
         if len(frame) == f.dim:

@@ -99,101 +99,121 @@ def phi_and_gradient(model: ModelSpec, params: PhiParams, p: np.ndarray):
 
 
 class _Dynamics:
-    """Precomputed slices and constants for the equations of motion."""
+    """Equations of motion on a batch of phase states.
+
+    Rows of a ``(batch, 2 * ambient)`` state are ``[position | velocity]``.
+    Every operation is row-wise (elementwise ufuncs, and ``np.vecdot`` over
+    one factor's columns, the dot kernel of a 1-D ``np.dot``), so a row's
+    trajectory is bitwise the same in any batch.
+    """
 
     def __init__(self, model: ModelSpec, params: PhiParams):
-        self.model = model
+        a = model.ambient_dim
+        self.ambient = a
         self.cR = params.c * model.scalar_R
         self.f_offset = sum(f.dim / 2.0 for f in model.sphere_factors)
-        self.euclid = [slice(f.start, f.stop) for f in model.euclid_factors]
-        self.sphere = [(slice(f.start, f.stop), f.radius**2) for f in model.sphere_factors]
+        # (position columns, velocity columns) of each factor
+        self.euclid = [(slice(f.start, f.stop), slice(a + f.start, a + f.stop))
+                       for f in model.euclid_factors]
+        self.sphere = [(slice(f.start, f.stop), slice(a + f.start, a + f.stop), f.radius**2)
+                       for f in model.sphere_factors]
 
-    def potential_f(self, pos: np.ndarray) -> float:
+    def potential_f(self, state: np.ndarray):
         f = self.f_offset
-        for sl in self.euclid:
-            x = pos[sl]
-            f += np.dot(x, x) / 4.0
+        for p, _ in self.euclid:
+            x = state[:, p]
+            f = f + np.vecdot(x, x) / 4.0
         return f
 
-    def energy(self, pos: np.ndarray, vel: np.ndarray) -> float:
-        e = np.dot(vel, vel)
+    def energy(self, state: np.ndarray) -> np.ndarray:
+        """|S|^2 - 2*phi of each row."""
+        vel = state[:, self.ambient:]
+        e = np.vecdot(vel, vel)
         if self.cR != 0.0:
-            e -= self.cR / self.potential_f(pos)
+            e = e - self.cR / self.potential_f(state)
         return e
 
-    def accel(self, pos: np.ndarray, vel: np.ndarray) -> np.ndarray:
-        acc = np.zeros_like(pos)
-        if self.cR != 0.0:
-            f = self.potential_f(pos)
-            coef = -self.cR / (4.0 * f * f)
-            for sl in self.euclid:
-                acc[sl] = coef * pos[sl]
-        for sl, r_sq in self.sphere:
-            v = vel[sl]
-            acc[sl] = -(np.dot(v, v) / r_sq) * pos[sl]
-        return acc
+    def deriv(self, state: np.ndarray) -> np.ndarray:
+        """Phase velocity ``[velocity | acceleration]`` of each row."""
+        out = np.zeros(state.shape)
+        out[:, : self.ambient] = state[:, self.ambient :]
+        if self.cR != 0.0 and self.euclid:
+            f = self.potential_f(state)
+            coef = (-self.cR / (4.0 * f * f))[:, None]
+            for p, v in self.euclid:
+                out[:, v] = coef * state[:, p]
+        for p, v, r_sq in self.sphere:
+            w = state[:, v]
+            # dividing by -r_sq equals negating the quotient, bit for bit
+            out[:, v] = (np.vecdot(w, w) / -r_sq)[:, None] * state[:, p]
+        return out
 
-    def renormalize(self, pos: np.ndarray, vel: np.ndarray) -> None:
-        for sl, r_sq in self.sphere:
-            u = pos[sl]
-            u *= math.sqrt(r_sq) / np.linalg.norm(u)
-            v = vel[sl]
-            v -= (np.dot(u, v) / r_sq) * u
+    def renormalize(self, state: np.ndarray) -> None:
+        """Put sphere blocks back on their sphere and tangent to it, in place."""
+        for p, v, r_sq in self.sphere:
+            u = state[:, p]
+            u *= (math.sqrt(r_sq) / np.sqrt(np.vecdot(u, u)))[:, None]
+            w = state[:, v]
+            w -= (np.vecdot(u, w) / r_sq)[:, None] * u
 
-    def rk4_step(self, pos: np.ndarray, vel: np.ndarray, h: float):
-        a1 = self.accel(pos, vel)
-        p2 = pos + (0.5 * h) * vel
-        v2 = vel + (0.5 * h) * a1
-        a2 = self.accel(p2, v2)
-        p3 = pos + (0.5 * h) * v2
-        v3 = vel + (0.5 * h) * a2
-        a3 = self.accel(p3, v3)
-        p4 = pos + h * v3
-        v4 = vel + h * a3
-        a4 = self.accel(p4, v4)
-        pos_new = pos + (h / 6.0) * (vel + 2.0 * v2 + 2.0 * v3 + v4)
-        vel_new = vel + (h / 6.0) * (a1 + 2.0 * a2 + 2.0 * a3 + a4)
-        self.renormalize(pos_new, vel_new)
-        return pos_new, vel_new
+    def rk4_step(self, state: np.ndarray, h: float) -> np.ndarray:
+        k1 = self.deriv(state)
+        k2 = self.deriv(state + (0.5 * h) * k1)
+        k3 = self.deriv(state + (0.5 * h) * k2)
+        k4 = self.deriv(state + h * k3)
+        new = state + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        self.renormalize(new)
+        return new
+
+
+def _substeps(s_nodes, step: float) -> list:
+    """(count, size) of the equal substeps no larger than ``step`` in each gap."""
+    out = []
+    for i in range(1, len(s_nodes)):
+        gap = s_nodes[i] - s_nodes[i - 1]
+        n_sub = max(1, math.ceil(gap / step - 1e-12))
+        out.append((n_sub, gap / n_sub))
+    return out
 
 
 def _march(dyn: _Dynamics, p0, v0, s_nodes, step: float,
            pos_hist=None, vel_hist=None, energies=None):
-    """Advance the state across ``s_nodes``, landing on every node exactly.
+    """Advance ``(batch, ambient)`` states across ``s_nodes``, landing on every node exactly.
 
-    Each gap is split into equal substeps no larger than ``step``. The same
-    routine drives both the recording integrator and the shooting trials so
-    that a converged trial and the final recorded path follow bitwise the
-    same discrete trajectory.
+    Each gap is split into equal substeps no larger than ``step``; a batched
+    RK4 step advances all rows, and each row comes out bitwise as if marched
+    alone. Row 0 is the recorded trajectory: ``pos_hist``/``vel_hist`` get
+    its node states, ``energies`` its node energies, and ``e_min``/``e_max``
+    bound its energy over every substep. The recording integrator (one row)
+    and the shooting trials (a trial plus its forward-difference rows) share
+    this routine, so a converged trial and the recorded path follow bitwise
+    the same discrete trajectory.
     """
-    pos = np.array(p0, dtype=float)
-    vel = np.array(v0, dtype=float)
+    state = np.concatenate([p0, v0], axis=1, dtype=float)
+    a = dyn.ambient
     track = energies is not None
     if track:
-        e0 = dyn.energy(pos, vel)
+        e0 = dyn.energy(state[:1])[0]
         e_min = e_max = e0
         energies[0] = e0
     else:
         e_min = e_max = 0.0
     if pos_hist is not None:
-        pos_hist[0] = pos
-        vel_hist[0] = vel
-    for i in range(1, len(s_nodes)):
-        gap = s_nodes[i] - s_nodes[i - 1]
-        n_sub = max(1, math.ceil(gap / step - 1e-12))
-        h = gap / n_sub
+        pos_hist[0] = state[0, :a]
+        vel_hist[0] = state[0, a:]
+    for i, (n_sub, h) in enumerate(_substeps(s_nodes, step), start=1):
         for _ in range(n_sub):
-            pos, vel = dyn.rk4_step(pos, vel, h)
+            state = dyn.rk4_step(state, h)
             if track:
-                e = dyn.energy(pos, vel)
+                e = dyn.energy(state[:1])[0]
                 e_min = min(e_min, e)
                 e_max = max(e_max, e)
         if pos_hist is not None:
-            pos_hist[i] = pos
-            vel_hist[i] = vel
+            pos_hist[i] = state[0, :a]
+            vel_hist[i] = state[0, a:]
         if track:
-            energies[i] = dyn.energy(pos, vel)
-    return pos, vel, e_min, e_max
+            energies[i] = dyn.energy(state[:1])[0]
+    return state[:, :a], state[:, a:], e_min, e_max
 
 
 def integrate_ivp(
@@ -237,7 +257,7 @@ def integrate_ivp(
     energies = np.empty(n_nodes)
     pos = project_point(model, p0)
     vel = project_tangent(model, pos, v0)
-    _, _, e_min, e_max = _march(dyn, pos, vel, s_nodes, step,
+    _, _, e_min, e_max = _march(dyn, pos[None], vel[None], s_nodes, step,
                                 pos_hist=pos_hist, vel_hist=vel_hist, energies=energies)
     c_value = float(np.median(energies))
     drift = max(e_max - c_value, c_value - e_min)
@@ -299,9 +319,22 @@ def solve_bvp_shooting(
     The parameter interval is [0, d(x, y)]; the speed is whatever the solver
     finds. Initial guess: the background-geodesic velocity scaled to speed
     sqrt(1 + c * mean(R/f)). Newton iterations act on velocity coefficients
-    in an orthonormal tangent basis, with a forward-difference Jacobian and
-    Armijo damping on the endpoint miss. The recorded path must keep the
-    first integral within ``drift_tol``.
+    ``a`` in an orthonormal tangent basis, with a forward-difference Jacobian
+    (step 1e-7 * (1 + |a|)) and Armijo damping on the endpoint miss.
+
+    Each trial ``a`` is marched in one batched ``_march`` together with its
+    n perturbations ``a + delta e_j``: row 0 gives the miss, rows 1..n the
+    Jacobian columns. Rows are independent, so the miss and the Jacobian are
+    bitwise those of n + 1 separate marches, and an accepted line-search
+    trial brings the Jacobian of the next iteration with it. The recorded
+    path re-marches the converged trial as a single row on the same grid,
+    so it lands where that trial landed, and must keep the first integral
+    within ``drift_tol``.
+
+    ``minimal_evidence["shooting"]`` records the run's deterministic
+    counts: Newton iterations, rejected line-search trials (backtracks),
+    marches and the rows they carried (the recorded path included), RK4
+    steps (a batched step counts once) and the final endpoint miss.
     """
     validate_point(model, x)
     validate_point(model, y)
@@ -326,43 +359,49 @@ def solve_bvp_shooting(
             n = max(64, 4 * math.ceil(s_bar * density / 4.0))
             s_out = quadrature.uniform_grid(s_bar, n)
             breaks = (0.0, s_bar)
+    dim = basis_x.shape[0]
+    starts = np.tile(x, (dim + 1, 1))
+    marches = 0
 
-    def miss(coeffs: np.ndarray) -> np.ndarray:
-        v0 = coeffs @ basis_x
-        p_end, _, _, _ = _march(dyn, x, v0, s_out, step)
-        return basis_y @ log_map(model, y, p_end)
+    def miss_and_jacobian(coeffs: np.ndarray):
+        nonlocal marches
+        delta = 1e-7 * (1.0 + float(np.linalg.norm(coeffs)))
+        rows = np.vstack([coeffs, coeffs + delta * np.eye(dim)])
+        v0 = np.array([row @ basis_x for row in rows])
+        p_end, _, _, _ = _march(dyn, starts, v0, s_out, step)
+        marches += 1
+        misses = np.array([basis_y @ log_map(model, y, p) for p in p_end])
+        return misses[0], (misses[1:] - misses[0]).T / delta
 
     a = basis_x @ v_guess
-    m = miss(a)
+    m, jac = miss_and_jacobian(a)
     m_norm = float(np.linalg.norm(m))
     best = m_norm
+    iterations = 0
+    backtracks = 0
     for _ in range(max_newton):
         if m_norm < tol:
             break
-        delta = 1e-7 * (1.0 + float(np.linalg.norm(a)))
-        jac = np.empty((len(a), len(a)))
-        for j in range(len(a)):
-            e = np.zeros(len(a))
-            e[j] = delta
-            jac[:, j] = (miss(a + e) - m) / delta
         if np.linalg.cond(jac) > 1e10:
             raise IllConditionedShootingError(
                 f"{model}: endpoint-miss Jacobian is ill-conditioned "
                 f"(conjugate-point-like configuration at s_bar = {s_bar:.4g})"
             )
+        iterations += 1
         step_dir = np.linalg.solve(jac, -m)
         t = 1.0
         accepted = False
         while t >= 1.0 / 256.0:
             a_try = a + t * step_dir
-            m_try = miss(a_try)
+            m_try, jac_try = miss_and_jacobian(a_try)
             m_try_norm = float(np.linalg.norm(m_try))
             if m_try_norm < (1.0 - 1e-4 * t) * m_norm:
-                a, m, m_norm = a_try, m_try, m_try_norm
+                a, m, jac, m_norm = a_try, m_try, jac_try, m_try_norm
                 best = min(best, m_norm)
                 accepted = True
                 break
             t *= 0.5
+            backtracks += 1
         if not accepted:
             raise ShootingConvergenceError(
                 f"{model}: shooting stalled with endpoint miss {m_norm:.3e}",
@@ -379,6 +418,15 @@ def solve_bvp_shooting(
     path = integrate_ivp(model, params, x, v0, s_bar, step, s_out=s_out, breaks=breaks,
                          drift_tol=drift_tol)
     path.flags.append("shooting")
+    steps_per_march = sum(n_sub for n_sub, _ in _substeps(path.s, step))
+    path.minimal_evidence["shooting"] = {
+        "newton_iterations": iterations,
+        "backtracks": backtracks,
+        "marches": marches + 1,
+        "rows_marched": marches * (dim + 1) + 1,
+        "rk4_steps": (marches + 1) * steps_per_march,
+        "final_miss": m_norm,
+    }
     return path
 
 

@@ -1,12 +1,17 @@
 import argparse
 import json
 import math
+import os
+import subprocess
+import sys
 from dataclasses import fields
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import shrinker_audit
 from shrinker_audit.cli import (
     EXIT_CONFIG,
     EXIT_OK,
@@ -70,6 +75,8 @@ def test_geodesic_cylinder_csv_and_bracket(tmp_path):
     payload = read_json(tmp_path / "geodesic_summary.json")
     assert 0.9 <= payload["shooting"]["C_value"] <= 1.1
     assert payload["evidence"]["J_agree"] and payload["evidence"]["C_agree"]
+    counts = payload["shooting"]["minimal_evidence"]["shooting"]
+    assert counts["final_miss"] < 1e-10 and counts["rk4_steps"] > 0
 
 
 def test_geodesic_sphere_quarter_arc(tmp_path):
@@ -104,6 +111,8 @@ def test_audit_chain_small_grid(tmp_path):
         "second-variation", "combined-integral", "boundary-term",
         "weighted-ricci-integral", "radial-envelope",
     ]
+    counts = cell["minimal_evidence"]["shooting"]
+    assert counts["marches"] == 2 + counts["newton_iterations"] + counts["backtracks"]
 
 
 def test_audit_chain_rejects_c_at_least_one(tmp_path, capsys):
@@ -230,6 +239,42 @@ def test_config_type_errors_exit_2(tmp_path, capsys, config, argv, field):
     assert code == EXIT_CONFIG
     err = capsys.readouterr().err
     assert err.startswith("error:") and field in err
+
+
+@pytest.mark.parametrize(
+    "command, config, field",
+    [
+        ("scan", {"samples": 7, "N": 16, "max_iters": 1, "fd_h": 0.05}, "samples"),
+        ("scan", {"shoot_tol": 1e-8}, "shoot_tol"),
+        ("geodesic", {"audit_tol": 1e-3}, "audit_tol"),
+        ("audit-chain", {"seed": 3}, "seed"),
+        ("verify-identities", {"N": 16}, "N"),
+    ],
+    ids=["scan-four", "scan-shoot_tol", "geodesic-audit_tol", "audit-chain-seed",
+         "verify-identities-N"],
+)
+def test_config_field_the_subcommand_does_not_read_exit_2(tmp_path, capsys, command,
+                                                          config, field):
+    cfg_path = tmp_path / "unread.json"
+    cfg_path.write_text(json.dumps(config))
+    code = main([command, "--c", "0.1", "--ry", "5", "--config", str(cfg_path),
+                 "--out", str(tmp_path)])
+    assert code == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and repr(field) in err and command in err
+    assert not any(tmp_path.glob("*_*.json"))
+
+
+def test_module_entry_point_runs_without_runtime_warning():
+    src = str(Path(shrinker_audit.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning", "-m", "shrinker_audit.cli", "--help"],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "shrinker-audit" in proc.stdout
 
 
 @pytest.mark.parametrize("command", ["geodesic", "audit-chain", "scan"])

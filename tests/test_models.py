@@ -277,6 +277,17 @@ def test_tangent_basis_orthonormal(model, rng):
         models.validate_tangent(model, p, row)
 
 
+def test_sphere_frame_orthogonal_when_gram_schmidt_cancels():
+    # u_hat within 1e-5 of -e_1: a single Gram-Schmidt pass left a frame row
+    # 3.5e-12 away from orthogonal to u_hat
+    m = models.parse_model("sphereproduct:k=2,m=2")
+    p = models.random_point(m, np.random.default_rng(812629830))
+    for f in m.sphere_factors:
+        frame = models.sphere_frame(f, p)
+        assert np.max(np.abs(frame @ (p[f.start : f.stop] / f.radius))) <= 1e-15
+        assert np.max(np.abs(frame @ frame.T - np.eye(f.dim))) <= 1e-15
+
+
 @pytest.mark.parametrize(
     "label",
     ["gaussian:n=3", "sphere:n=3", "cylinder:k=2,m=2", "cylinder:k=3,m=1",

@@ -156,6 +156,110 @@ def test_conservation_fourth_order_drift_reduction():
     assert drift_h / drift_h2 >= 8.0
 
 
+def _reference_rk4_step(model, params, pos, vel, h):
+    """One RK4 step of a single 1-D state, factor by factor with ``np.dot``:
+    the scalar arithmetic the batched kernel must reproduce bit for bit."""
+    cR = params.c * model.scalar_R
+
+    def accel(p, v):
+        acc = np.zeros_like(p)
+        if cR != 0.0:
+            f = sum(f.dim / 2.0 for f in model.sphere_factors)
+            for fac in model.euclid_factors:
+                x = p[fac.start:fac.stop]
+                f += np.dot(x, x) / 4.0
+            for fac in model.euclid_factors:
+                acc[fac.start:fac.stop] = -cR / (4.0 * f * f) * p[fac.start:fac.stop]
+        for fac in model.sphere_factors:
+            w = v[fac.start:fac.stop]
+            acc[fac.start:fac.stop] = -(np.dot(w, w) / fac.radius**2) * p[fac.start:fac.stop]
+        return acc
+
+    a1 = accel(pos, vel)
+    p2, v2 = pos + (0.5 * h) * vel, vel + (0.5 * h) * a1
+    a2 = accel(p2, v2)
+    p3, v3 = pos + (0.5 * h) * v2, vel + (0.5 * h) * a2
+    a3 = accel(p3, v3)
+    p4, v4 = pos + h * v3, vel + h * a3
+    a4 = accel(p4, v4)
+    pos = pos + (h / 6.0) * (vel + 2.0 * v2 + 2.0 * v3 + v4)
+    vel = vel + (h / 6.0) * (a1 + 2.0 * a2 + 2.0 * a3 + a4)
+    for fac in model.sphere_factors:
+        u = pos[fac.start:fac.stop]
+        u *= math.sqrt(fac.radius**2) / np.linalg.norm(u)
+        w = vel[fac.start:fac.stop]
+        w -= (np.dot(u, w) / fac.radius**2) * u
+    return pos, vel
+
+
+def _random_states(model, rng, k):
+    pos = np.array([models.random_point(model, rng) for _ in range(k)])
+    vel = np.array([models.project_tangent(model, p, rng.normal(size=model.ambient_dim))
+                    for p in pos])
+    return pos, vel
+
+
+def test_rk4_step_matches_scalar_reference(model, rng):
+    params = PhiParams(0.3)
+    dyn = phigeo._Dynamics(model, params)
+    pos, vel = _random_states(model, rng, 4)
+    ref = [(p.copy(), v.copy()) for p, v in zip(pos, vel)]
+    state = np.hstack([pos, vel])
+    for _ in range(50):
+        state = dyn.rk4_step(state, 1e-2)
+        ref = [_reference_rk4_step(model, params, p, v, 1e-2) for p, v in ref]
+    expected = np.array([np.concatenate(pv) for pv in ref])
+    assert state.tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("rows", ["1", "3", "n+1"])
+def test_march_rows_match_single_row_marches(model, rng, rows):
+    params = PhiParams(0.3)
+    dyn = phigeo._Dynamics(model, params)
+    k = model.n + 1 if rows == "n+1" else int(rows)
+    pos, vel = _random_states(model, rng, k)
+    s_nodes = np.array([0.0, 0.4, 0.45, 1.3])
+    n_nodes, dim = len(s_nodes), model.ambient_dim
+
+    def recorded_march(p0, v0):
+        hist = (np.empty((n_nodes, dim)), np.empty((n_nodes, dim)), np.empty(n_nodes))
+        end = phigeo._march(dyn, p0, v0, s_nodes, 1e-2, *hist)
+        return end, hist
+
+    (p_end, v_end, e_min, e_max), hist = recorded_march(pos, vel)
+    for i in range(k):
+        (p_i, v_i, e_min_i, e_max_i), hist_i = recorded_march(pos[i:i + 1], vel[i:i + 1])
+        assert p_end[i].tobytes() == p_i[0].tobytes()
+        assert v_end[i].tobytes() == v_i[0].tobytes()
+        if i == 0:  # row 0 is the recorded one, whatever the batch
+            assert (e_min, e_max) == (e_min_i, e_max_i)
+            assert all(a.tobytes() == b.tobytes() for a, b in zip(hist, hist_i))
+
+
+@pytest.mark.parametrize("label", ["cylinder:k=2,m=2", "sphereproduct:k=2,m=2"])
+def test_shooting_path_lands_where_the_converged_trial_landed(label):
+    m = models.parse_model(label)
+    x = models.base_point(m)
+    y = models.canonical_target(m, 2.5)
+    path = solve_bvp_shooting(m, PhiParams(0.1), x, y)
+    miss = models.tangent_basis(m, y) @ models.log_map(m, y, path.pos[-1])
+    assert path.minimal_evidence["shooting"]["final_miss"] == float(np.linalg.norm(miss))
+
+
+def test_shooting_counts_cylinder():
+    m = models.sphere_cylinder(2, 2)
+    y = models.canonical_target(m, 10.0)
+    path = solve_bvp_shooting(m, PhiParams(0.1), models.base_point(m), y)
+    counts = path.minimal_evidence["shooting"]
+    assert counts["newton_iterations"] >= 1
+    assert counts["marches"] == 1 + counts["newton_iterations"] + counts["backtracks"] + 1
+    # every trial carries the n forward-difference rows; the recorded path is one row
+    assert counts["rows_marched"] == (counts["marches"] - 1) * (m.n + 1) + 1
+    assert counts["rk4_steps"] == counts["marches"] * sum(
+        n_sub for n_sub, _ in phigeo._substeps(path.s, phigeo.MAX_IVP_STEP))
+    assert counts["final_miss"] < 1e-10
+
+
 def test_shooting_gaussian_straight_segment(rng):
     m = models.gaussian(3)
     x = rng.normal(size=3)
