@@ -29,7 +29,6 @@ from .models import (
     ModelSpec,
     base_point,
     distance,
-    eval_geometry,
     grad_potential,
     potential_f,
     radial_distance,
@@ -46,6 +45,9 @@ from .phigeo import (
 )
 
 DEFAULT_TOL = 1e-6
+# Charts per finite-difference stack: large enough to amortize the per-call
+# overhead, small enough that the stencil arrays stay out of peak memory.
+FD_BLOCK = 128
 
 
 @dataclass(frozen=True)
@@ -180,6 +182,33 @@ def _path_context(model: ModelSpec, params: PhiParams, path: PhiPath) -> dict:
 # ---------------------------------------------------------------------------
 
 
+def _sample_stack(model: ModelSpec, sample_points) -> np.ndarray:
+    """The sample points as one validated (P, ambient) array, P >= 1."""
+    points = np.asarray(sample_points, dtype=float)
+    if not len(points):
+        raise PreconditionError(f"{model}: pointwise audits need at least one sample point")
+    validate_point(model, points)
+    return points
+
+
+def _drifted_laplacians(model: ModelSpec, points: np.ndarray, cfg: FDConfig, *make_fields):
+    """FD drifted Laplacian of each ``make_field(chart)`` at the center of a
+    chart on every point: an array of shape (len(make_fields), P).
+
+    Charts are stacked FD_BLOCK at a time, which bounds the stencil arrays.
+    """
+    out = np.empty((len(make_fields), len(points)))
+    origin = np.zeros(model.n)
+    for start in range(0, len(points), FD_BLOCK):
+        chart = Chart(model, points[start : start + FD_BLOCK])
+        f_field = potential_field(chart)
+        for row, make_field in enumerate(make_fields):
+            out[row, start : start + FD_BLOCK] = weighted_laplacian_fd(
+                chart, make_field(chart), f_field, origin, cfg
+            )
+    return out
+
+
 def check_soliton_identities(model: ModelSpec, sample_points, tol: float = 1e-4,
                              cfg: FDConfig = FDConfig()):
     """Drifted-Laplacian identities for R and f, evaluated by the FD oracle.
@@ -188,27 +217,20 @@ def check_soliton_identities(model: ModelSpec, sample_points, tol: float = 1e-4,
     which is itself a consequence of the soliton structure; both sides are
     evaluated anyway so a broken model cannot slip through.
     """
-    sample_points = list(sample_points)
-    worst_r = 0.0
-    worst_f = 0.0
-    n_half = model.n / 2.0
-    for p in sample_points:
-        chart = Chart(model, p)
-        origin = np.zeros(model.n)
-        f_field = potential_field(chart)
-        r_field = scalar_field(chart, lambda pos: np.full(np.asarray(pos).shape[:-1],
-                                                          model.scalar_R))
-        geom = eval_geometry(model, p)
-        lap_r = weighted_laplacian_fd(chart, r_field, f_field, origin, cfg)
-        resid_r = abs(lap_r - (-2.0 * geom.ricci_norm_sq + geom.scalar_R))
-        lap_f = weighted_laplacian_fd(chart, f_field, f_field, origin, cfg)
-        resid_f = abs(lap_f - (n_half - geom.f))
-        worst_r = max(worst_r, resid_r)
-        worst_f = max(worst_f, resid_f)
-    ctx = {"model": model.label, "points": len(sample_points), "fd_h": cfg.h}
+    points = _sample_stack(model, sample_points)
+    lap_r, lap_f = _drifted_laplacians(
+        model, points, cfg,
+        lambda chart: scalar_field(chart, lambda pos: np.full(pos.shape[:-1], model.scalar_R)),
+        potential_field,
+    )
+    resid_r = np.abs(lap_r - (-2.0 * model.ricci_norm_sq + model.scalar_R))
+    resid_f = np.abs(lap_f - (model.n / 2.0 - potential_f(model, points)))
+    ctx = {"model": model.label, "points": len(points), "fd_h": cfg.h}
     return [
-        AuditReport("soliton-identity:curvature", worst_r, tol, 0.0, context=dict(ctx)),
-        AuditReport("soliton-identity:potential", worst_f, tol, 0.0, context=dict(ctx)),
+        AuditReport("soliton-identity:curvature", float(np.max(resid_r)), tol, 0.0,
+                    context=dict(ctx)),
+        AuditReport("soliton-identity:potential", float(np.max(resid_f)), tol, 0.0,
+                    context=dict(ctx)),
     ]
 
 
@@ -217,42 +239,37 @@ def check_deltaf_Rf(model: ModelSpec, sample_points, tol: float = 1e-4,
     """Drifted Laplacian of R/f: FD value vs the four-term expansion, plus
     the upper bound -|Rc|^2/f + 4(1+sqrt(n))^2/f."""
     n = model.n
-    bound_coeff = 4.0 * (1.0 + math.sqrt(n)) ** 2
-    worst_match = 0.0
-    min_margin = math.inf
-    argmin = (0.0, 0.0)
-    for p in sample_points:
-        geom = eval_geometry(model, p)
-        if geom.f <= 1e-12:
-            raise DegenerateModelError(
-                f"{model}: R/f audit needs f > 0 at every sample (got f={geom.f})"
-            )
-        chart = Chart(model, p)
-        origin = np.zeros(model.n)
-        f_field = potential_field(chart)
-        ratio_field = scalar_field(
-            chart, lambda pos: model.scalar_R / potential_f(model, pos)
+    points = _sample_stack(model, sample_points)
+    f = potential_f(model, points)
+    low = np.flatnonzero(f <= 1e-12)
+    if len(low):
+        raise DegenerateModelError(
+            f"{model}: R/f audit needs f > 0 at every sample (got f={float(f[low[0]])})"
         )
-        fd_val = weighted_laplacian_fd(chart, ratio_field, f_field, origin, cfg)
-        f = geom.f
-        R = geom.scalar_R
-        rc_grad = geom.ricci(geom.grad_f, geom.grad_f)
-        expansion = (
-            (R / f**2) * (2.0 * f - n / 2.0)
-            - 2.0 * geom.ricci_norm_sq / f
-            - 4.0 * rc_grad / f**2
-            + 2.0 * R * geom.grad_f_norm_sq() / f**3
-        )
-        worst_match = max(worst_match, abs(fd_val - expansion))
-        bound_rhs = (-geom.ricci_norm_sq + bound_coeff) / f
-        margin = bound_rhs - expansion
-        if margin < min_margin:
-            min_margin = margin
-            argmin = (expansion, bound_rhs)
+    (fd_val,) = _drifted_laplacians(
+        model, points, cfg,
+        lambda chart: scalar_field(chart, lambda pos: model.scalar_R / potential_f(model, pos)),
+    )
+    R = model.scalar_R
+    grad_f = grad_potential(model, points)
+    rc_grad = 0.0  # Rc(grad f, grad f): half the metric on each sphere block
+    for factor in model.sphere_factors:
+        g = grad_f[:, factor.start : factor.stop]
+        rc_grad = rc_grad + 0.5 * np.vecdot(g, g)
+    expansion = (
+        (R / f**2) * (2.0 * f - n / 2.0)
+        - 2.0 * model.ricci_norm_sq / f
+        - 4.0 * rc_grad / f**2
+        + 2.0 * R * np.vecdot(grad_f, grad_f) / f**3
+    )
+    bound_rhs = (-model.ricci_norm_sq + 4.0 * (1.0 + math.sqrt(n)) ** 2) / f
+    k = int(np.argmin(bound_rhs - expansion))
     ctx = {"model": model.label, "fd_h": cfg.h}
     return [
-        AuditReport("deltaf-Rf:expansion", worst_match, tol, 0.0, context=dict(ctx)),
-        AuditReport("deltaf-Rf:bound", argmin[0], argmin[1], 0.0, context=dict(ctx)),
+        AuditReport("deltaf-Rf:expansion", float(np.max(np.abs(fd_val - expansion))), tol, 0.0,
+                    context=dict(ctx)),
+        AuditReport("deltaf-Rf:bound", float(expansion[k]), float(bound_rhs[k]), 0.0,
+                    context=dict(ctx)),
     ]
 
 
@@ -262,26 +279,19 @@ def gradient_f_bound_audit(model: ModelSpec, sample_points, tol: float = 1e-12):
     On the flat model the first bound is an equality, so the tolerance
     absorbs float rounding.
     """
-    half_n = math.sqrt(model.n / 2.0)
-    min_a = math.inf
-    min_b = math.inf
-    arg_a = (0.0, 0.0)
-    arg_b = (0.0, 0.0)
-    for p in sample_points:
-        geom = eval_geometry(model, p)
-        sqrt_f = math.sqrt(geom.f)
-        grad_norm = math.sqrt(geom.grad_f_norm_sq())
-        r = float(radial_distance(model, p))
-        if sqrt_f - grad_norm < min_a:
-            min_a = sqrt_f - grad_norm
-            arg_a = (grad_norm, sqrt_f)
-        if half_n + r - sqrt_f < min_b:
-            min_b = half_n + r - sqrt_f
-            arg_b = (sqrt_f, half_n + r)
+    points = _sample_stack(model, sample_points)
+    sqrt_f = np.sqrt(potential_f(model, points))
+    grad_f = grad_potential(model, points)
+    grad_norm = np.sqrt(np.vecdot(grad_f, grad_f))
+    radial = math.sqrt(model.n / 2.0) + radial_distance(model, points)
+    a = int(np.argmin(sqrt_f - grad_norm))
+    b = int(np.argmin(radial - sqrt_f))
     ctx = {"model": model.label}
     return [
-        AuditReport("gradient-f-bound:sqrt-f", arg_a[0], arg_a[1], tol, context=dict(ctx)),
-        AuditReport("gradient-f-bound:radial", arg_b[0], arg_b[1], tol, context=dict(ctx)),
+        AuditReport("gradient-f-bound:sqrt-f", float(grad_norm[a]), float(sqrt_f[a]), tol,
+                    context=dict(ctx)),
+        AuditReport("gradient-f-bound:radial", float(sqrt_f[b]), float(radial[b]), tol,
+                    context=dict(ctx)),
     ]
 
 
@@ -293,15 +303,9 @@ def gradient_f_bound_audit(model: ModelSpec, sample_points, tol: float = 1e-12):
 def _delta_f_phi_fd(model: ModelSpec, params: PhiParams, pos: np.ndarray,
                     cfg: FDConfig) -> np.ndarray:
     """Drifted Laplacian of the potential phi, FD-evaluated at each node."""
-    out = np.empty(pos.shape[0])
-    origin = None
-    for i in range(pos.shape[0]):
-        chart = Chart(model, pos[i])
-        if origin is None:
-            origin = np.zeros(chart.dim)
-        f_field = potential_field(chart)
-        phi_field = scalar_field(chart, lambda q: phi_value(model, params, q))
-        out[i] = weighted_laplacian_fd(chart, phi_field, f_field, origin, cfg)
+    (out,) = _drifted_laplacians(
+        model, pos, cfg, lambda chart: scalar_field(chart, lambda q: phi_value(model, params, q))
+    )
     return out
 
 

@@ -364,13 +364,13 @@ def eval_geometry(model: ModelSpec, p: np.ndarray) -> GeometryEval:
 
 def chart_ricci(model: ModelSpec, g: np.ndarray) -> np.ndarray:
     """Closed-form Ricci in factor-ordered intrinsic coordinates (the layout of
-    ``numgeom.Chart``) with metric ``g``: g/2 on sphere blocks, 0 on flat ones."""
+    ``numgeom.Chart``) with metric ``g`` (..., n, n): g/2 on sphere blocks, 0 on flat ones."""
     out = np.zeros_like(g)
     offset = 0
     for f in model.factors:
         if f.kind == "sphere":
             block = slice(offset, offset + f.dim)
-            out[block, block] = 0.5 * g[block, block]
+            out[..., block, block] = 0.5 * g[..., block, block]
         offset += f.dim
     return out
 
@@ -469,30 +469,44 @@ def log_map(model: ModelSpec, pos: np.ndarray, target: np.ndarray) -> np.ndarray
 
 
 def sphere_frame(f: Factor, pos: np.ndarray) -> np.ndarray:
-    """Orthonormal frame of sphere factor ``f`` at ``pos``, rows of shape (dim, ambient).
+    """Orthonormal frames of sphere factor ``f``: (..., ambient) -> (..., dim, k+1).
 
     Gram-Schmidt of the factor's ambient basis vectors against the unit
     position u_hat, skipping those (nearly) parallel to what is already spanned.
     A candidate that lost more than 99% of its length is projected a second
     time, since one pass leaves it only about eps/|cand| away from orthogonal.
+    Rows are independent: the not-yet-filled frame slots are zero, so
+    projecting on them changes nothing, and each row gets the arithmetic of a
+    lone point.
     """
-    u_hat = pos[f.start : f.stop] / f.radius
-    frame = []
-    for i in range(f.ambient_dim):
-        cand = np.zeros(f.ambient_dim)
-        cand[i] = 1.0
-        for _ in range(2):
-            cand -= np.dot(cand, u_hat) * u_hat
-            for prev in frame:
-                cand -= np.dot(cand, prev) * prev
-            norm = np.linalg.norm(cand)
-            if norm >= 1e-2:
-                break
-        if norm > 1e-8:
-            frame.append(cand / norm)
-        if len(frame) == f.dim:
+    pos = np.asarray(pos, dtype=float)
+    u_hat = pos[..., f.start : f.stop].reshape(-1, f.ambient_dim) / f.radius
+    rows = np.arange(len(u_hat))
+    # slot f.dim takes the writes of rows whose frame is already complete
+    frame = np.zeros((len(u_hat), f.dim + 1, f.ambient_dim))
+    filled = np.zeros(len(u_hat), dtype=int)
+
+    def project(cand, slots):
+        for prev in [u_hat, *frame.transpose(1, 0, 2)[:slots]]:
+            cand = cand - np.vecdot(cand, prev)[:, None] * prev
+        return cand, np.sqrt(np.vecdot(cand, cand))
+
+    for i, e_i in enumerate(np.eye(f.ambient_dim)):
+        slots = min(i, f.dim)
+        cand, norm = project(e_i, slots)
+        again = norm < 1e-2
+        if again.any():
+            cand_2, norm_2 = project(cand, slots)
+            cand = np.where(again[:, None], cand_2, cand)
+            norm = np.where(again, norm_2, norm)
+        keep = (norm > 1e-8) & (filled < f.dim)
+        # rows that skip e_i write zeros into a slot that stays empty
+        unit = cand / np.where(keep, norm, 1.0)[:, None]
+        frame[rows, filled] = np.where(keep[:, None], unit, 0.0)
+        filled += keep
+        if filled.min() == f.dim:
             break
-    return np.array(frame)
+    return frame[:, : f.dim].reshape(pos.shape[:-1] + (f.dim, f.ambient_dim))
 
 
 def tangent_basis(model: ModelSpec, pos: np.ndarray) -> np.ndarray:

@@ -14,6 +14,13 @@ block of a radius-r0 sphere carries the conformal metric
 whose conformal factor stays within [r0^2, 4 r0^2] on the chart domain
 |y| < 1, so the distortion is bounded and the chart center is a critical
 point of the metric.
+
+Charts stack: ``Chart(model, centers)`` takes one center or an array of
+them, and every operator below evaluates all charts of the stack in one
+pass. Rows are independent. Each step is elementwise, a reduction over one
+chart's own axes, or one matmul per chart, so a stacked result is bitwise
+the result of one-chart calls, and a single center is simply the
+unstacked case.
 """
 
 from __future__ import annotations
@@ -41,21 +48,28 @@ class FDConfig:
 
 
 class Chart:
-    """Coordinate chart centered at a manifold point.
+    """Coordinate charts centered at a stack of manifold points.
 
-    Chart coordinates are the concatenation, in factor order, of k
+    ``centers`` has shape (*shape, ambient); ``shape`` is () for a single
+    chart. Chart coordinates are the concatenation, in factor order, of k
     stereographic coordinates per sphere factor and m offsets per Euclidean
-    factor; the center maps to the origin. ``to_manifold`` and ``metric_at``
-    accept batched input (leading axes broadcast).
+    factor; each center maps to the origin of its chart. Coordinates carry
+    the chart axes first: ``to_manifold`` takes (*shape, ..., n) and
+    ``from_manifold`` (*shape, ..., ambient). ``metric_at`` is the same in
+    every chart and broadcasts over any leading axes.
     """
 
-    def __init__(self, model: ModelSpec, center: np.ndarray):
-        validate_point(model, center)
+    def __init__(self, model: ModelSpec, centers: np.ndarray):
+        centers = np.asarray(centers, dtype=float)
+        validate_point(model, centers)
         self.model = model
-        self.center = np.asarray(center, dtype=float)
+        self.center = centers
+        self.shape = centers.shape[:-1]
         self.radius = CHART_RADIUS
+        # per factor: the chart's unit center u_hat (*shape, 1, k+1) and its
+        # tangent frame (*shape, k, k+1), shaped to act on a matrix of rows
         self._frames = {
-            f.start: (self.center[f.start : f.stop] / f.radius, sphere_frame(f, self.center))
+            f.start: (centers[..., None, f.start : f.stop] / f.radius, sphere_frame(f, centers))
             for f in model.sphere_factors
         }
 
@@ -69,39 +83,51 @@ class Chart:
             yield f, slice(offset, offset + f.dim)
             offset += f.dim
 
+    def _rows(self, arr: np.ndarray, width: int) -> np.ndarray:
+        """``arr`` as one matrix of rows per chart, (*shape, rows, width).
+
+        Products with a chart's frame then run as one matmul per chart, whose
+        arithmetic does not depend on how many charts are stacked."""
+        return np.asarray(arr, dtype=float).reshape(self.shape + (-1, width))
+
     def to_manifold(self, coords: np.ndarray) -> np.ndarray:
         coords = np.asarray(coords, dtype=float)
-        out = np.empty(coords.shape[:-1] + (self.model.ambient_dim,))
+        rows = self._rows(coords, self.dim)
+        out = np.empty(rows.shape[:-1] + (self.model.ambient_dim,))
         for f, sl in self._coord_slices():
-            block = coords[..., sl]
+            block = rows[..., sl]
             if f.kind == "euclidean":
-                out[..., f.start : f.stop] = self.center[f.start : f.stop] + block
+                out[..., f.start : f.stop] = self.center[..., None, f.start : f.stop] + block
                 continue
             u_hat, frame = self._frames[f.start]
             rho_sq = np.sum(block * block, axis=-1, keepdims=True)
             denom = 1.0 + rho_sq
             tangential = np.matmul(block, frame)  # (..., k+1)
-            out[..., f.start : f.stop] = f.radius * (
-                (1.0 - rho_sq) / denom * u_hat + (2.0 / denom) * tangential
-            )
-        return out
+            tangential *= 2.0 / denom
+            # radius * ((1 - rho^2)/denom * u_hat + tangential), built in place
+            # so that a stack of charts holds few stencil-sized temporaries
+            point = np.multiply((1.0 - rho_sq) / denom, u_hat, out=out[..., f.start : f.stop])
+            point += tangential
+            point *= f.radius
+        return out.reshape(coords.shape[:-1] + (self.model.ambient_dim,))
 
     def from_manifold(self, pos: np.ndarray) -> np.ndarray:
         pos = np.asarray(pos, dtype=float)
-        out = np.empty(pos.shape[:-1] + (self.dim,))
+        rows = self._rows(pos, self.model.ambient_dim)
+        out = np.empty(rows.shape[:-1] + (self.dim,))
         for f, sl in self._coord_slices():
-            block = pos[..., f.start : f.stop]
+            block = rows[..., f.start : f.stop]
             if f.kind == "euclidean":
-                out[..., sl] = block - self.center[f.start : f.stop]
+                out[..., sl] = block - self.center[..., None, f.start : f.stop]
                 continue
             u_hat, frame = self._frames[f.start]
             p_hat = block / f.radius
             a = np.sum(p_hat * u_hat, axis=-1, keepdims=True)
             if np.any(a <= -1.0 + 1e-12):
                 raise InvalidPointError("point is antipodal to the chart center")
-            b = np.matmul(p_hat, frame.T)
+            b = np.matmul(p_hat, np.swapaxes(frame, -1, -2))
             out[..., sl] = b / (1.0 + a)
-        return out
+        return out.reshape(pos.shape[:-1] + (self.dim,))
 
     def metric_at(self, coords: np.ndarray) -> np.ndarray:
         coords = np.asarray(coords, dtype=float)
@@ -149,120 +175,130 @@ def potential_field(chart: Chart):
 
 def _metric_and_inverse(chart: Chart, coords: np.ndarray):
     g = chart.metric_at(coords)
-    if np.linalg.cond(g) > MAX_METRIC_CONDITION:
+    if np.any(np.linalg.cond(g) > MAX_METRIC_CONDITION):
         raise MetricConditionError("chart metric is numerically singular")
     return g, np.linalg.inv(g)
 
 
+def _per_chart(chart: Chart, coords: np.ndarray, cfg: FDConfig) -> np.ndarray:
+    """One n-vector of coordinates per chart, checked against the FD-safe radius."""
+    coords = np.broadcast_to(np.asarray(coords, dtype=float), chart.shape + (chart.dim,))
+    chart.require_in_domain(coords, cfg)
+    return coords
+
+
+def _axis_steps(n: int, h: float) -> np.ndarray:
+    """Rows +h e_0, -h e_0, +h e_1, -h e_1, ..."""
+    steps = np.zeros((2 * n, n))
+    for d in range(n):
+        steps[2 * d, d] = h
+        steps[2 * d + 1, d] = -h
+    return steps
+
+
+def _christoffels(chart: Chart, coords: np.ndarray, h: float):
+    """(Gamma^i_jk, g^-1) at coords of shape (..., n), each from its own metric."""
+    n = chart.dim
+    _, ginv = _metric_and_inverse(chart, coords)
+    g_shift = chart.metric_at(coords[..., None, :] + _axis_steps(n, h))
+    # dg[..., d, a, b] = d_d g_ab
+    dg = (g_shift[..., 0::2, :, :] - g_shift[..., 1::2, :, :]) / (2.0 * h)
+    term = np.swapaxes(dg, -3, -2) + np.moveaxis(dg, -3, -1) - dg
+    return 0.5 * np.einsum("...il,...ljk->...ijk", ginv, term), ginv
+
+
 def christoffels_fd(chart: Chart, coords: np.ndarray, cfg: FDConfig = FDConfig()) -> np.ndarray:
     """Gamma^i_jk from central differences of the metric components."""
-    coords = np.asarray(coords, dtype=float)
-    chart.require_in_domain(coords, cfg)
-    n = chart.dim
-    h = cfg.h
-    _, ginv = _metric_and_inverse(chart, coords)
-    shifts = np.zeros((2 * n, n))
-    for d in range(n):
-        shifts[2 * d, d] = h
-        shifts[2 * d + 1, d] = -h
-    g_shift = chart.metric_at(coords + shifts)
-    dg = (g_shift[0::2] - g_shift[1::2]) / (2.0 * h)  # dg[d, a, b] = d_d g_ab
-    term = np.transpose(dg, (1, 0, 2)) + np.transpose(dg, (1, 2, 0)) - dg
-    return 0.5 * np.einsum("il,ljk->ijk", ginv, term)
+    coords = _per_chart(chart, coords, cfg)
+    return _christoffels(chart, coords, cfg.h)[0]
 
 
 def ricci_fd(chart: Chart, coords: np.ndarray, cfg: FDConfig = FDConfig()) -> np.ndarray:
     """Ricci tensor in chart coordinates via central differences of Gamma."""
-    coords = np.asarray(coords, dtype=float)
-    chart.require_in_domain(coords, cfg)
+    coords = _per_chart(chart, coords, cfg)
     n = chart.dim
     h = cfg.h
-    dgamma = np.empty((n, n, n, n))  # dgamma[d, i, j, k] = d_d Gamma^i_jk
-    for d in range(n):
-        e = np.zeros(n)
-        e[d] = h
-        gp = christoffels_fd(chart, coords + e, cfg)
-        gm = christoffels_fd(chart, coords - e, cfg)
-        dgamma[d] = (gp - gm) / (2.0 * h)
-    gamma = christoffels_fd(chart, coords, cfg)
-    term1 = np.einsum("iijk->jk", dgamma)
-    term2 = np.einsum("jiik->jk", dgamma)
-    term3 = np.einsum("iip,pjk->jk", gamma, gamma)
-    term4 = np.einsum("ijp,pik->jk", gamma, gamma)
+    shifted = coords[..., None, :] + _axis_steps(n, h)
+    chart.require_in_domain(shifted, cfg)
+    gamma_shift, _ = _christoffels(chart, shifted, h)
+    # dgamma[..., d, i, j, k] = d_d Gamma^i_jk
+    dgamma = (gamma_shift[..., 0::2, :, :, :] - gamma_shift[..., 1::2, :, :, :]) / (2.0 * h)
+    gamma, _ = _christoffels(chart, coords, h)
+    term1 = np.einsum("...iijk->...jk", dgamma)
+    term2 = np.einsum("...jiik->...jk", dgamma)
+    term3 = np.einsum("...iip,...pjk->...jk", gamma, gamma)
+    term4 = np.einsum("...ijp,...pik->...jk", gamma, gamma)
     rc = term1 - term2 + term3 - term4
     # Analytically symmetric; symmetrize to strip the O(h^2) stencil asymmetry.
-    return 0.5 * (rc + rc.T)
+    return 0.5 * (rc + np.swapaxes(rc, -1, -2))
 
 
 def _field_derivatives(field, coords: np.ndarray, h: float, n: int):
     """First and second central differences of a chart scalar field.
 
-    One batched field evaluation covers the whole stencil: center, 2n axis
-    points, and 4 corner points per coordinate pair.
+    One batched field evaluation covers the whole stencil of every chart:
+    center, 2n axis points, and 4 corner points per coordinate pair.
     """
-    pairs = [(j, k) for j in range(n) for k in range(j + 1, n)]
-    stencil = np.zeros((1 + 2 * n + 4 * len(pairs), n))
-    for d in range(n):
-        stencil[1 + 2 * d, d] = h
-        stencil[2 + 2 * d, d] = -h
+    j, k = np.triu_indices(n, 1)
+    corners = np.zeros((len(j), 4, n))
+    corners[np.arange(len(j)), :, j] = (h, h, -h, -h)
+    corners[np.arange(len(j)), :, k] = (h, -h, h, -h)
+    stencil = np.concatenate([np.zeros((1, n)), _axis_steps(n, h), corners.reshape(-1, n)])
+    values = np.asarray(field(coords[..., None, :] + stencil), dtype=float)
     base = 1 + 2 * n
-    for idx, (j, k) in enumerate(pairs):
-        for corner, (sj, sk) in enumerate([(h, h), (h, -h), (-h, h), (-h, -h)]):
-            stencil[base + 4 * idx + corner, j] = sj
-            stencil[base + 4 * idx + corner, k] = sk
-    values = np.asarray(field(coords + stencil), dtype=float)
-    phi0 = values[0]
-    phi_p = values[1 : base : 2]
-    phi_m = values[2 : base + 1 : 2]
+    phi0 = values[..., :1]
+    phi_p = values[..., 1:base:2]
+    phi_m = values[..., 2 : base + 1 : 2]
     grad = (phi_p - phi_m) / (2.0 * h)
-    hess = np.zeros((n, n))
-    for d in range(n):
-        hess[d, d] = (phi_p[d] - 2.0 * phi0 + phi_m[d]) / (h * h)
-    for idx, (j, k) in enumerate(pairs):
-        c = values[base + 4 * idx : base + 4 * idx + 4]
-        hess[j, k] = hess[k, j] = (c[0] - c[1] - c[2] + c[3]) / (4.0 * h * h)
+    hess = np.empty(values.shape[:-1] + (n, n))
+    diag = np.arange(n)
+    hess[..., diag, diag] = (phi_p - 2.0 * phi0 + phi_m) / (h * h)
+    c = values[..., base:].reshape(values.shape[:-1] + (len(j), 4))
+    mixed = (c[..., 0] - c[..., 1] - c[..., 2] + c[..., 3]) / (4.0 * h * h)
+    hess[..., j, k] = hess[..., k, j] = mixed
     return grad, hess
 
 
 def gradient_fd(chart: Chart, field, coords: np.ndarray, cfg: FDConfig = FDConfig()) -> np.ndarray:
     """Raised gradient g^{ij} d_j(field) in chart coordinates."""
-    coords = np.asarray(coords, dtype=float)
-    chart.require_in_domain(coords, cfg)
+    coords = _per_chart(chart, coords, cfg)
     dphi, _ = _field_derivatives(field, coords, cfg.h, chart.dim)
     _, ginv = _metric_and_inverse(chart, coords)
-    return ginv @ dphi
+    return np.einsum("...ij,...j->...i", ginv, dphi)
 
 
 def hessian_fd(chart: Chart, field, coords: np.ndarray, cfg: FDConfig = FDConfig()) -> np.ndarray:
     """Covariant Hessian (d_j d_k - Gamma^i_jk d_i) of a chart scalar field."""
-    coords = np.asarray(coords, dtype=float)
-    chart.require_in_domain(coords, cfg)
+    coords = _per_chart(chart, coords, cfg)
     dphi, ddphi = _field_derivatives(field, coords, cfg.h, chart.dim)
-    gamma = christoffels_fd(chart, coords, cfg)
-    return ddphi - np.einsum("ijk,i->jk", gamma, dphi)
+    gamma, _ = _christoffels(chart, coords, cfg.h)
+    return ddphi - np.einsum("...ijk,...i->...jk", gamma, dphi)
 
 
-def laplacian_fd(chart: Chart, field, coords: np.ndarray, cfg: FDConfig = FDConfig()) -> float:
-    coords = np.asarray(coords, dtype=float)
+def laplacian_fd(chart: Chart, field, coords: np.ndarray, cfg: FDConfig = FDConfig()):
+    coords = _per_chart(chart, coords, cfg)
     _, ginv = _metric_and_inverse(chart, coords)
-    return float(np.einsum("jk,jk->", ginv, hessian_fd(chart, field, coords, cfg)))
+    return np.einsum("...jk,...jk->...", ginv, hessian_fd(chart, field, coords, cfg))
 
 
-def weighted_laplacian_fd(
-    chart: Chart,
-    field,
-    f_field,
-    coords: np.ndarray,
-    cfg: FDConfig = FDConfig(),
-) -> float:
-    """Drifted Laplacian (Laplacian minus grad f dot grad) of a scalar field."""
-    coords = np.asarray(coords, dtype=float)
-    chart.require_in_domain(coords, cfg)
-    dphi, ddphi = _field_derivatives(field, coords, cfg.h, chart.dim)
-    df, _ = _field_derivatives(f_field, coords, cfg.h, chart.dim)
-    gamma = christoffels_fd(chart, coords, cfg)
-    _, ginv = _metric_and_inverse(chart, coords)
-    hess = ddphi - np.einsum("ijk,i->jk", gamma, dphi)
-    lap = np.einsum("jk,jk->", ginv, hess)
-    cross = np.einsum("jk,j,k->", ginv, df, dphi)
-    return float(lap - cross)
+def weighted_laplacian_fd(chart: Chart, field, f_field, coords: np.ndarray,
+                          cfg: FDConfig = FDConfig()):
+    """Drifted Laplacian (Laplacian minus grad f dot grad) of a scalar field.
+
+    A float for a single chart, one value per chart for a stack. A value that
+    is not finite (an fd_h whose square underflows) raises PreconditionError.
+    """
+    coords = _per_chart(chart, coords, cfg)
+    with np.errstate(all="ignore"):
+        dphi, ddphi = _field_derivatives(field, coords, cfg.h, chart.dim)
+        df, _ = _field_derivatives(f_field, coords, cfg.h, chart.dim)
+        gamma, ginv = _christoffels(chart, coords, cfg.h)
+        hess = ddphi - np.einsum("...ijk,...i->...jk", gamma, dphi)
+        lap = np.einsum("...jk,...jk->...", ginv, hess)
+        value = lap - np.einsum("...jk,...j,...k->...", ginv, df, dphi)
+    if not np.all(np.isfinite(value)):
+        raise PreconditionError(
+            f"drifted Laplacian is not finite at the FD step fd_h = {cfg.h!r}; "
+            "choose a larger fd_h"
+        )
+    return value

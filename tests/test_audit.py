@@ -132,6 +132,13 @@ def test_deltaf_rf_refuses_vanishing_potential():
         check_deltaf_Rf(m, [np.zeros(3)])
 
 
+def test_pointwise_audits_refuse_an_empty_sample_set():
+    m = models.sphere_cylinder(2, 2)
+    for check in (check_soliton_identities, check_deltaf_Rf, gradient_f_bound_audit):
+        with pytest.raises(PreconditionError, match="at least one sample point"):
+            check(m, [])
+
+
 def test_gradient_f_bound_examples(rng):
     m = models.sphere_cylinder(2, 2)
     p = models.base_point(m)

@@ -1,4 +1,6 @@
 import argparse
+import contextlib
+import io
 import json
 import math
 import os
@@ -305,3 +307,41 @@ def test_fuzzed_config_file_is_accepted_or_a_config_error(tmp_path_factory, data
     for key, value in data.items():
         if key not in ("c", "ry"):
             assert getattr(cfg, key) == value
+
+
+def test_underflowing_fd_step_is_refused_not_passed(tmp_path, capsys):
+    # fd_h^2 underflows to 0, so every drifted Laplacian is 0/0; a NaN
+    # residual must not read as a pass
+    cfg_path = tmp_path / "run.json"
+    cfg_path.write_text(json.dumps({"fd_h": 1e-300}))
+    code = main(["verify-identities", "--model", "cylinder:k=2,m=2", "--samples", "5",
+                 "--config", str(cfg_path), "--out", str(tmp_path)])
+    assert code == EXIT_REFUSED
+    captured = capsys.readouterr()
+    assert "PASS" not in captured.out
+    assert captured.err.startswith("refused:") and "fd_h" in captured.err
+    assert not (tmp_path / "verify_identities.json").exists()
+
+
+_FD_STEPS = st.sampled_from([1e-300, 0.0999]) | st.floats(
+    0.0, 0.1, exclude_min=True, exclude_max=True)
+
+
+@settings(max_examples=100, deadline=None)
+@given(model=st.sampled_from(["gaussian:n=3", "sphere:n=3", "cylinder:k=2,m=2",
+                              "sphereproduct:k=2,m=2"]),
+       samples=st.integers(1, 30), seed=st.integers(-2, 2**64), fd_h=_FD_STEPS)
+def test_fuzzed_verify_identities_exits_with_a_documented_code(tmp_path_factory, model,
+                                                               samples, seed, fd_h):
+    out_dir = tmp_path_factory.mktemp("fuzz-verify")
+    cfg_path = out_dir / "run.json"
+    cfg_path.write_text(json.dumps({"model": model, "samples": samples, "seed": seed,
+                                    "fd_h": fd_h}))
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        code = main(["verify-identities", "--config", str(cfg_path), "--out", str(out_dir)])
+    assert code in (0, 1, 2, 3, 4)
+    assert "Traceback" not in stderr.getvalue()
+    report = out_dir / "verify_identities.json"
+    if report.exists():
+        assert "NaN" not in report.read_text()

@@ -288,6 +288,54 @@ def test_sphere_frame_orthogonal_when_gram_schmidt_cancels():
         assert np.max(np.abs(frame @ frame.T - np.eye(f.dim))) <= 1e-15
 
 
+def per_point_frame(f, pos):
+    """Test-only reference: Gram-Schmidt on one point with 1-D np.dot and
+    np.linalg.norm, the arithmetic the stacked frame builder must reproduce."""
+    u_hat = pos[f.start : f.stop] / f.radius
+    frame = []
+    for i in range(f.ambient_dim):
+        cand = np.zeros(f.ambient_dim)
+        cand[i] = 1.0
+        for _ in range(2):
+            cand -= np.dot(cand, u_hat) * u_hat
+            for prev in frame:
+                cand -= np.dot(cand, prev) * prev
+            norm = np.linalg.norm(cand)
+            if norm >= 1e-2:
+                break
+        if norm > 1e-8:
+            frame.append(cand / norm)
+        if len(frame) == f.dim:
+            break
+    return np.array(frame)
+
+
+@pytest.mark.parametrize("label", ["sphere:n=3", "cylinder:k=2,m=2", "sphereproduct:k=2,m=2"])
+def test_stacked_sphere_frame_equals_per_point_gram_schmidt(label, rng):
+    model = models.parse_model(label)
+    points = [models.random_point(model, rng) for _ in range(2000)]
+    # axis-aligned and nearly axis-aligned positions: a candidate cancels
+    # entirely (skipped) or to under 1% of its length (second pass)
+    for f in model.sphere_factors:
+        for i in range(f.ambient_dim):
+            for sign in (1.0, -1.0):
+                for eps in (0.0, 1e-9, 1e-5):
+                    block = np.zeros(f.ambient_dim)
+                    block[i] = sign
+                    block += eps * rng.normal(size=f.ambient_dim)
+                    p = models.random_point(model, rng)
+                    p[f.start : f.stop] = f.radius * block / np.linalg.norm(block)
+                    points.append(p)
+    points = np.array(points)
+    for f in model.sphere_factors:
+        stacked = models.sphere_frame(f, points)
+        assert stacked.shape == (len(points), f.dim, f.ambient_dim)
+        for p, frame in zip(points, stacked):
+            assert frame.tobytes() == per_point_frame(f, p).tobytes()
+        grid = models.sphere_frame(f, points[:6].reshape(2, 3, -1))
+        assert grid.tobytes() == stacked[:6].tobytes()
+
+
 @pytest.mark.parametrize(
     "label",
     ["gaussian:n=3", "sphere:n=3", "cylinder:k=2,m=2", "cylinder:k=3,m=1",

@@ -230,3 +230,76 @@ def test_domain_guard(model, rng):
     coords[0] = CHART_RADIUS  # outside radius - 2h
     with pytest.raises(PreconditionError):
         christoffels_fd(chart, coords)
+
+
+def test_stacked_charts_equal_one_chart_calls_bytewise(model, rng):
+    """Drifted Laplacians on a stack of charts, in audit blocks of FD_BLOCK,
+    equal one-chart calls bit for bit at every stack size around the block
+    edge, for each field the audits use."""
+    from shrinker_audit.audit import FD_BLOCK, _drifted_laplacians
+    from shrinker_audit.phigeo import PhiParams, phi_value
+
+    assert FD_BLOCK == 128
+    fields = {
+        "f": potential_field,
+        "R": lambda chart: scalar_field(
+            chart, lambda pos: np.full(pos.shape[:-1], model.scalar_R)),
+        "R/f": lambda chart: scalar_field(
+            chart, lambda pos: model.scalar_R / models.potential_f(model, pos)),
+        "phi": lambda chart: scalar_field(
+            chart, lambda pos: phi_value(model, PhiParams(0.3), pos)),
+    }
+    points = np.array([models.random_point(model, rng) for _ in range(300)])
+    origin = np.zeros(model.n)
+    charts = [Chart(model, p) for p in points]
+    reference = np.array([
+        [weighted_laplacian_fd(chart, make(chart), potential_field(chart), origin)
+         for chart in charts]
+        for make in fields.values()
+    ])
+    assert isinstance(reference[0, 0].item(), float)
+    for count in (1, 127, 128, 129, 300):
+        stacked = _drifted_laplacians(model, points[:count], FDConfig(), *fields.values())
+        assert stacked.tobytes() == reference[:, :count].tobytes()
+    chart = Chart(model, points[:129])
+    for row, make in enumerate(fields.values()):
+        direct = weighted_laplacian_fd(chart, make(chart), potential_field(chart), origin)
+        assert direct.shape == (129,)
+        assert direct.tobytes() == reference[row, :129].tobytes()
+
+
+def test_stacked_ricci_equals_one_chart_calls_bytewise(model, rng):
+    points = np.array([models.random_point(model, rng) for _ in range(10)])
+    coords = 0.2 * rng.uniform(-1.0, 1.0, size=(10, model.n))
+    stacked = ricci_fd(Chart(model, points), coords)
+    single = np.array([ricci_fd(Chart(model, p), c) for p, c in zip(points, coords)])
+    assert stacked.tobytes() == single.tobytes()
+    gamma = christoffels_fd(Chart(model, points), coords)
+    assert gamma.tobytes() == np.array(
+        [christoffels_fd(Chart(model, p), c) for p, c in zip(points, coords)]).tobytes()
+
+
+def test_stacked_chart_maps_round_trip(model, rng):
+    points = np.array([models.random_point(model, rng) for _ in range(6)])
+    chart = Chart(model, points.reshape(2, 3, -1))
+    assert chart.shape == (2, 3)
+    coords = 0.3 * rng.uniform(-1.0, 1.0, size=(2, 3, 5, model.n))
+    there = chart.to_manifold(coords)
+    assert there.shape == (2, 3, 5, model.ambient_dim)
+    for idx in np.ndindex(2, 3):
+        one = Chart(model, points.reshape(2, 3, -1)[idx])
+        assert there[idx].tobytes() == one.to_manifold(coords[idx]).tobytes()
+    assert np.allclose(chart.from_manifold(there), coords, atol=1e-12)
+    # the chart centers sit at the origin of their own charts
+    assert np.allclose(chart.to_manifold(np.zeros((2, 3, model.n))), points.reshape(2, 3, -1),
+                       atol=1e-14)
+
+
+def test_non_finite_drifted_laplacian_refused(model, rng):
+    from shrinker_audit.errors import PreconditionError
+
+    chart = Chart(model, models.random_point(model, rng))
+    # h^2 underflows to zero, so the second differences divide 0 by 0
+    with pytest.raises(PreconditionError, match="fd_h"):
+        weighted_laplacian_fd(chart, potential_field(chart), potential_field(chart),
+                              np.zeros(model.n), FDConfig(h=1e-300))

@@ -260,6 +260,30 @@ def test_shooting_counts_cylinder():
     assert counts["final_miss"] < 1e-10
 
 
+def test_shooting_backtracks_from_a_poor_initial_guess(monkeypatch):
+    # A random initial velocity instead of the background-geodesic one makes
+    # the full Newton step overshoot, so the Armijo halving has to act.
+    m = models.round_sphere(2)
+    x = models.base_point(m)
+    rng = np.random.default_rng(2)
+    guess = models.random_tangent(m, x, rng)
+    guess *= rng.uniform(0.5, 4.0) / np.linalg.norm(guess)
+    background = phigeo.background_geodesic
+
+    def poor_guess(model, p, q, N):
+        path = background(model, p, q, N)
+        path.vel = path.vel.copy()
+        path.vel[0] = guess
+        return path
+
+    monkeypatch.setattr(phigeo, "background_geodesic", poor_guess)
+    path = solve_bvp_shooting(m, PhiParams(0.1), x, models.canonical_target(m, 3.5))
+    counts = path.minimal_evidence["shooting"]
+    assert counts["backtracks"] >= 1
+    assert counts["marches"] == 1 + counts["newton_iterations"] + counts["backtracks"] + 1
+    assert counts["final_miss"] < 1e-10
+
+
 def test_shooting_gaussian_straight_segment(rng):
     m = models.gaussian(3)
     x = rng.normal(size=3)
