@@ -9,7 +9,7 @@ and the pass flag always carries its tolerance.
 Path audits integrate against the trapezoid cutoff (ramp up on [0, 1],
 plateau, ramp down on [s_bar - 1, s_bar]), so they require the path grid to
 be aligned to the cutoff kinks; ``solve_bvp_shooting`` produces such grids
-by default and ``scan_path`` rebuilds them with extra breakpoints.
+whenever s_bar >= 2 and ``find_good_point`` rebuilds one with an extra breakpoint.
 """
 
 from __future__ import annotations
@@ -137,7 +137,7 @@ def _aligned_pieces(path: PhiPath, zeta: CutoffZeta):
         if not any(abs(b - x) <= 1e-9 * (1.0 + abs(b)) for x in breaks):
             raise ValueError(
                 "path grid is not aligned to the cutoff kinks; sample it on "
-                "quadrature.audit_grid (solve_bvp_shooting does so by default)"
+                "quadrature.audit_grid (solve_bvp_shooting does so when s_bar >= 2)"
             )
     out = []
     for i0, i1 in quadrature.piece_slices(path.s, breaks):

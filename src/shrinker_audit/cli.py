@@ -136,7 +136,8 @@ _KIND_NAMES = {
 
 
 # The config fields each subcommand reads; a config file may set no others.
-# model, c, ry and out are flags of every subcommand.
+# model, c, ry and out are common so one config file drives every subcommand;
+# c and ry are not flags of verify-identities, which ignores them.
 _COMMON_FIELDS = {"model", "c", "ry", "out"}
 _COMMAND_FIELDS = {
     "verify-identities": _COMMON_FIELDS | {"samples", "seed", "fd_h"},
@@ -398,28 +399,25 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p):
+    def add_command(name, help_text, grid=True):
+        # no abbreviations: --c would otherwise mean --config where --c is absent
+        p = sub.add_parser(name, help=help_text, allow_abbrev=False)
         p.add_argument("--model", help="model string, e.g. cylinder:k=2,m=2")
-        p.add_argument("--c", type=_float_list, help="comma-separated potential constants")
-        p.add_argument("--ry", type=_float_list, help="comma-separated target radii")
+        if grid:
+            p.add_argument("--c", type=_float_list, help="comma-separated potential constants")
+            p.add_argument("--ry", type=_float_list, help="comma-separated target radii")
         p.add_argument("--out", help="output directory for reports (default ./reports)")
         p.add_argument("--config", help="JSON config file; flags override its fields")
+        return p
 
-    p_verify = sub.add_parser("verify-identities", help="pointwise identity suite")
-    add_common(p_verify)
+    p_verify = add_command("verify-identities", "pointwise identity suite", grid=False)
     p_verify.add_argument("--samples", type=int, help="random sample points (default 100)")
     p_verify.add_argument("--seed", type=int, help="random seed (default 0)")
-
-    p_geo = sub.add_parser("geodesic", help="solve one boundary-value case both ways")
-    add_common(p_geo)
+    p_geo = add_command("geodesic", "solve one boundary-value case both ways")
     p_geo.add_argument("--N", type=int, help="discrete-minimizer grid size (default 256)")
-
-    p_chain = sub.add_parser("audit-chain", help="inequality chain over a (c, ry) grid")
-    add_common(p_chain)
+    p_chain = add_command("audit-chain", "inequality chain over a (c, ry) grid")
     p_chain.add_argument("--N", type=int, help="discrete-minimizer grid size (default 256)")
-
-    p_scan = sub.add_parser("scan", help="good-point scan over a (c, ry) grid")
-    add_common(p_scan)
+    add_command("scan", "good-point scan over a (c, ry) grid")
     return parser
 
 

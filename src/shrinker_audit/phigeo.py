@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -85,12 +86,6 @@ def grad_phi(model: ModelSpec, params: PhiParams, pos: np.ndarray) -> np.ndarray
     f = potential_f(model, pos)
     coef = -cR / (2.0 * f * f)
     return coef[..., None] * grad_potential(model, pos)
-
-
-def phi_and_gradient(model: ModelSpec, params: PhiParams, p: np.ndarray):
-    """Closed-form (phi, grad phi) at a point."""
-    validate_point(model, p)
-    return float(phi_value(model, params, p)), grad_phi(model, params, p)
 
 
 # ---------------------------------------------------------------------------
@@ -176,44 +171,62 @@ def _substeps(s_nodes, step: float) -> list:
     return out
 
 
-def _march(dyn: _Dynamics, p0, v0, s_nodes, step: float,
-           pos_hist=None, vel_hist=None, energies=None):
+class _Record(NamedTuple):
+    """Row 0 of a march: node states and energies, and energy bounds over every substep."""
+
+    pos: np.ndarray
+    vel: np.ndarray
+    energies: np.ndarray
+    e_min: float
+    e_max: float
+
+
+def _march(dyn: _Dynamics, p0, v0, s_nodes, step: float):
     """Advance ``(batch, ambient)`` states across ``s_nodes``, landing on every node exactly.
 
     Each gap is split into equal substeps no larger than ``step``; a batched
     RK4 step advances all rows, and each row comes out bitwise as if marched
-    alone. Row 0 is the recorded trajectory: ``pos_hist``/``vel_hist`` get
-    its node states, ``energies`` its node energies, and ``e_min``/``e_max``
-    bound its energy over every substep. The recording integrator (one row)
-    and the shooting trials (a trial plus its forward-difference rows) share
-    this routine, so a converged trial and the recorded path follow bitwise
-    the same discrete trajectory.
+    alone. Returns the final positions and velocities of every row and the
+    ``_Record`` of row 0, whose state is kept after every substep; its
+    energies are evaluated row-wise in one call at the end, bitwise the
+    per-substep values. The one-row integrator and the shooting trials (a
+    trial plus its forward-difference rows) share this routine, and shooting
+    returns the path recorded by its converged trial's own march.
     """
+    schedule = _substeps(s_nodes, step)
+    sizes = [h for n_sub, h in schedule for _ in range(n_sub)]
     state = np.concatenate([p0, v0], axis=1, dtype=float)
+    trace = np.empty((len(sizes) + 1, state.shape[1]))
+    trace[0] = state[0]
+    for k, h in enumerate(sizes, start=1):
+        state = dyn.rk4_step(state, h)
+        trace[k] = state[0]
+    nodes = np.cumsum([0] + [n_sub for n_sub, _ in schedule])
     a = dyn.ambient
-    track = energies is not None
-    if track:
-        e0 = dyn.energy(state[:1])[0]
-        e_min = e_max = e0
-        energies[0] = e0
-    else:
-        e_min = e_max = 0.0
-    if pos_hist is not None:
-        pos_hist[0] = state[0, :a]
-        vel_hist[0] = state[0, a:]
-    for i, (n_sub, h) in enumerate(_substeps(s_nodes, step), start=1):
-        for _ in range(n_sub):
-            state = dyn.rk4_step(state, h)
-            if track:
-                e = dyn.energy(state[:1])[0]
-                e_min = min(e_min, e)
-                e_max = max(e_max, e)
-        if pos_hist is not None:
-            pos_hist[i] = state[0, :a]
-            vel_hist[i] = state[0, a:]
-        if track:
-            energies[i] = dyn.energy(state[:1])[0]
-    return state[:, :a], state[:, a:], e_min, e_max
+    energies = dyn.energy(trace)
+    record = _Record(trace[nodes, :a], trace[nodes, a:], energies[nodes],
+                     energies.min(), energies.max())
+    return state[:, :a], state[:, a:], record
+
+
+def _recorded_path(model, params, record: _Record, s_nodes, breaks, step: float,
+                   drift_tol: float) -> PhiPath:
+    """``PhiPath`` of a march record; its first integral must hold within ``drift_tol``.
+
+    C is the median node energy, and the drift bounds the deviation from it
+    over every substep.
+    """
+    c_value = float(np.median(record.energies))
+    drift = max(record.e_max - c_value, c_value - record.e_min)
+    if drift > drift_tol:
+        raise DriftExceededError(
+            f"conserved-quantity drift {drift:.3e} exceeds {drift_tol:.1e}; "
+            f"step {step} is too large"
+        )
+    path = PhiPath(s=s_nodes, pos=record.pos, vel=record.vel, C_value=c_value,
+                   drift=float(drift), breaks=breaks)
+    path.action_J = action(model, params, path)
+    return path
 
 
 def integrate_ivp(
@@ -241,7 +254,6 @@ def integrate_ivp(
         raise ValueError("s_end must be positive")
     validate_point(model, p0)
     validate_tangent(model, p0, v0)
-    dyn = _Dynamics(model, params)
     if s_out is None:
         n_steps = max(1, math.ceil(s_end / step))
         s_nodes = np.linspace(0.0, s_end, n_steps + 1)
@@ -251,31 +263,10 @@ def integrate_ivp(
         if s_nodes[0] != 0.0 or abs(s_nodes[-1] - s_end) > 1e-12 * (1.0 + s_end):
             raise ValueError("s_out must start at 0 and end at s_end")
         breaks = tuple(breaks) if breaks is not None else (0.0, s_end)
-    n_nodes = len(s_nodes)
-    pos_hist = np.empty((n_nodes, model.ambient_dim))
-    vel_hist = np.empty((n_nodes, model.ambient_dim))
-    energies = np.empty(n_nodes)
     pos = project_point(model, p0)
     vel = project_tangent(model, pos, v0)
-    _, _, e_min, e_max = _march(dyn, pos[None], vel[None], s_nodes, step,
-                                pos_hist=pos_hist, vel_hist=vel_hist, energies=energies)
-    c_value = float(np.median(energies))
-    drift = max(e_max - c_value, c_value - e_min)
-    if drift > drift_tol:
-        raise DriftExceededError(
-            f"conserved-quantity drift {drift:.3e} exceeds {drift_tol:.1e}; "
-            f"step {step} is too large"
-        )
-    path = PhiPath(
-        s=s_nodes,
-        pos=pos_hist,
-        vel=vel_hist,
-        C_value=c_value,
-        drift=float(drift),
-        breaks=breaks,
-    )
-    path.action_J = action(model, params, path)
-    return path
+    _, _, record = _march(_Dynamics(model, params), pos[None], vel[None], s_nodes, step)
+    return _recorded_path(model, params, record, s_nodes, breaks, step, drift_tol)
 
 
 # ---------------------------------------------------------------------------
@@ -310,8 +301,6 @@ def solve_bvp_shooting(
     step: float = MAX_IVP_STEP,
     max_newton: int = 100,
     density: int = 16,
-    s_out=None,
-    breaks=None,
     drift_tol: float = DEFAULT_DRIFT_TOL,
 ) -> PhiPath:
     """Find the initial velocity whose trajectory lands on y at s = d(x, y).
@@ -326,15 +315,15 @@ def solve_bvp_shooting(
     n perturbations ``a + delta e_j``: row 0 gives the miss, rows 1..n the
     Jacobian columns. Rows are independent, so the miss and the Jacobian are
     bitwise those of n + 1 separate marches, and an accepted line-search
-    trial brings the Jacobian of the next iteration with it. The recorded
-    path re-marches the converged trial as a single row on the same grid,
-    so it lands where that trial landed, and must keep the first integral
-    within ``drift_tol``.
+    trial brings the Jacobian of the next iteration with it, and its row-0
+    record. The returned path is the converged trial's record, on the audit
+    grid, so it is the trajectory that landed within ``tol`` of y; it must
+    keep the first integral within ``drift_tol``.
 
     ``minimal_evidence["shooting"]`` records the run's deterministic
     counts: Newton iterations, rejected line-search trials (backtracks),
-    marches and the rows they carried (the recorded path included), RK4
-    steps (a batched step counts once) and the final endpoint miss.
+    marches and the rows they carried, RK4 steps (a batched step counts
+    once) and the final endpoint miss.
     """
     validate_point(model, x)
     validate_point(model, y)
@@ -350,15 +339,12 @@ def solve_bvp_shooting(
     v_guess = bg.vel[0] * math.sqrt(1.0 + params.c * mean_rof)
     basis_x = tangent_basis(model, x)
     basis_y = tangent_basis(model, y)
-    # Fix the output grid now: Newton trials march on exactly this schedule,
-    # so the recorded path lands where the converged trial landed.
-    if s_out is None:
-        if s_bar >= 2.0:
-            s_out, breaks = quadrature.audit_grid(s_bar, density)
-        else:
-            n = max(64, 4 * math.ceil(s_bar * density / 4.0))
-            s_out = quadrature.uniform_grid(s_bar, n)
-            breaks = (0.0, s_bar)
+    if s_bar >= 2.0:
+        s_out, breaks = quadrature.audit_grid(s_bar, density)
+    else:
+        n = max(64, 4 * math.ceil(s_bar * density / 4.0))
+        s_out = quadrature.uniform_grid(s_bar, n)
+        breaks = (0.0, s_bar)
     dim = basis_x.shape[0]
     starts = np.tile(x, (dim + 1, 1))
     marches = 0
@@ -368,13 +354,13 @@ def solve_bvp_shooting(
         delta = 1e-7 * (1.0 + float(np.linalg.norm(coeffs)))
         rows = np.vstack([coeffs, coeffs + delta * np.eye(dim)])
         v0 = np.array([row @ basis_x for row in rows])
-        p_end, _, _, _ = _march(dyn, starts, v0, s_out, step)
+        p_end, _, record = _march(dyn, starts, v0, s_out, step)
         marches += 1
         misses = np.array([basis_y @ log_map(model, y, p) for p in p_end])
-        return misses[0], (misses[1:] - misses[0]).T / delta
+        return misses[0], (misses[1:] - misses[0]).T / delta, record
 
     a = basis_x @ v_guess
-    m, jac = miss_and_jacobian(a)
+    m, jac, record = miss_and_jacobian(a)
     m_norm = float(np.linalg.norm(m))
     best = m_norm
     iterations = 0
@@ -393,10 +379,10 @@ def solve_bvp_shooting(
         accepted = False
         while t >= 1.0 / 256.0:
             a_try = a + t * step_dir
-            m_try, jac_try = miss_and_jacobian(a_try)
+            m_try, jac_try, record_try = miss_and_jacobian(a_try)
             m_try_norm = float(np.linalg.norm(m_try))
             if m_try_norm < (1.0 - 1e-4 * t) * m_norm:
-                a, m, jac, m_norm = a_try, m_try, jac_try, m_try_norm
+                a, m, jac, m_norm, record = a_try, m_try, jac_try, m_try_norm, record_try
                 best = min(best, m_norm)
                 accepted = True
                 break
@@ -414,17 +400,15 @@ def solve_bvp_shooting(
                 f"(best endpoint miss {best:.3e})",
                 best_miss=best,
             )
-    v0 = a @ basis_x
-    path = integrate_ivp(model, params, x, v0, s_bar, step, s_out=s_out, breaks=breaks,
-                         drift_tol=drift_tol)
+    path = _recorded_path(model, params, record, s_out, breaks, step, drift_tol)
     path.flags.append("shooting")
-    steps_per_march = sum(n_sub for n_sub, _ in _substeps(path.s, step))
+    steps_per_march = sum(n_sub for n_sub, _ in _substeps(s_out, step))
     path.minimal_evidence["shooting"] = {
         "newton_iterations": iterations,
         "backtracks": backtracks,
-        "marches": marches + 1,
-        "rows_marched": marches * (dim + 1) + 1,
-        "rk4_steps": (marches + 1) * steps_per_march,
+        "marches": marches,
+        "rows_marched": marches * (dim + 1),
+        "rk4_steps": marches * steps_per_march,
         "final_miss": m_norm,
     }
     return path

@@ -14,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import shrinker_audit
+from shrinker_audit import models, phigeo, quadrature
 from shrinker_audit.cli import (
     EXIT_CONFIG,
     EXIT_OK,
@@ -114,7 +115,13 @@ def test_audit_chain_small_grid(tmp_path):
         "weighted-ricci-integral", "radial-envelope",
     ]
     counts = cell["minimal_evidence"]["shooting"]
-    assert counts["marches"] == 2 + counts["newton_iterations"] + counts["backtracks"]
+    cfg = RunConfig()
+    s_out, _ = quadrature.audit_grid(5.0, cfg.density)
+    steps_per_march = sum(n_sub for n_sub, _ in phigeo._substeps(s_out, cfg.step))
+    assert counts["marches"] == 1 + counts["newton_iterations"] + counts["backtracks"]
+    assert counts["rows_marched"] == counts["marches"] * (
+        models.parse_model("cylinder:k=2,m=2").n + 1)
+    assert counts["rk4_steps"] == counts["marches"] * steps_per_march
 
 
 def test_audit_chain_rejects_c_at_least_one(tmp_path, capsys):
@@ -259,8 +266,8 @@ def test_config_field_the_subcommand_does_not_read_exit_2(tmp_path, capsys, comm
                                                           config, field):
     cfg_path = tmp_path / "unread.json"
     cfg_path.write_text(json.dumps(config))
-    code = main([command, "--c", "0.1", "--ry", "5", "--config", str(cfg_path),
-                 "--out", str(tmp_path)])
+    grid = [] if command == "verify-identities" else ["--c", "0.1", "--ry", "5"]
+    code = main([command, *grid, "--config", str(cfg_path), "--out", str(tmp_path)])
     assert code == EXIT_CONFIG
     err = capsys.readouterr().err
     assert err.startswith("error:") and repr(field) in err and command in err
@@ -279,12 +286,19 @@ def test_module_entry_point_runs_without_runtime_warning():
     assert "shrinker-audit" in proc.stdout
 
 
-@pytest.mark.parametrize("command", ["geodesic", "audit-chain", "scan"])
-def test_seed_flag_only_on_verify_identities(capsys, command):
+@pytest.mark.parametrize(
+    "command, flag",
+    [pytest.param(command, "--seed", id=command)
+     for command in ("geodesic", "audit-chain", "scan")]
+    + [pytest.param("verify-identities", flag, id=f"verify-identities-{flag}")
+       for flag in ("--c", "--ry")],
+)
+def test_seed_flag_only_on_verify_identities(capsys, command, flag):
+    # --seed is read only by verify-identities, --c and --ry only by the others
     with pytest.raises(SystemExit) as exc:
-        main([command, "--seed", "3"])
+        main([command, flag, "3"])
     assert exc.value.code == EXIT_CONFIG
-    assert "--seed" in capsys.readouterr().err
+    assert flag in capsys.readouterr().err
 
 
 _JSON_VALUES = st.recursive(

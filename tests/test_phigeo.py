@@ -19,7 +19,7 @@ from shrinker_audit.phigeo import (
     minimize_action_discrete,
     path_csv_lines,
     path_json_dict,
-    phi_and_gradient,
+    grad_phi,
     phi_value,
     solve_bvp_shooting,
 )
@@ -36,7 +36,8 @@ def test_phi_params_requires_positive_c():
 def test_phi_round_sphere_constant(rng):
     m = models.round_sphere(3)
     p = models.random_point(m, rng)
-    phi, grad = phi_and_gradient(m, PhiParams(0.1), p)
+    params = PhiParams(0.1)
+    phi, grad = float(phi_value(m, params, p)), grad_phi(m, params, p)
     assert phi == pytest.approx(0.05, abs=1e-14)
     assert np.max(np.abs(grad)) == 0.0
 
@@ -46,7 +47,7 @@ def test_phi_cylinder_value_and_fd_gradient():
     params = PhiParams(0.1)
     p = models.base_point(m)
     p[3] = 2.0
-    phi, grad = phi_and_gradient(m, params, p)
+    phi, grad = float(phi_value(m, params, p)), grad_phi(m, params, p)
     assert phi == pytest.approx(0.025, abs=1e-14)
     # cross-check the closed-form gradient against the FD chart gradient,
     # pushed to the ambient representation through the chart Jacobian
@@ -66,7 +67,7 @@ def test_phi_cylinder_value_and_fd_gradient():
 def test_phi_gaussian_identically_zero(rng):
     m = models.gaussian(3)
     params = PhiParams(0.3)
-    phi, grad = phi_and_gradient(m, params, np.zeros(3))
+    phi, grad = float(phi_value(m, params, np.zeros(3))), grad_phi(m, params, np.zeros(3))
     assert phi == 0.0
     assert np.all(grad == 0.0)
 
@@ -221,27 +222,42 @@ def test_march_rows_match_single_row_marches(model, rng, rows):
     s_nodes = np.array([0.0, 0.4, 0.45, 1.3])
     n_nodes, dim = len(s_nodes), model.ambient_dim
 
-    def recorded_march(p0, v0):
-        hist = (np.empty((n_nodes, dim)), np.empty((n_nodes, dim)), np.empty(n_nodes))
-        end = phigeo._march(dyn, p0, v0, s_nodes, 1e-2, *hist)
-        return end, hist
-
-    (p_end, v_end, e_min, e_max), hist = recorded_march(pos, vel)
+    p_end, v_end, record = phigeo._march(dyn, pos, vel, s_nodes, 1e-2)
+    assert record.pos.shape == record.vel.shape == (n_nodes, dim)
+    assert record.energies.shape == (n_nodes,)
     for i in range(k):
-        (p_i, v_i, e_min_i, e_max_i), hist_i = recorded_march(pos[i:i + 1], vel[i:i + 1])
+        p_i, v_i, record_i = phigeo._march(dyn, pos[i:i + 1], vel[i:i + 1], s_nodes, 1e-2)
         assert p_end[i].tobytes() == p_i[0].tobytes()
         assert v_end[i].tobytes() == v_i[0].tobytes()
         if i == 0:  # row 0 is the recorded one, whatever the batch
-            assert (e_min, e_max) == (e_min_i, e_max_i)
-            assert all(a.tobytes() == b.tobytes() for a, b in zip(hist, hist_i))
+            assert (record.e_min, record.e_max) == (record_i.e_min, record_i.e_max)
+            for name in ("pos", "vel", "energies"):
+                assert getattr(record, name).tobytes() == getattr(record_i, name).tobytes()
 
 
-@pytest.mark.parametrize("label", ["cylinder:k=2,m=2", "sphereproduct:k=2,m=2"])
-def test_shooting_path_lands_where_the_converged_trial_landed(label):
+def _random_endpoints(label, pair):
     m = models.parse_model(label)
-    x = models.base_point(m)
-    y = models.canonical_target(m, 2.5)
+    rng = np.random.default_rng(5)
+    points = [models.random_point(m, rng) for _ in range(2 * (pair + 1))]
+    return m, points[-2], points[-1]
+
+
+@pytest.mark.parametrize(
+    "label, pair",
+    [pytest.param(label, None, id=label)
+     for label in ("cylinder:k=2,m=2", "sphereproduct:k=2,m=2")]
+    + [pytest.param(label, pair, id=f"{label}-random{pair}")
+       for label in ("sphere:n=3", "sphereproduct:k=2,m=2") for pair in range(8)],
+)
+def test_shooting_path_lands_where_the_converged_trial_landed(label, pair):
+    if pair is None:
+        m = models.parse_model(label)
+        x = models.base_point(m)
+        y = models.canonical_target(m, 2.5)
+    else:
+        m, x, y = _random_endpoints(label, pair)
     path = solve_bvp_shooting(m, PhiParams(0.1), x, y)
+    assert path.pos[0].tobytes() == x.tobytes()
     miss = models.tangent_basis(m, y) @ models.log_map(m, y, path.pos[-1])
     assert path.minimal_evidence["shooting"]["final_miss"] == float(np.linalg.norm(miss))
 
@@ -252,9 +268,10 @@ def test_shooting_counts_cylinder():
     path = solve_bvp_shooting(m, PhiParams(0.1), models.base_point(m), y)
     counts = path.minimal_evidence["shooting"]
     assert counts["newton_iterations"] >= 1
-    assert counts["marches"] == 1 + counts["newton_iterations"] + counts["backtracks"] + 1
-    # every trial carries the n forward-difference rows; the recorded path is one row
-    assert counts["rows_marched"] == (counts["marches"] - 1) * (m.n + 1) + 1
+    # the initial guess, one accepted trial per iteration, and each rejected trial
+    assert counts["marches"] == 1 + counts["newton_iterations"] + counts["backtracks"]
+    # every trial carries the n forward-difference rows; the path is a trial's row 0
+    assert counts["rows_marched"] == counts["marches"] * (m.n + 1)
     assert counts["rk4_steps"] == counts["marches"] * sum(
         n_sub for n_sub, _ in phigeo._substeps(path.s, phigeo.MAX_IVP_STEP))
     assert counts["final_miss"] < 1e-10
@@ -280,7 +297,10 @@ def test_shooting_backtracks_from_a_poor_initial_guess(monkeypatch):
     path = solve_bvp_shooting(m, PhiParams(0.1), x, models.canonical_target(m, 3.5))
     counts = path.minimal_evidence["shooting"]
     assert counts["backtracks"] >= 1
-    assert counts["marches"] == 1 + counts["newton_iterations"] + counts["backtracks"] + 1
+    assert counts["marches"] == 1 + counts["newton_iterations"] + counts["backtracks"]
+    assert counts["rows_marched"] == counts["marches"] * (m.n + 1)
+    assert counts["rk4_steps"] == counts["marches"] * sum(
+        n_sub for n_sub, _ in phigeo._substeps(path.s, phigeo.MAX_IVP_STEP))
     assert counts["final_miss"] < 1e-10
 
 
