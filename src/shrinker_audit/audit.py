@@ -10,6 +10,14 @@ Path audits integrate against the trapezoid cutoff (ramp up on [0, 1],
 plateau, ramp down on [s_bar - 1, s_bar]), so they require the path grid to
 be aligned to the cutoff kinks; ``solve_bvp_shooting`` produces such grids
 whenever s_bar >= 2 and ``find_good_point`` rebuilds one with an extra breakpoint.
+
+The scan comes in three parts so that a grid of cells can share its solves:
+``check_good_point_target`` (the refusals that need no path), the shooting
+solve, and ``good_point_on_path`` (the windowed part). ``find_good_point``
+composes them for one cell; the ``scan`` subcommand solves all its cells in
+one lockstep ``solve_bvp_shooting_batch`` and then runs the windowed part
+cell by cell. Each cell's path, and the shooting counts in its
+``minimal_evidence``, are bitwise those of its own solve.
 """
 
 from __future__ import annotations
@@ -477,20 +485,46 @@ def find_good_point(model: ModelSpec, params: PhiParams, y: np.ndarray,
     |Rc|. The returned bound ties the pointwise curvature at that node to
     the explicit constants of the weighted integral estimate; c_hat is the
     smallest constant making the whole chain pass, reported per run.
+
+    This is the one-cell composition of the scan's three parts:
+    ``check_good_point_target`` (the checks that need no path), the shooting
+    solve, and ``good_point_on_path`` (the windowed part). The ``scan``
+    subcommand runs the same parts with the solves of all its cells in one
+    ``solve_bvp_shooting_batch``, which gives each cell bitwise this path.
     """
+    check_good_point_target(model, y)
+    first = solve_bvp_shooting(model, params, base_point(model), y, step=step,
+                               density=density, drift_tol=drift_tol)
+    return good_point_on_path(model, params, y, first, density=density, step=step, tol=tol,
+                              drift_tol=drift_tol)
+
+
+def check_good_point_target(model: ModelSpec, y: np.ndarray) -> None:
+    """Refuse a scan target before any solve: a degenerate model, or r(y) < 2."""
     if model.degenerate:
         raise DegenerateModelError(
             f"{model}: scan needs f(O) > 0 (degenerate: R == 0)"
         )
-    origin = base_point(model)
-    r_y = float(distance(model, origin, y))
-    n = model.n
+    r_y = float(distance(model, base_point(model), y))
     if r_y < 2.0:
         raise CutoffUndefinedError(
             f"{model}: scan needs r(y) >= 2 for the cutoff (got {r_y:.4g})"
         )
-    first = solve_bvp_shooting(model, params, origin, y, step=step, density=density,
-                               drift_tol=drift_tol)
+
+
+def good_point_on_path(model: ModelSpec, params: PhiParams, y: np.ndarray, first: PhiPath,
+                       density: int = 16, step: float = 1e-2,
+                       tol: float = DEFAULT_TOL,
+                       drift_tol: float = DEFAULT_DRIFT_TOL) -> GoodPointResult:
+    """The windowed part of ``find_good_point``, given the shooting path O -> y.
+
+    Checks the radius precondition, re-marches the path's initial velocity
+    on an audit grid with an extra break at the window start, and scans the
+    window.
+    """
+    origin = base_point(model)
+    r_y = float(distance(model, origin, y))
+    n = model.n
     a_bound = _speed_bound(first, params)
     required = max(math.sqrt(2.0 * n), 3.0 * a_bound)
     if r_y < required:

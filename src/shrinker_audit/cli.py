@@ -290,15 +290,33 @@ def cmd_geodesic(config: RunConfig) -> int:
     return EXIT_OK if equivalent else 1
 
 
-def _audit_cell(model, config, cell):
+def _shot_cells(model, cells, prepare, **solver):
+    """Shoot every cell of a grid in one lockstep ``solve_bvp_shooting_batch``.
+
+    ``prepare(c, ry)`` runs a cell's checks that need no path and returns its
+    problem ``(params, x, y)``. On the first pull every cell is prepared and
+    shot; then each cell's ``(params, x, y, path)`` is yielded in grid order.
+    The error a cell's preparation or solve raised is raised when the loop
+    reaches that cell, so errors come in grid order, as if the cells ran
+    one after another.
+    """
+    staged = []
+    for cell in cells:
+        try:
+            staged.append(prepare(*cell))
+        except ShrinkerAuditError as exc:
+            staged.append(exc)
+    problems = [p for p in staged if not isinstance(p, Exception)]
+    paths = iter(phigeo.solve_bvp_shooting_batch(model, problems, **solver))
+    for problem in staged:
+        path = problem if isinstance(problem, Exception) else next(paths)
+        if isinstance(path, Exception):
+            raise path
+        yield (*problem, path)
+
+
+def _audit_cell(model, config, cell, params, x, y, shoot):
     c_val, ry = cell
-    params = PhiParams(c_val)
-    x = base_point(model)
-    y = canonical_target(model, ry)
-    shoot = solve_bvp_shooting(
-        model, params, x, y, tol=config.shoot_tol, step=config.step, density=config.density,
-        drift_tol=config.drift_tol,
-    )
     disc = minimize_action_discrete(model, params, x, y, N=config.N, max_iters=config.max_iters)
     certify_minimal_candidate(model, params, shoot, disc)
     reports = audit_mod.run_audit_chain(
@@ -320,7 +338,13 @@ def cmd_audit_chain(config: RunConfig) -> int:
         if not c_val < 1.0:
             raise ConfigError(f"c must be < 1 for the audit chain (got {c_val})")
     cells = [(c_val, ry) for c_val in config.c for ry in config.ry]
-    results = [_audit_cell(model, config, cell) for cell in cells]
+    solved = _shot_cells(
+        model, cells,
+        lambda c_val, ry: (PhiParams(c_val), base_point(model), canonical_target(model, ry)),
+        tol=config.shoot_tol, step=config.step, density=config.density,
+        drift_tol=config.drift_tol,
+    )
+    results = [_audit_cell(model, config, cell, *shot) for cell, shot in zip(cells, solved)]
     all_ok = all(cell["ok"] for cell in results)
     for cell in results:
         print(f"cell c={cell['c']} ry={cell['ry']}:")
@@ -344,13 +368,17 @@ def cmd_scan(config: RunConfig) -> int:
             raise ConfigError(f"c must be < 1 for the scan (got {c_val})")
     cells = [(c_val, ry) for c_val in config.c for ry in config.ry]
 
-    def run_cell(cell):
-        c_val, ry = cell
+    def prepare(c_val, ry):
         params = PhiParams(c_val)
         y = canonical_target(model, ry)
-        result = audit_mod.find_good_point(
-            model, params, y, density=config.density, step=config.step, tol=config.audit_tol,
-            drift_tol=config.drift_tol,
+        audit_mod.check_good_point_target(model, y)
+        return params, base_point(model), y
+
+    def run_cell(cell, params, y, first):
+        c_val, ry = cell
+        result = audit_mod.good_point_on_path(
+            model, params, y, first, density=config.density, step=config.step,
+            tol=config.audit_tol, drift_tol=config.drift_tol,
         )
         return {
             "c": c_val,
@@ -365,7 +393,10 @@ def cmd_scan(config: RunConfig) -> int:
             "ok": _report_ok(result.report) and result.d_zy <= ry / 2.0 + 1e-9,
         }
 
-    results = [run_cell(cell) for cell in cells]
+    solved = _shot_cells(model, cells, prepare, step=config.step, density=config.density,
+                         drift_tol=config.drift_tol)
+    results = [run_cell(cell, params, y, first)
+               for cell, (params, _, y, first) in zip(cells, solved)]
     c_hat_sup = max(cell["c_hat"] for cell in results)
     all_ok = all(cell["ok"] for cell in results)
     for cell in results:

@@ -94,18 +94,22 @@ def grad_phi(model: ModelSpec, params: PhiParams, pos: np.ndarray) -> np.ndarray
 
 
 class _Dynamics:
-    """Equations of motion on a batch of phase states.
+    """Equations of motion of one model on a batch of phase states.
 
     Rows of a ``(batch, 2 * ambient)`` state are ``[position | velocity]``.
-    Every operation is row-wise (elementwise ufuncs, and ``np.vecdot`` over
-    one factor's columns, the dot kernel of a 1-D ``np.dot``), so a row's
-    trajectory is bitwise the same in any batch.
+    Only the geometry lives here: the potential strength cR = c * R and the
+    step size come in as ``(batch, 1)`` columns, so rows of different c and
+    of different schedules share one step. Every operation is row-wise
+    (elementwise ufuncs, and ``np.vecdot`` over one factor's columns, the
+    dot kernel of a 1-D ``np.dot``), so a row's trajectory is bitwise the
+    same in any batch.
     """
 
-    def __init__(self, model: ModelSpec, params: PhiParams):
+    def __init__(self, model: ModelSpec):
         a = model.ambient_dim
         self.ambient = a
-        self.cR = params.c * model.scalar_R
+        # c > 0, so cR vanishes on every row exactly when R does
+        self.forced = model.scalar_R != 0.0
         self.f_offset = sum(f.dim / 2.0 for f in model.sphere_factors)
         # (position columns, velocity columns) of each factor
         self.euclid = [(slice(f.start, f.stop), slice(a + f.start, a + f.stop))
@@ -120,21 +124,21 @@ class _Dynamics:
             f = f + np.vecdot(x, x) / 4.0
         return f
 
-    def energy(self, state: np.ndarray) -> np.ndarray:
-        """|S|^2 - 2*phi of each row."""
+    def energy(self, state: np.ndarray, cR: float) -> np.ndarray:
+        """|S|^2 - 2*phi of each row, all rows at one cR."""
         vel = state[:, self.ambient:]
         e = np.vecdot(vel, vel)
-        if self.cR != 0.0:
-            e = e - self.cR / self.potential_f(state)
+        if self.forced:
+            e = e - cR / self.potential_f(state)
         return e
 
-    def deriv(self, state: np.ndarray) -> np.ndarray:
+    def deriv(self, state: np.ndarray, cR: np.ndarray) -> np.ndarray:
         """Phase velocity ``[velocity | acceleration]`` of each row."""
         out = np.zeros(state.shape)
         out[:, : self.ambient] = state[:, self.ambient :]
-        if self.cR != 0.0 and self.euclid:
+        if self.forced and self.euclid:
             f = self.potential_f(state)
-            coef = (-self.cR / (4.0 * f * f))[:, None]
+            coef = -cR / (4.0 * f * f)[:, None]
             for p, v in self.euclid:
                 out[:, v] = coef * state[:, p]
         for p, v, r_sq in self.sphere:
@@ -151,11 +155,12 @@ class _Dynamics:
             w = state[:, v]
             w -= (np.vecdot(u, w) / r_sq)[:, None] * u
 
-    def rk4_step(self, state: np.ndarray, h: float) -> np.ndarray:
-        k1 = self.deriv(state)
-        k2 = self.deriv(state + (0.5 * h) * k1)
-        k3 = self.deriv(state + (0.5 * h) * k2)
-        k4 = self.deriv(state + h * k3)
+    def rk4_step(self, state: np.ndarray, h: np.ndarray, cR: np.ndarray) -> np.ndarray:
+        """One RK4 step of every row, with ``(batch, 1)`` step sizes and cR."""
+        k1 = self.deriv(state, cR)
+        k2 = self.deriv(state + (0.5 * h) * k1, cR)
+        k3 = self.deriv(state + (0.5 * h) * k2, cR)
+        k4 = self.deriv(state + h * k3, cR)
         new = state + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         self.renormalize(new)
         return new
@@ -181,32 +186,53 @@ class _Record(NamedTuple):
     e_max: float
 
 
-def _march(dyn: _Dynamics, p0, v0, s_nodes, step: float):
-    """Advance ``(batch, ambient)`` states across ``s_nodes``, landing on every node exactly.
+def _march(dyn: _Dynamics, blocks, step: float) -> list:
+    """March blocks of ``(batch, ambient)`` states in lockstep, each landing on its own nodes.
 
-    Each gap is split into equal substeps no larger than ``step``; a batched
-    RK4 step advances all rows, and each row comes out bitwise as if marched
-    alone. Returns the final positions and velocities of every row and the
-    ``_Record`` of row 0, whose state is kept after every substep; its
-    energies are evaluated row-wise in one call at the end, bitwise the
-    per-substep values. The one-row integrator and the shooting trials (a
-    trial plus its forward-difference rows) share this routine, and shooting
-    returns the path recorded by its converged trial's own march.
+    A block is ``(starts, v0, cR, s_nodes)``. Each gap of a block's
+    ``s_nodes`` is split into equal substeps no larger than ``step``, and
+    one batched RK4 step advances every row of every block that still has
+    substeps left. Blocks run longest schedule first, so the live rows are a
+    prefix that shrinks as schedules end; a finished row is never stepped
+    again. Every row comes out bitwise as if marched alone.
+
+    Returns, per block in the given order, its rows' final positions and
+    velocities and the ``_Record`` of its row 0, whose state is kept after
+    every substep; its energies are evaluated row-wise in one call at the
+    end, bitwise the per-substep values. The one-row integrator and the
+    shooting trials of every cell of a grid (each trial with its
+    forward-difference rows) share this routine.
     """
-    schedule = _substeps(s_nodes, step)
-    sizes = [h for n_sub, h in schedule for _ in range(n_sub)]
-    state = np.concatenate([p0, v0], axis=1, dtype=float)
-    trace = np.empty((len(sizes) + 1, state.shape[1]))
-    trace[0] = state[0]
-    for k, h in enumerate(sizes, start=1):
-        state = dyn.rk4_step(state, h)
-        trace[k] = state[0]
-    nodes = np.cumsum([0] + [n_sub for n_sub, _ in schedule])
+    schedules = [_substeps(s_nodes, step) for *_, s_nodes in blocks]
+    sizes = [[h for n_sub, h in sched for _ in range(n_sub)] for sched in schedules]
+    order = sorted(range(len(blocks)), key=lambda b: -len(sizes[b]))
+    counts = [len(blocks[b][0]) for b in order]
+    ends = np.cumsum(counts)
+    heads = ends - counts
+    state = np.concatenate([np.concatenate(blocks[b][:2], axis=1, dtype=float) for b in order])
+    cR = np.repeat([blocks[b][2] for b in order], counts)[:, None]
+    h_cols = np.zeros((len(sizes[order[0]]), len(state), 1))
+    for b, head, end in zip(order, heads, ends):
+        h_cols[: len(sizes[b]), head:end] = np.array(sizes[b])[:, None, None]
+    trace = np.empty((len(h_cols) + 1, len(blocks), state.shape[1]))
+    trace[0] = state[heads]
+    live = len(blocks)
+    for k in range(len(h_cols)):
+        while len(sizes[order[live - 1]]) == k:
+            live -= 1
+        n = ends[live - 1]
+        state[:n] = dyn.rk4_step(state[:n], h_cols[k, :n], cR[:n])
+        trace[k + 1, :live] = state[heads[:live]]
     a = dyn.ambient
-    energies = dyn.energy(trace)
-    record = _Record(trace[nodes, :a], trace[nodes, a:], energies[nodes],
-                     energies.min(), energies.max())
-    return state[:, :a], state[:, a:], record
+    out = [None] * len(blocks)
+    for slot, (b, head, end) in enumerate(zip(order, heads, ends)):
+        rows = trace[: len(sizes[b]) + 1, slot]
+        nodes = np.cumsum([0] + [n_sub for n_sub, _ in schedules[b]])
+        energies = dyn.energy(rows, blocks[b][2])
+        record = _Record(rows[nodes, :a], rows[nodes, a:], energies[nodes],
+                         energies.min(), energies.max())
+        out[b] = (state[head:end, :a], state[head:end, a:], record)
+    return out
 
 
 def _recorded_path(model, params, record: _Record, s_nodes, breaks, step: float,
@@ -265,7 +291,8 @@ def integrate_ivp(
         breaks = tuple(breaks) if breaks is not None else (0.0, s_end)
     pos = project_point(model, p0)
     vel = project_tangent(model, pos, v0)
-    _, _, record = _march(_Dynamics(model, params), pos[None], vel[None], s_nodes, step)
+    block = (pos[None], vel[None], params.c * model.scalar_R, s_nodes)
+    ((_, _, record),) = _march(_Dynamics(model), [block], step)
     return _recorded_path(model, params, record, s_nodes, breaks, step, drift_tol)
 
 
@@ -322,15 +349,75 @@ def solve_bvp_shooting(
 
     ``minimal_evidence["shooting"]`` records the run's deterministic
     counts: Newton iterations, rejected line-search trials (backtracks),
-    marches and the rows they carried, RK4 steps (a batched step counts
-    once) and the final endpoint miss.
+    marches and the rows they carried, RK4 steps and the final endpoint
+    miss. The counts are the problem's own: a march counts its own rows,
+    and its own substeps as RK4 steps, whatever else shared the batch.
+
+    This is the one-problem case of ``solve_bvp_shooting_batch``; a batch
+    returns bitwise the same path for each problem.
+    """
+    (path,) = solve_bvp_shooting_batch(
+        model, [(params, x, y)], tol=tol, step=step, max_newton=max_newton, density=density,
+        drift_tol=drift_tol,
+    )
+    if isinstance(path, Exception):
+        raise path
+    return path
+
+
+def solve_bvp_shooting_batch(
+    model: ModelSpec,
+    problems,
+    tol: float = 1e-10,
+    step: float = MAX_IVP_STEP,
+    max_newton: int = 100,
+    density: int = 16,
+    drift_tol: float = DEFAULT_DRIFT_TOL,
+) -> list:
+    """Shoot every ``(params, x, y)`` problem on one model in lockstep.
+
+    Each problem runs its own Newton/Armijo iteration (``_shooting``). A
+    round collects the pending trial of every live problem and marches them
+    all in one ``_march``, whatever their c and their grids; rows never mix,
+    so every path, and every count in its ``minimal_evidence``, is bitwise
+    that of a ``solve_bvp_shooting`` call on the problem alone. Returns, in
+    the given order, each problem's ``PhiPath``, or the exception it raised;
+    a failed problem stops marching and the others carry on.
+    """
+    dyn = _Dynamics(model)
+    results = [None] * len(problems)
+    pending = []
+
+    def advance(i, solver, reply):
+        try:
+            pending.append((i, solver, solver.send(reply)))
+        except StopIteration as done:
+            results[i] = done.value
+        except Exception as exc:  # the problem's own failure, for the caller to raise
+            results[i] = exc
+
+    for i, (params, x, y) in enumerate(problems):
+        advance(i, _shooting(model, params, x, y, tol, step, max_newton, density, drift_tol),
+                None)
+    while pending:
+        batch, pending = pending, []
+        ends = _march(dyn, [request for *_, request in batch], step)
+        for (i, solver, _), (p_end, _, record) in zip(batch, ends):
+            advance(i, solver, (p_end, record))
+    return results
+
+
+def _shooting(model, params, x, y, tol, step, max_newton, density, drift_tol):
+    """The Newton/Armijo iteration of one shooting problem, as a generator.
+
+    It yields each trial's ``_march`` block ``(starts, v0, cR, s_out)`` and
+    receives that block's ``(p_end, record)``; it returns the ``PhiPath``.
     """
     validate_point(model, x)
     validate_point(model, y)
     s_bar = float(distance(model, x, y))
     if s_bar <= 0.0:
         raise DegenerateEndpointsError(f"{model}: shooting needs x != y")
-    dyn = _Dynamics(model, params)
     bg = background_geodesic(model, x, y, 64)
     if model.scalar_R == 0.0:
         mean_rof = 0.0
@@ -347,6 +434,7 @@ def solve_bvp_shooting(
         breaks = (0.0, s_bar)
     dim = basis_x.shape[0]
     starts = np.tile(x, (dim + 1, 1))
+    cR = params.c * model.scalar_R
     marches = 0
 
     def miss_and_jacobian(coeffs: np.ndarray):
@@ -354,13 +442,13 @@ def solve_bvp_shooting(
         delta = 1e-7 * (1.0 + float(np.linalg.norm(coeffs)))
         rows = np.vstack([coeffs, coeffs + delta * np.eye(dim)])
         v0 = np.array([row @ basis_x for row in rows])
-        p_end, _, record = _march(dyn, starts, v0, s_out, step)
+        p_end, record = yield (starts, v0, cR, s_out)
         marches += 1
         misses = np.array([basis_y @ log_map(model, y, p) for p in p_end])
         return misses[0], (misses[1:] - misses[0]).T / delta, record
 
     a = basis_x @ v_guess
-    m, jac, record = miss_and_jacobian(a)
+    m, jac, record = yield from miss_and_jacobian(a)
     m_norm = float(np.linalg.norm(m))
     best = m_norm
     iterations = 0
@@ -379,7 +467,7 @@ def solve_bvp_shooting(
         accepted = False
         while t >= 1.0 / 256.0:
             a_try = a + t * step_dir
-            m_try, jac_try, record_try = miss_and_jacobian(a_try)
+            m_try, jac_try, record_try = yield from miss_and_jacobian(a_try)
             m_try_norm = float(np.linalg.norm(m_try))
             if m_try_norm < (1.0 - 1e-4 * t) * m_norm:
                 a, m, jac, m_norm, record = a_try, m_try, jac_try, m_try_norm, record_try

@@ -10,7 +10,7 @@ from dataclasses import fields
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
 import shrinker_audit
@@ -359,3 +359,95 @@ def test_fuzzed_verify_identities_exits_with_a_documented_code(tmp_path_factory,
     report = out_dir / "verify_identities.json"
     if report.exists():
         assert "NaN" not in report.read_text()
+
+
+@pytest.mark.parametrize(
+    "argv, drift_tol, code, err",
+    [
+        # cell 0 is refused after its solve, cell 1 before any solve
+        (["scan", "--c", "0.1", "--ry", "3,1.5"], None, EXIT_REFUSED,
+         "refused: cylinder:k=2,m=2: scan precondition r(y) >= max(sqrt(2n), 3A) = 3.052 "
+         "fails at r(y) = 3"),
+        # cell 0 passes; cell 1 is refused before any solve; cell 2 fails its solve
+        (["scan", "--c", "0.1,0.9", "--ry", "5,1.5"], 1e-12, EXIT_REFUSED,
+         "refused: cylinder:k=2,m=2: scan needs r(y) >= 2 for the cutoff (got 1.5)"),
+        # cell 0 passes; cell 1 fails in shooting
+        (["audit-chain", "--c", "0.1,0.9", "--ry", "5", "--N", "16"], 1e-12, EXIT_SOLVER,
+         "solver failure: conserved-quantity drift 1.038e-11 exceeds 1.0e-12; "
+         "step 0.01 is too large"),
+        # cell 0 is refused in its audits, after cell 3's solve has failed
+        (["audit-chain", "--c", "0.1,0.9", "--ry", "1.5,5", "--N", "16"], 1e-12, EXIT_REFUSED,
+         "refused: trapezoid cutoff needs s_bar >= 2 (got 1.5)"),
+    ],
+    ids=["scan-precondition-then-cutoff", "scan-pass-cutoff-drift", "audit-chain-pass-drift",
+         "audit-chain-cutoff-then-drift"],
+)
+def test_grid_errors_come_in_grid_order(tmp_path, capsys, argv, drift_tol, code, err):
+    # every cell is shot before any cell is audited; the error reported is
+    # still the one the first failing cell raises when the cells run in order
+    cfg = []
+    if drift_tol is not None:
+        cfg_path = tmp_path / "run.json"
+        cfg_path.write_text(json.dumps({"drift_tol": drift_tol}))
+        cfg = ["--config", str(cfg_path)]
+    assert main(argv + ["--model", "cylinder:k=2,m=2", *cfg, "--out", str(tmp_path)]) == code
+    captured = capsys.readouterr()
+    assert captured.err == err + "\n"
+    assert captured.out == ""
+
+
+_REPORTS = {"geodesic": "geodesic_summary.json", "audit-chain": "audit_chain.json",
+            "scan": "scan.json"}
+
+
+def _run_cli(argv, out_dir):
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        code = main(argv + ["--out", str(out_dir)])
+    return code, stderr.getvalue()
+
+
+@settings(max_examples=12, deadline=None)
+@given(command=st.sampled_from(sorted(_REPORTS)),
+       model=st.sampled_from(["gaussian:n=3", "sphere:n=3", "cylinder:k=2,m=2",
+                              "sphereproduct:k=2,m=2"]),
+       cs=st.lists(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+                   min_size=1, max_size=3),
+       rys=st.lists(st.floats(0.0, 5.0, exclude_min=True), min_size=1, max_size=3),
+       N=st.sampled_from([16, 32]))
+# most drawn grids have a refused cell; these pass, so every cell is compared
+@example(command="audit-chain", model="cylinder:k=2,m=2", cs=[0.1, 0.5, 0.9], rys=[4.0], N=16)
+@example(command="scan", model="sphereproduct:k=2,m=2", cs=[0.3], rys=[5.0, 3.5, 4.25], N=16)
+def test_fuzzed_solving_subcommands_match_their_cells_run_alone(tmp_path_factory, command,
+                                                                model, cs, rys, N):
+    if command == "geodesic":  # it reads one (c, r_y)
+        cs, rys = cs[:1], rys[:1]
+    rys = rys[: 3 // len(cs)]  # the grid is c x r_y: at most 3 cells
+    cells = [(c, ry) for c in cs for ry in rys]
+    out_dir = tmp_path_factory.mktemp("fuzz-grid")
+
+    def argv(c_grid, ry_grid):
+        extra = [] if command == "scan" else ["--N", str(N)]
+        return [command, "--model", model, "--c", ",".join(map(repr, c_grid)),
+                "--ry", ",".join(map(repr, ry_grid)), *extra]
+
+    # a multi-cell grid shoots its cells together, so compare it cell by cell
+    # with each (c, r_y) run alone
+    code, err = _run_cli(argv(cs, rys), out_dir / "grid")
+    alone = [_run_cli(argv([c], [ry]), out_dir / f"cell{i}") for i, (c, ry) in enumerate(cells)]
+    event(f"{command} exit {code}")
+    assert code in (0, 1, 2, 3, 4)
+    assert "Traceback" not in err
+    for path in out_dir.rglob("*.json"):
+        assert "NaN" not in path.read_text()
+    failed = [(c, e) for c, e in alone if c not in (0, 1)]
+    if failed:
+        assert (code, err) == failed[0]
+        return
+    assert code == max(c for c, _ in alone)
+    event(f"{command} compared {len(cells)} cells")
+    if command != "geodesic":
+        grid_cells = read_json(out_dir / "grid" / _REPORTS[command])["cells"]
+        for i, cell in enumerate(grid_cells):
+            (alone_cell,) = read_json(out_dir / f"cell{i}" / _REPORTS[command])["cells"]
+            assert cell == alone_cell

@@ -22,6 +22,7 @@ from shrinker_audit.phigeo import (
     grad_phi,
     phi_value,
     solve_bvp_shooting,
+    solve_bvp_shooting_batch,
 )
 
 
@@ -202,37 +203,49 @@ def _random_states(model, rng, k):
 
 def test_rk4_step_matches_scalar_reference(model, rng):
     params = PhiParams(0.3)
-    dyn = phigeo._Dynamics(model, params)
+    dyn = phigeo._Dynamics(model)
     pos, vel = _random_states(model, rng, 4)
     ref = [(p.copy(), v.copy()) for p, v in zip(pos, vel)]
     state = np.hstack([pos, vel])
+    h = np.full((4, 1), 1e-2)
+    cR = np.full((4, 1), params.c * model.scalar_R)
     for _ in range(50):
-        state = dyn.rk4_step(state, 1e-2)
+        state = dyn.rk4_step(state, h, cR)
         ref = [_reference_rk4_step(model, params, p, v, 1e-2) for p, v in ref]
     expected = np.array([np.concatenate(pv) for pv in ref])
     assert state.tobytes() == expected.tobytes()
 
 
-@pytest.mark.parametrize("rows", ["1", "3", "n+1"])
+@pytest.mark.parametrize("rows", ["1", "3", "n+1", "blocks"])
 def test_march_rows_match_single_row_marches(model, rng, rows):
-    params = PhiParams(0.3)
-    dyn = phigeo._Dynamics(model, params)
-    k = model.n + 1 if rows == "n+1" else int(rows)
-    pos, vel = _random_states(model, rng, k)
-    s_nodes = np.array([0.0, 0.4, 0.45, 1.3])
-    n_nodes, dim = len(s_nodes), model.ambient_dim
+    dyn = phigeo._Dynamics(model)
+    nodes = [0.0, 0.4, 0.45, 1.3]
+    if rows == "blocks":
+        # different c, nodes and row counts, shortest schedule first so that
+        # the march has to reorder them
+        specs = [(0.9, [0.0, 0.2, 0.35], 2), (0.1, nodes, 3),
+                 (0.5, [0.0, 0.5, 0.8], model.n + 1), (0.3, nodes, 1)]
+    else:
+        specs = [(0.3, nodes, model.n + 1 if rows == "n+1" else int(rows))]
+    blocks = []
+    for c, s_nodes, k in specs:
+        pos, vel = _random_states(model, rng, k)
+        blocks.append((pos, vel, c * model.scalar_R, np.array(s_nodes)))
 
-    p_end, v_end, record = phigeo._march(dyn, pos, vel, s_nodes, 1e-2)
-    assert record.pos.shape == record.vel.shape == (n_nodes, dim)
-    assert record.energies.shape == (n_nodes,)
-    for i in range(k):
-        p_i, v_i, record_i = phigeo._march(dyn, pos[i:i + 1], vel[i:i + 1], s_nodes, 1e-2)
-        assert p_end[i].tobytes() == p_i[0].tobytes()
-        assert v_end[i].tobytes() == v_i[0].tobytes()
-        if i == 0:  # row 0 is the recorded one, whatever the batch
-            assert (record.e_min, record.e_max) == (record_i.e_min, record_i.e_max)
-            for name in ("pos", "vel", "energies"):
-                assert getattr(record, name).tobytes() == getattr(record_i, name).tobytes()
+    marched = phigeo._march(dyn, blocks, 1e-2)
+    assert len(marched) == len(blocks)
+    for (p_end, v_end, record), (pos, vel, cR, s_nodes) in zip(marched, blocks):
+        assert record.pos.shape == record.vel.shape == (len(s_nodes), model.ambient_dim)
+        assert record.energies.shape == (len(s_nodes),)
+        for i in range(len(pos)):
+            ((p_i, v_i, record_i),) = phigeo._march(
+                dyn, [(pos[i:i + 1], vel[i:i + 1], cR, s_nodes)], 1e-2)
+            assert p_end[i].tobytes() == p_i[0].tobytes()
+            assert v_end[i].tobytes() == v_i[0].tobytes()
+            if i == 0:  # row 0 is the recorded one, whatever the batch
+                assert (record.e_min, record.e_max) == (record_i.e_min, record_i.e_max)
+                for name in ("pos", "vel", "energies"):
+                    assert getattr(record, name).tobytes() == getattr(record_i, name).tobytes()
 
 
 def _random_endpoints(label, pair):
@@ -302,6 +315,79 @@ def test_shooting_backtracks_from_a_poor_initial_guess(monkeypatch):
     assert counts["rk4_steps"] == counts["marches"] * sum(
         n_sub for n_sub, _ in phigeo._substeps(path.s, phigeo.MAX_IVP_STEP))
     assert counts["final_miss"] < 1e-10
+
+
+def _assert_same_path(got, alone):
+    for name in ("s", "pos", "vel"):
+        assert np.array_equal(getattr(got, name), getattr(alone, name))
+        assert getattr(got, name).tobytes() == getattr(alone, name).tobytes()
+    for name in ("C_value", "drift", "action_J", "minimal_evidence", "breaks", "flags"):
+        assert getattr(got, name) == getattr(alone, name)
+
+
+@pytest.mark.parametrize(
+    "label, cells",
+    [
+        # r_y = 1.5 has s_bar < 2 (a uniform grid); the others are audit
+        # grids of different lengths, so schedules end at different rounds
+        ("cylinder:k=2,m=2", [(0.1, 4.0), (0.5, 1.5), (0.9, 7.0), (0.5, 7.0), (0.1, 1.5)]),
+        ("sphereproduct:k=2,m=2", [(0.9, 3.0), (0.1, 5.0), (0.5, 1.5), (0.5, 5.0)]),
+    ],
+)
+def test_shooting_batch_matches_solo_solves(label, cells):
+    m = models.parse_model(label)
+    x = models.base_point(m)
+    problems = [(PhiParams(c), x, models.canonical_target(m, ry)) for c, ry in cells]
+    paths = solve_bvp_shooting_batch(m, problems)
+    assert len(paths) == len(problems)
+    for path, (params, x_i, y_i) in zip(paths, problems):
+        _assert_same_path(path, solve_bvp_shooting(m, params, x_i, y_i))
+
+
+def test_shooting_batch_backtracking_beside_a_plain_cell(monkeypatch):
+    # the poor guess of test_shooting_backtracks_from_a_poor_initial_guess,
+    # for one target only; the other cell starts from the usual guess
+    m = models.round_sphere(2)
+    x = models.base_point(m)
+    poor_target = models.canonical_target(m, 3.5)
+    rng = np.random.default_rng(2)
+    guess = models.random_tangent(m, x, rng)
+    guess *= rng.uniform(0.5, 4.0) / np.linalg.norm(guess)
+    background = phigeo.background_geodesic
+
+    def poor_guess(model, p, q, N):
+        path = background(model, p, q, N)
+        if np.array_equal(q, poor_target):
+            path.vel = path.vel.copy()
+            path.vel[0] = guess
+        return path
+
+    monkeypatch.setattr(phigeo, "background_geodesic", poor_guess)
+    problems = [(PhiParams(0.1), x, models.canonical_target(m, 2.0)),
+                (PhiParams(0.1), x, poor_target)]
+    plain, poor = solve_bvp_shooting_batch(m, problems)
+    assert plain.minimal_evidence["shooting"]["backtracks"] == 0
+    assert poor.minimal_evidence["shooting"]["backtracks"] >= 1
+    for path, (params, x_i, y_i) in zip((plain, poor), problems):
+        _assert_same_path(path, solve_bvp_shooting(m, params, x_i, y_i))
+
+
+def test_shooting_batch_keeps_each_failure_in_its_slot():
+    # x == y fails before any march; at drift_tol 5e-12 the c = 0.9 cell fails
+    # its drift check after its third march, while the c = 0.5, r_y = 7 cell
+    # goes on to a fourth
+    m = models.sphere_cylinder(2, 2)
+    x = models.base_point(m)
+    problems = [(PhiParams(0.1), x, models.canonical_target(m, 4.0)),
+                (PhiParams(0.1), x, x.copy()),
+                (PhiParams(0.9), x, models.canonical_target(m, 5.0)),
+                (PhiParams(0.5), x, models.canonical_target(m, 7.0))]
+    results = solve_bvp_shooting_batch(m, problems, drift_tol=5e-12)
+    assert isinstance(results[1], DegenerateEndpointsError)
+    assert isinstance(results[2], DriftExceededError)
+    for i in (0, 3):
+        _assert_same_path(results[i], solve_bvp_shooting(m, *problems[i], drift_tol=5e-12))
+    assert results[3].minimal_evidence["shooting"]["marches"] == 4
 
 
 def test_shooting_gaussian_straight_segment(rng):
