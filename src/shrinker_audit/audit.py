@@ -9,7 +9,7 @@ and the pass flag always carries its tolerance.
 Path audits integrate against the trapezoid cutoff (ramp up on [0, 1],
 plateau, ramp down on [s_bar - 1, s_bar]), so they require the path grid to
 be aligned to the cutoff kinks; ``solve_bvp_shooting`` produces such grids
-whenever s_bar >= 2 and ``find_good_point`` rebuilds one with an extra breakpoint.
+whenever s_bar >= 2, and the scan snaps its window to the nodes of that grid.
 
 The scan comes in three parts so that a grid of cells can share its solves:
 ``check_good_point_target`` (the refusals that need no path), the shooting
@@ -47,7 +47,6 @@ from .paths import PhiPath
 from .phigeo import (
     DEFAULT_DRIFT_TOL,
     PhiParams,
-    integrate_ivp,
     phi_value,
     solve_bvp_shooting,
 )
@@ -386,14 +385,17 @@ def boundary_term_audit(model: ModelSpec, params: PhiParams, path: PhiPath,
 
 def radial_envelope_audit(model: ModelSpec, params: PhiParams, path: PhiPath,
                           tol: float = DEFAULT_TOL) -> AuditReport:
-    """r(gamma(s)) <= min(r(x) + s*A, r(y) + (s_bar - s)*A) at every node."""
+    """r(gamma(s)) <= min(r(x) + s*A, r(y) + (s_bar - s)*A) at every interior node.
+
+    The envelope equals r at both endpoints by construction, so they are left
+    out of the minimum slack, which could otherwise never be positive.
+    """
     a_bound = _speed_bound(path, params)
     radii = radial_distance(model, path.pos)
     r_x = float(radii[0])
     r_y = float(radii[-1])
     envelope = np.minimum(r_x + path.s * a_bound, r_y + (path.s_bar - path.s) * a_bound)
-    slack = envelope - radii
-    k = int(np.argmin(slack))
+    k = 1 + int(np.argmin(envelope[1:-1] - radii[1:-1]))
     ctx = _path_context(model, params, path)
     ctx.update({"worst_node": k, "worst_s": float(path.s[k])})
     return AuditReport(
@@ -481,10 +483,12 @@ def find_good_point(model: ModelSpec, params: PhiParams, y: np.ndarray,
 
     Solves the boundary-value problem from the base point O to y, verifies
     the radius precondition r(y) >= max(sqrt(2n), 3A), then scans the grid
-    nodes with s in [(1 - 1/(2A)) * s_bar, s_bar - 1] for the node of least
-    |Rc|. The returned bound ties the pointwise curvature at that node to
-    the explicit constants of the weighted integral estimate; c_hat is the
-    smallest constant making the whole chain pass, reported per run.
+    nodes of that path with s in the window [(1 - 1/(2A)) * s_bar, s_bar - 1]
+    for the node of least |Rc| (``good_point_on_path`` snaps the window to
+    the grid). The returned bound ties the pointwise curvature at that node
+    to the explicit constants of the weighted integral estimate; c_hat is
+    the smallest constant making the whole chain pass, reported per run.
+    ``density``, ``step`` and ``drift_tol`` go to the solve.
 
     This is the one-cell composition of the scan's three parts:
     ``check_good_point_target`` (the checks that need no path), the shooting
@@ -493,10 +497,9 @@ def find_good_point(model: ModelSpec, params: PhiParams, y: np.ndarray,
     ``solve_bvp_shooting_batch``, which gives each cell bitwise this path.
     """
     check_good_point_target(model, y)
-    first = solve_bvp_shooting(model, params, base_point(model), y, step=step,
-                               density=density, drift_tol=drift_tol)
-    return good_point_on_path(model, params, y, first, density=density, step=step, tol=tol,
-                              drift_tol=drift_tol)
+    path = solve_bvp_shooting(model, params, base_point(model), y, step=step,
+                              density=density, drift_tol=drift_tol)
+    return good_point_on_path(model, params, y, path, tol=tol)
 
 
 def check_good_point_target(model: ModelSpec, y: np.ndarray) -> None:
@@ -512,57 +515,52 @@ def check_good_point_target(model: ModelSpec, y: np.ndarray) -> None:
         )
 
 
-def good_point_on_path(model: ModelSpec, params: PhiParams, y: np.ndarray, first: PhiPath,
-                       density: int = 16, step: float = 1e-2,
-                       tol: float = DEFAULT_TOL,
-                       drift_tol: float = DEFAULT_DRIFT_TOL) -> GoodPointResult:
-    """The windowed part of ``find_good_point``, given the shooting path O -> y.
+def good_point_on_path(model: ModelSpec, params: PhiParams, y: np.ndarray, path: PhiPath,
+                       tol: float = DEFAULT_TOL) -> GoodPointResult:
+    """The windowed part of ``find_good_point``, on the shooting path O -> y itself.
 
-    Checks the radius precondition, re-marches the path's initial velocity
-    on an audit grid with an extra break at the window start, and scans the
-    window.
+    Checks the radius precondition, then snaps the window [w0, s_bar - 1],
+    w0 = (1 - 1/(2A)) * s_bar, to the path's audit grid: it starts at the
+    first node s[i0] >= w0 whose interval count to the node at s_bar - 1 is
+    even, so the window integral is one Simpson piece with a coarsened-grid
+    error estimate. The lower bound and ``bound`` use the snapped length
+    span = s_bar - 1 - s[i0]. Since s[i0] >= w0, every window node z keeps
+    d(z, y) <= A * (s_bar - s) <= r(y)/2; the distance is checked anyway.
+
+    |Rc| is constant on every catalog model, so z is the window's first node.
     """
     origin = base_point(model)
     r_y = float(distance(model, origin, y))
     n = model.n
-    a_bound = _speed_bound(first, params)
+    a_bound = _speed_bound(path, params)
     required = max(math.sqrt(2.0 * n), 3.0 * a_bound)
     if r_y < required:
         raise PreconditionError(
             f"{model}: scan precondition r(y) >= max(sqrt(2n), 3A) = {required:.4g} "
             f"fails at r(y) = {r_y:.4g}"
         )
-    s_bar = first.s_bar
+    s_bar = path.s_bar
     w0 = (1.0 - 1.0 / (2.0 * a_bound)) * s_bar
-    if not w0 < s_bar - 1.0 - 1e-12:
+    i1 = int(np.searchsorted(path.s, s_bar - 1.0))  # the cutoff kink, a grid node
+    i0 = int(np.searchsorted(path.s, w0))
+    i0 += (i1 - i0) % 2
+    if i1 - i0 < 2:
         raise PreconditionError(
             f"{model}: empty scan window [{w0:.4g}, {s_bar - 1.0:.4g}]"
         )
-    s_out, breaks = quadrature.audit_grid(s_bar, density, extra_breaks=(w0,))
-    path = integrate_ivp(model, params, origin, first.vel[0], s_bar, step,
-                         s_out=s_out, breaks=breaks, drift_tol=drift_tol)
-    path.flags.append("shooting")
     validate_point(model, path.pos)
-    window_mask = (path.s >= w0 - 1e-12) & (path.s <= s_bar - 1.0 + 1e-12)
-    window_idx = np.nonzero(window_mask)[0]
-    rc_norms = np.full(len(window_idx), math.sqrt(model.ricci_norm_sq))
-    k = int(window_idx[int(np.argmin(rc_norms))])
-    z = path.pos[k]
-    rc_z = float(np.min(rc_norms))
+    z = path.pos[i0]
+    rc_z = math.sqrt(model.ricci_norm_sq)
     d_zy = float(distance(model, z, y))
     if d_zy > r_y / 2.0 + 1e-9:
         raise PreconditionError(
             f"{model}: scanned point is too far from y (d = {d_zy:.4g} > r(y)/2)"
         )
-    f = potential_f(model, path.pos)
-    window_vals = np.where(window_mask, model.ricci_norm_sq / f, 0.0)
-    window_pieces = [
-        (i0, i1, 1.0)
-        for i0, i1 in quadrature.piece_slices(path.s, path.breaks)
-        if w0 - 1e-12 <= 0.5 * (path.s[i0] + path.s[i1]) <= s_bar - 1.0 + 1e-12
-    ]
-    window_integral, window_err = quadrature.integrate_pieces(path.s, window_vals, window_pieces)
-    span = r_y / (2.0 * a_bound) - 1.0
+    window = (float(path.s[i0]), s_bar - 1.0)
+    window_integral, window_err = quadrature.integrate_pieces(
+        path.s, model.ricci_norm_sq / potential_f(model, path.pos), [(i0, i1, 1.0)]
+    )
+    span = window[1] - window[0]
     denom = (math.sqrt(n / 2.0) + 1.5 * r_y) ** 2
     lower = span * (rc_z**2) / denom
     f_origin = float(potential_f(model, origin))
@@ -573,7 +571,11 @@ def good_point_on_path(model: ModelSpec, params: PhiParams, y: np.ndarray, first
     )
     bound = math.sqrt(rhs5 * denom / span)
     c_hat = bound / (r_y + 1.0)
-    margin = min(window_integral - lower, rhs5 - window_integral)
+    # report the tighter of the two displayed inequalities
+    if window_integral - lower <= rhs5 - window_integral:
+        lhs, rhs = lower, window_integral
+    else:
+        lhs, rhs = window_integral, rhs5
     ctx = _path_context(model, params, path)
     ctx.update(
         {
@@ -585,17 +587,10 @@ def good_point_on_path(model: ModelSpec, params: PhiParams, y: np.ndarray, first
             "ricci_norm_z": rc_z,
             "d_zy": d_zy,
             "r_y": r_y,
-            "window": [w0, s_bar - 1.0],
+            "window": list(window),
         }
     )
-    report = AuditReport(
-        "good-point-chain",
-        lower if window_integral - lower <= rhs5 - window_integral else window_integral,
-        window_integral if window_integral - lower <= rhs5 - window_integral else rhs5,
-        tol,
-        window_err,
-        context=ctx,
-    )
+    report = AuditReport("good-point-chain", lhs, rhs, tol, window_err, context=ctx)
     if rc_z > bound + tol:
         raise PreconditionError(
             f"{model}: scanned curvature {rc_z:.4g} exceeds its bound {bound:.4g}"
@@ -609,6 +604,6 @@ def good_point_on_path(model: ModelSpec, params: PhiParams, y: np.ndarray, first
         d_zy=d_zy,
         r_y=r_y,
         speed_bound=a_bound,
-        window=(w0, s_bar - 1.0),
+        window=window,
         path=path,
     )

@@ -374,15 +374,13 @@ def cmd_scan(config: RunConfig) -> int:
         audit_mod.check_good_point_target(model, y)
         return params, base_point(model), y
 
-    def run_cell(cell, params, y, first):
+    def run_cell(cell, params, y, path):
         c_val, ry = cell
-        result = audit_mod.good_point_on_path(
-            model, params, y, first, density=config.density, step=config.step,
-            tol=config.audit_tol, drift_tol=config.drift_tol,
-        )
+        result = audit_mod.good_point_on_path(model, params, y, path, tol=config.audit_tol)
         return {
             "c": c_val,
             "ry": ry,
+            "minimal_evidence": path.minimal_evidence,
             "ricci_norm_z": result.ricci_norm,
             "bound": result.bound,
             "c_hat": result.c_hat,
@@ -395,8 +393,8 @@ def cmd_scan(config: RunConfig) -> int:
 
     solved = _shot_cells(model, cells, prepare, step=config.step, density=config.density,
                          drift_tol=config.drift_tol)
-    results = [run_cell(cell, params, y, first)
-               for cell, (params, _, y, first) in zip(cells, solved)]
+    results = [run_cell(cell, params, y, path)
+               for cell, (params, _, y, path) in zip(cells, solved)]
     c_hat_sup = max(cell["c_hat"] for cell in results)
     all_ok = all(cell["ok"] for cell in results)
     for cell in results:
@@ -406,9 +404,13 @@ def cmd_scan(config: RunConfig) -> int:
             f"<= C_hat*(ry+1)={cell['bound']:.6g} (C_hat={cell['c_hat']:.6g})"
         )
     print(f"empirical uniform constant sup C_hat = {c_hat_sup:.6g}")
+    # every catalog model has constant |Rc|, so the scan has nothing to search
+    notice = "|Rc| is constant on this model: z is the first node of each scan window"
+    print(f"NOTE  {notice}")
     payload = {
         "command": "scan",
         "config": config.to_dict(),
+        "notices": [notice],
         "cells": results,
         "c_hat_sup": c_hat_sup,
         "all_ok": all_ok,

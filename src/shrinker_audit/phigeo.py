@@ -262,17 +262,14 @@ def integrate_ivp(
     v0: np.ndarray,
     s_end: float,
     step: float = MAX_IVP_STEP,
-    s_out=None,
-    breaks=None,
     drift_tol: float = DEFAULT_DRIFT_TOL,
 ) -> PhiPath:
     """Integrate the equations of motion from (p0, v0) over [0, s_end].
 
+    The nodes are uniform, ceil(s_end / step) intervals, one RK4 step each.
     Sphere components are renormalized after every step. The first integral
     |S|^2 - 2*phi is monitored at every internal step; exceeding
     ``drift_tol`` aborts (the step is too large for the requested drift).
-    When ``s_out`` is given, the integrator lands on those nodes exactly by
-    splitting each gap into equal substeps no larger than ``step``.
     """
     if step > MAX_IVP_STEP * (1.0 + 1e-12):
         raise ValueError(f"integration step {step} exceeds the maximum {MAX_IVP_STEP}")
@@ -280,20 +277,12 @@ def integrate_ivp(
         raise ValueError("s_end must be positive")
     validate_point(model, p0)
     validate_tangent(model, p0, v0)
-    if s_out is None:
-        n_steps = max(1, math.ceil(s_end / step))
-        s_nodes = np.linspace(0.0, s_end, n_steps + 1)
-        breaks = (0.0, s_end)
-    else:
-        s_nodes = np.asarray(s_out, dtype=float)
-        if s_nodes[0] != 0.0 or abs(s_nodes[-1] - s_end) > 1e-12 * (1.0 + s_end):
-            raise ValueError("s_out must start at 0 and end at s_end")
-        breaks = tuple(breaks) if breaks is not None else (0.0, s_end)
+    s_nodes = np.linspace(0.0, s_end, max(1, math.ceil(s_end / step)) + 1)
     pos = project_point(model, p0)
     vel = project_tangent(model, pos, v0)
     block = (pos[None], vel[None], params.c * model.scalar_R, s_nodes)
     ((_, _, record),) = _march(_Dynamics(model), [block], step)
-    return _recorded_path(model, params, record, s_nodes, breaks, step, drift_tol)
+    return _recorded_path(model, params, record, s_nodes, (0.0, s_end), step, drift_tol)
 
 
 # ---------------------------------------------------------------------------

@@ -92,24 +92,19 @@ def uniform_grid(s_bar: float, n_intervals: int) -> np.ndarray:
     return np.linspace(0.0, s_bar, n_intervals + 1)
 
 
-def audit_grid(s_bar: float, density: int = 16, extra_breaks=()):
+def audit_grid(s_bar: float, density: int = 16):
     """Grid over [0, s_bar] aligned to the cutoff kinks at 1 and s_bar - 1.
 
     Returns ``(s, breaks)``. Each piece between consecutive breakpoints is
     uniform with an interval count that is a multiple of 4, so the grid can
-    be coarsened once for Richardson error estimates. Extra breakpoints
-    (e.g. a scan-window edge) may be inserted anywhere in (0, s_bar).
+    be coarsened once for Richardson error estimates; so can any run of
+    nodes inside a piece with an even interval count (the scan's window).
     """
     if s_bar < 2.0:
         raise CutoffUndefinedError(
             f"trapezoid cutoff needs s_bar >= 2 (got {s_bar:.6g})"
         )
-    breaks = {0.0, 1.0, s_bar - 1.0, s_bar}
-    for b in extra_breaks:
-        if not 0.0 < b < s_bar:
-            raise ValueError(f"extra breakpoint {b} outside (0, {s_bar})")
-        breaks.add(float(b))
-    breaks = sorted(breaks)
+    breaks = sorted({0.0, 1.0, s_bar - 1.0, s_bar})
     pieces = []
     for a, b in zip(breaks[:-1], breaks[1:]):
         length = b - a

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -298,6 +299,19 @@ def test_radial_envelope_audits():
     assert report_c.quadrature_error == 0.0
 
 
+def test_radial_envelope_margin_is_interior_and_can_fail():
+    # the envelope equals r at both endpoints, so only interior slack can fail
+    m, params, path = cylinder_path(c=0.1, ry=10.0)
+    report = radial_envelope_audit(m, params, path)
+    assert 0 < report.context["worst_node"] < path.n_nodes - 1
+    assert report.margin > 0.0 and report.passed and report.conclusive
+    origin = models.base_point(m)
+    pushed = path.pos.copy()
+    pushed[1:-1] = models.exp_map(m, origin, 1.001 * models.log_map(m, origin, path.pos[1:-1]))
+    report_out = radial_envelope_audit(m, params, dataclasses.replace(path, pos=pushed))
+    assert not report_out.passed
+
+
 def test_weighted_ricci_integral_cylinder_margin():
     m, params, path = cylinder_path(c=0.1, ry=10.0)
     report = weighted_ricci_integral_audit(m, params, path)
@@ -398,6 +412,53 @@ def test_find_good_point_cylinder():
     assert result.report.passed
     lo, hi = result.window
     assert 1.0 <= lo < hi <= result.path.s_bar - 1.0 + 1e-12
+
+
+@pytest.fixture(scope="module")
+def cylinder_scan():
+    m, params, path = cylinder_path(c=0.1, ry=10.0)
+    y = models.canonical_target(m, 10.0)
+    return m, path, y, find_good_point(m, params, y)
+
+
+def test_scan_path_is_the_shooting_path(cylinder_scan):
+    _, path, _, result = cylinder_scan
+    for name in ("s", "pos", "vel"):
+        assert getattr(result.path, name).tobytes() == getattr(path, name).tobytes()
+    assert result.path.C_value == path.C_value
+    assert result.path.drift == path.drift
+
+
+def test_scan_window_starts_on_an_even_run_of_grid_nodes(cylinder_scan):
+    m, path, y, result = cylinder_scan
+    w0 = (1.0 - 1.0 / (2.0 * result.speed_bound)) * path.s_bar
+    lo, hi = result.window
+    assert hi == path.s_bar - 1.0
+    (i0,) = np.flatnonzero(path.s == lo)
+    (i1,) = np.flatnonzero(path.s == hi)
+    assert lo >= w0 > path.s[i0 - 2]  # the first such node
+    assert (i1 - i0) % 2 == 0 and i1 - i0 >= 2
+    assert result.z.tobytes() == path.pos[i0].tobytes()
+    assert result.d_zy == float(models.distance(m, result.z, y)) <= 5.0
+
+
+def test_scan_bound_uses_the_snapped_window_length(cylinder_scan):
+    m, path, _, result = cylinder_scan
+    ctx = result.report.context
+    lo, hi = result.window
+    span = hi - lo
+    # snapping only shortens the window
+    assert span <= result.r_y / (2.0 * result.speed_bound) - 1.0
+    denom = (math.sqrt(m.n / 2.0) + 1.5 * result.r_y) ** 2
+    assert result.bound == pytest.approx(math.sqrt(ctx["rhs_display"] * denom / span), rel=1e-12)
+    assert result.c_hat == pytest.approx(result.bound / (result.r_y + 1.0), rel=1e-12)
+    assert ctx["lower_display"] == pytest.approx(span * result.ricci_norm**2 / denom, rel=1e-12)
+    (i0,) = np.flatnonzero(path.s == lo)
+    (i1,) = np.flatnonzero(path.s == hi)
+    integral, err = quadrature.integrate_pieces(
+        path.s, m.ricci_norm_sq / models.potential_f(m, path.pos), [(i0, i1, 1.0)])
+    assert (ctx["window_integral"], result.report.quadrature_error) == (integral, err)
+    assert err <= 1e-8
 
 
 def test_find_good_point_round_sphere():

@@ -144,6 +144,23 @@ def test_scan_cylinder_and_high_c(tmp_path):
     assert payload["c_hat_sup"] > 0.0
 
 
+def test_scan_reports_its_notice_and_shooting_counts(tmp_path, capsys):
+    code = main([
+        "scan", "--model", "cylinder:k=2,m=2", "--c", "0.1",
+        "--ry", "5", "--out", str(tmp_path),
+    ])
+    assert code == EXIT_OK
+    payload = read_json(tmp_path / "scan.json")
+    (notice,) = payload["notices"]
+    assert "|Rc| is constant" in notice
+    assert f"NOTE  {notice}" in capsys.readouterr().out.splitlines()
+    m = models.parse_model("cylinder:k=2,m=2")
+    path = phigeo.solve_bvp_shooting(m, phigeo.PhiParams(0.1), models.base_point(m),
+                                     models.canonical_target(m, 5.0))
+    (cell,) = payload["cells"]
+    assert cell["minimal_evidence"] == json.loads(json.dumps(path.minimal_evidence))
+
+
 def test_scan_compact_beyond_diameter_exit_4(tmp_path, capsys):
     code = main([
         "scan", "--model", "sphereproduct:k=2,m=2", "--c", "0.1",

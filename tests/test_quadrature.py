@@ -20,13 +20,22 @@ def _cubic(coeffs, a, b, s):
 @given(
     s_bar=st.floats(2.0, 60.0),
     density=st.integers(4, 32),
-    extra=st.floats(0.01, 0.99),
     coeffs=_CUBIC,
+    data=st.data(),
 )
-def test_integrate_pieces_exact_on_cubics_over_audit_grid(s_bar, density, extra, coeffs):
-    s, breaks = quadrature.audit_grid(s_bar, density, extra_breaks=(extra * s_bar,))
-    y, exact = _cubic(coeffs, 0.0, s_bar, s)
+def test_integrate_pieces_exact_on_cubics_over_audit_grid(s_bar, density, coeffs, data):
+    s, breaks = quadrature.audit_grid(s_bar, density)
     pieces = [(i0, i1, 1.0) for i0, i1 in quadrature.piece_slices(s, breaks)]
+    # split one piece at a node an even interval count from its end, the
+    # shape of the scan's window; both parts keep >= 4 intervals, so their
+    # 2x-coarsened rules stay exact on cubics
+    splittable = [k for k, (i0, i1, _) in enumerate(pieces) if i1 - i0 >= 8]
+    if splittable:
+        k = data.draw(st.sampled_from(splittable))
+        i0, i1, _ = pieces[k]
+        cut = i1 - 2 * data.draw(st.integers(2, (i1 - i0) // 2 - 2))
+        pieces[k : k + 1] = [(i0, cut, 1.0), (cut, i1, 1.0)]
+    y, exact = _cubic(coeffs, 0.0, s_bar, s)
     total, err = quadrature.integrate_pieces(s, y, pieces)
     assert abs(total - exact) <= 1e-9 * max(1.0, abs(exact))
     assert err <= 1e-9
