@@ -42,7 +42,7 @@ from .models import (
     radial_distance,
     validate_point,
 )
-from .numgeom import Chart, FDConfig, potential_field, scalar_field, weighted_laplacian_fd
+from .numgeom import Chart, FDConfig, weighted_laplacians_at_centers
 from .paths import PhiPath
 from .phigeo import (
     DEFAULT_DRIFT_TOL,
@@ -198,21 +198,19 @@ def _sample_stack(model: ModelSpec, sample_points) -> np.ndarray:
     return points
 
 
-def _drifted_laplacians(model: ModelSpec, points: np.ndarray, cfg: FDConfig, *make_fields):
-    """FD drifted Laplacian of each ``make_field(chart)`` at the center of a
-    chart on every point: an array of shape (len(make_fields), P).
+def _drifted_laplacians(model: ModelSpec, points: np.ndarray, cfg: FDConfig, *funcs):
+    """FD drifted Laplacian of each function of manifold points ``func(pos)``
+    at every point: an array of shape (len(funcs), P).
 
     Charts are stacked FD_BLOCK at a time, which bounds the stencil arrays.
+    Each block maps its stencil to the manifold once and computes its
+    Christoffels once; f and every function share those points, and the
+    block's stencil is freed before the next block starts.
     """
-    out = np.empty((len(make_fields), len(points)))
-    origin = np.zeros(model.n)
+    out = np.empty((len(funcs), len(points)))
     for start in range(0, len(points), FD_BLOCK):
         chart = Chart(model, points[start : start + FD_BLOCK])
-        f_field = potential_field(chart)
-        for row, make_field in enumerate(make_fields):
-            out[row, start : start + FD_BLOCK] = weighted_laplacian_fd(
-                chart, make_field(chart), f_field, origin, cfg
-            )
+        out[:, start : start + FD_BLOCK] = weighted_laplacians_at_centers(chart, funcs, cfg)
     return out
 
 
@@ -227,8 +225,8 @@ def check_soliton_identities(model: ModelSpec, sample_points, tol: float = 1e-4,
     points = _sample_stack(model, sample_points)
     lap_r, lap_f = _drifted_laplacians(
         model, points, cfg,
-        lambda chart: scalar_field(chart, lambda pos: np.full(pos.shape[:-1], model.scalar_R)),
-        potential_field,
+        lambda pos: np.full(pos.shape[:-1], model.scalar_R),
+        lambda pos: potential_f(model, pos),
     )
     resid_r = np.abs(lap_r - (-2.0 * model.ricci_norm_sq + model.scalar_R))
     resid_f = np.abs(lap_f - (model.n / 2.0 - potential_f(model, points)))
@@ -254,9 +252,7 @@ def check_deltaf_Rf(model: ModelSpec, sample_points, tol: float = 1e-4,
             f"{model}: R/f audit needs f > 0 at every sample (got f={float(f[low[0]])})"
         )
     (fd_val,) = _drifted_laplacians(
-        model, points, cfg,
-        lambda chart: scalar_field(chart, lambda pos: model.scalar_R / potential_f(model, pos)),
-    )
+        model, points, cfg, lambda pos: model.scalar_R / potential_f(model, pos))
     R = model.scalar_R
     grad_f = grad_potential(model, points)
     rc_grad = 0.0  # Rc(grad f, grad f): half the metric on each sphere block
@@ -310,9 +306,7 @@ def gradient_f_bound_audit(model: ModelSpec, sample_points, tol: float = 1e-12):
 def _delta_f_phi_fd(model: ModelSpec, params: PhiParams, pos: np.ndarray,
                     cfg: FDConfig) -> np.ndarray:
     """Drifted Laplacian of the potential phi, FD-evaluated at each node."""
-    (out,) = _drifted_laplacians(
-        model, pos, cfg, lambda chart: scalar_field(chart, lambda q: phi_value(model, params, q))
-    )
+    (out,) = _drifted_laplacians(model, pos, cfg, lambda q: phi_value(model, params, q))
     return out
 
 

@@ -40,7 +40,7 @@ from .models import (
     canonical_target,
     chart_ricci,
     parse_model,
-    random_point,
+    random_points,
 )
 from .numgeom import CHART_RADIUS, Chart, FDConfig, ricci_fd
 from .phigeo import (
@@ -223,7 +223,7 @@ def cmd_verify_identities(config: RunConfig) -> int:
     model = parse_model(config.model)
     rng = np.random.default_rng(config.seed)
     fd_cfg = FDConfig(h=config.fd_h)
-    points = np.array([random_point(model, rng) for _ in range(config.samples)])
+    points = random_points(model, rng, config.samples)
     reports = list(audit_mod.check_soliton_identities(model, points, cfg=fd_cfg))
     notices = []
     if model.degenerate:

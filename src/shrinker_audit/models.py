@@ -269,16 +269,26 @@ def validate_tangent(model: ModelSpec, pos: np.ndarray, vec: np.ndarray) -> None
             )
 
 
-def random_point(model: ModelSpec, rng: np.random.Generator, euclid_scale: float = 2.0) -> np.ndarray:
-    pos = np.empty(model.ambient_dim)
+def random_points(model: ModelSpec, rng: np.random.Generator, count: int,
+                  euclid_scale: float = 2.0) -> np.ndarray:
+    """``count`` random points, shape (count, ambient), from one normal draw.
+
+    The draw fills the rows in order, so the points are bitwise those of
+    ``count`` successive ``random_point`` calls on the same generator.
+    """
+    pos = rng.normal(size=(count, model.ambient_dim))
     for f in model.factors:
-        block = rng.normal(size=f.ambient_dim)
+        block = pos[:, f.start : f.stop]
         if f.kind == "sphere":
-            block *= f.radius / np.linalg.norm(block)
+            # sqrt of a dot per row: bitwise the 1-D np.linalg.norm
+            block *= f.radius / np.sqrt(np.vecdot(block, block))[:, None]
         else:
             block *= euclid_scale
-        pos[f.start : f.stop] = block
     return project_point(model, pos)
+
+
+def random_point(model: ModelSpec, rng: np.random.Generator, euclid_scale: float = 2.0) -> np.ndarray:
+    return random_points(model, rng, 1, euclid_scale)[0]
 
 
 def random_tangent(model: ModelSpec, pos: np.ndarray, rng: np.random.Generator) -> np.ndarray:

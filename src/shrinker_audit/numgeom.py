@@ -21,6 +21,13 @@ pass. Rows are independent. Each step is elementwise, a reduction over one
 chart's own axes, or one matmul per chart, so a stacked result is bitwise
 the result of one-chart calls, and a single center is simply the
 unstacked case.
+
+Derivatives of scalars come from their values on one central-difference
+stencil per chart (``_stencil``, then ``_differences``).
+``weighted_laplacians_at_centers`` maps a stack's stencil to the manifold
+once and computes its Christoffels once; f and every function of points it
+is given are evaluated on those points, bitwise as ``weighted_laplacian_fd``
+evaluates each lifted field.
 """
 
 from __future__ import annotations
@@ -233,30 +240,47 @@ def ricci_fd(chart: Chart, coords: np.ndarray, cfg: FDConfig = FDConfig()) -> np
     return 0.5 * (rc + np.swapaxes(rc, -1, -2))
 
 
-def _field_derivatives(field, coords: np.ndarray, h: float, n: int):
-    """First and second central differences of a chart scalar field.
-
-    One batched field evaluation covers the whole stencil of every chart:
-    center, 2n axis points, and 4 corner points per coordinate pair.
-    """
+def _stencil(n: int, h: float) -> np.ndarray:
+    """Offsets of the central-difference stencil, shape (1 + 2n + 2n(n-1), n):
+    the center, the 2n axis points of ``_axis_steps``, and 4 corner points
+    per coordinate pair."""
     j, k = np.triu_indices(n, 1)
     corners = np.zeros((len(j), 4, n))
     corners[np.arange(len(j)), :, j] = (h, h, -h, -h)
     corners[np.arange(len(j)), :, k] = (h, -h, h, -h)
-    stencil = np.concatenate([np.zeros((1, n)), _axis_steps(n, h), corners.reshape(-1, n)])
-    values = np.asarray(field(coords[..., None, :] + stencil), dtype=float)
+    return np.concatenate([np.zeros((1, n)), _axis_steps(n, h), corners.reshape(-1, n)])
+
+
+def _gradient(values: np.ndarray, h: float, n: int) -> np.ndarray:
+    """First central differences from values on (at least) the center and
+    axis points of the stencil."""
+    return (values[..., 1 : 1 + 2 * n : 2] - values[..., 2 : 2 + 2 * n : 2]) / (2.0 * h)
+
+
+def _differences(values: np.ndarray, h: float, n: int):
+    """First and second central differences from values on the whole stencil."""
     base = 1 + 2 * n
     phi0 = values[..., :1]
     phi_p = values[..., 1:base:2]
     phi_m = values[..., 2 : base + 1 : 2]
-    grad = (phi_p - phi_m) / (2.0 * h)
     hess = np.empty(values.shape[:-1] + (n, n))
     diag = np.arange(n)
     hess[..., diag, diag] = (phi_p - 2.0 * phi0 + phi_m) / (h * h)
+    j, k = np.triu_indices(n, 1)
     c = values[..., base:].reshape(values.shape[:-1] + (len(j), 4))
     mixed = (c[..., 0] - c[..., 1] - c[..., 2] + c[..., 3]) / (4.0 * h * h)
     hess[..., j, k] = hess[..., k, j] = mixed
-    return grad, hess
+    return _gradient(values, h, n), hess
+
+
+def _field_derivatives(field, coords: np.ndarray, h: float, n: int):
+    """First and second central differences of a chart scalar field.
+
+    One batched field evaluation covers the whole stencil of every chart;
+    ``_differences`` turns the values into derivatives.
+    """
+    values = np.asarray(field(coords[..., None, :] + _stencil(n, h)), dtype=float)
+    return _differences(values, h, n)
 
 
 def gradient_fd(chart: Chart, field, coords: np.ndarray, cfg: FDConfig = FDConfig()) -> np.ndarray:
@@ -281,6 +305,34 @@ def laplacian_fd(chart: Chart, field, coords: np.ndarray, cfg: FDConfig = FDConf
     return np.einsum("...jk,...jk->...", ginv, hessian_fd(chart, field, coords, cfg))
 
 
+def _weighted_laplacians(chart: Chart, coords: np.ndarray, cfg: FDConfig, evaluate):
+    """Drifted Laplacians from stencil values, one row per field.
+
+    ``evaluate(stencil)`` maps the stencil's chart coordinates, shape
+    (*shape, points, n), to the values of f on (at least) its center and axis
+    points and a list of each field's values on all of it.
+    """
+    coords = _per_chart(chart, coords, cfg)
+    h, n = cfg.h, chart.dim
+    with np.errstate(all="ignore"):
+        f_values, fields = evaluate(coords[..., None, :] + _stencil(n, h))
+        df = _gradient(np.asarray(f_values, dtype=float), h, n)
+        gamma, ginv = _christoffels(chart, coords, h)
+        rows = []
+        for values in fields:
+            dphi, ddphi = _differences(np.asarray(values, dtype=float), h, n)
+            hess = ddphi - np.einsum("...ijk,...i->...jk", gamma, dphi)
+            lap = np.einsum("...jk,...jk->...", ginv, hess)
+            rows.append(lap - np.einsum("...jk,...j,...k->...", ginv, df, dphi))
+        value = np.array(rows)
+    if not np.all(np.isfinite(value)):
+        raise PreconditionError(
+            f"drifted Laplacian is not finite at the FD step fd_h = {cfg.h!r}; "
+            "choose a larger fd_h"
+        )
+    return value
+
+
 def weighted_laplacian_fd(chart: Chart, field, f_field, coords: np.ndarray,
                           cfg: FDConfig = FDConfig()):
     """Drifted Laplacian (Laplacian minus grad f dot grad) of a scalar field.
@@ -288,17 +340,24 @@ def weighted_laplacian_fd(chart: Chart, field, f_field, coords: np.ndarray,
     A float for a single chart, one value per chart for a stack. A value that
     is not finite (an fd_h whose square underflows) raises PreconditionError.
     """
-    coords = _per_chart(chart, coords, cfg)
-    with np.errstate(all="ignore"):
-        dphi, ddphi = _field_derivatives(field, coords, cfg.h, chart.dim)
-        df, _ = _field_derivatives(f_field, coords, cfg.h, chart.dim)
-        gamma, ginv = _christoffels(chart, coords, cfg.h)
-        hess = ddphi - np.einsum("...ijk,...i->...jk", gamma, dphi)
-        lap = np.einsum("...jk,...jk->...", ginv, hess)
-        value = lap - np.einsum("...jk,...j,...k->...", ginv, df, dphi)
-    if not np.all(np.isfinite(value)):
-        raise PreconditionError(
-            f"drifted Laplacian is not finite at the FD step fd_h = {cfg.h!r}; "
-            "choose a larger fd_h"
-        )
-    return value
+    return _weighted_laplacians(
+        chart, coords, cfg, lambda stencil: (f_field(stencil), [field(stencil)])
+    )[0]
+
+
+def weighted_laplacians_at_centers(chart: Chart, funcs, cfg: FDConfig = FDConfig()):
+    """Drifted Laplacian of each function of manifold points at every chart
+    center: an array of shape (len(funcs), *chart.shape).
+
+    The stencil is mapped to the manifold once and the Christoffels are
+    computed once; f and every function are evaluated on those points. Each
+    row is bitwise ``weighted_laplacian_fd`` of the lifted function with
+    ``potential_field`` as f.
+    """
+
+    def evaluate(stencil):
+        pos = chart.to_manifold(stencil)
+        f_values = potential_f(chart.model, pos[..., : 1 + 2 * chart.dim, :])
+        return f_values, [func(pos) for func in funcs]
+
+    return _weighted_laplacians(chart, np.zeros(chart.dim), cfg, evaluate)

@@ -492,3 +492,29 @@ def test_find_good_point_precondition_refusals():
                         np.array([10.0, 0.0, 0.0]))
     with pytest.raises(PreconditionError, match="diameter"):
         models.canonical_target(models.sphere_product(2, 2), 9.0)
+
+
+def test_each_fd_block_maps_its_stencil_once(monkeypatch, rng):
+    """One stencil mapping and one Christoffel evaluation per FD_BLOCK block
+    and audit, shared by f and every audited function."""
+    from shrinker_audit import numgeom
+
+    model = models.sphere_product(2, 2)
+    points = np.array([models.random_point(model, rng) for _ in range(300)])  # 3 blocks
+    calls = {"to_manifold": 0, "christoffels": 0}
+    to_manifold = numgeom.Chart.to_manifold
+    christoffels = numgeom._christoffels
+
+    def counted_to_manifold(self, coords):
+        calls["to_manifold"] += 1
+        return to_manifold(self, coords)
+
+    def counted_christoffels(*args):
+        calls["christoffels"] += 1
+        return christoffels(*args)
+
+    monkeypatch.setattr(numgeom.Chart, "to_manifold", counted_to_manifold)
+    monkeypatch.setattr(numgeom, "_christoffels", counted_christoffels)
+    reports = check_soliton_identities(model, points) + check_deltaf_Rf(model, points)
+    assert all(r.passed for r in reports)
+    assert calls == {"to_manifold": 6, "christoffels": 6}

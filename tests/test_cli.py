@@ -9,6 +9,7 @@ import sys
 from dataclasses import fields
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
@@ -45,6 +46,31 @@ def test_verify_identities_cylinder(tmp_path, capsys):
     assert "deltaf-Rf:bound" in names
     out = capsys.readouterr().out
     assert "PASS" in out
+
+
+def test_verify_identities_audits_the_per_point_draws(tmp_path, monkeypatch):
+    """The batched draw hands every audit the points of one random_point
+    call per sample, so a given --seed still yields the same points."""
+    from shrinker_audit import audit
+
+    seen = {}
+    for name in ("check_soliton_identities", "check_deltaf_Rf", "gradient_f_bound_audit"):
+        def spy(model, points, *args, _name=name, _audit=getattr(audit, name), **kwargs):
+            seen[_name] = np.asarray(points)
+            return _audit(model, points, *args, **kwargs)
+        monkeypatch.setattr(audit, name, spy)
+    code = main([
+        "verify-identities", "--model", "sphereproduct:k=2,m=2",
+        "--samples", "300", "--seed", "11", "--out", str(tmp_path),
+    ])
+    assert code == EXIT_OK
+    model = models.parse_model("sphereproduct:k=2,m=2")
+    rng = np.random.default_rng(11)
+    expected = np.array([models.random_point(model, rng) for _ in range(300)])
+    assert sorted(seen) == ["check_deltaf_Rf", "check_soliton_identities",
+                            "gradient_f_bound_audit"]
+    for points in seen.values():
+        assert points.tobytes() == expected.tobytes()
 
 
 def test_verify_identities_gaussian_skips_ratio_audits(tmp_path):

@@ -389,3 +389,35 @@ def test_point_validation_tolerances(model, rng):
         bad[f.start : f.stop] += 1e-3 * p[f.start : f.stop] / f.radius
         with pytest.raises(InvalidPointError):
             models.validate_tangent(model, p, bad)
+
+
+def per_factor_draw(model, rng, euclid_scale=2.0):
+    """Test-only reference: one point drawn factor by factor, each sphere
+    block scaled by its 1-D norm."""
+    pos = np.empty(model.ambient_dim)
+    for f in model.factors:
+        block = rng.normal(size=f.ambient_dim)
+        if f.kind == "sphere":
+            block *= f.radius / np.linalg.norm(block)
+        else:
+            block *= euclid_scale
+        pos[f.start : f.stop] = block
+    return models.project_point(model, pos)
+
+
+DRAW_MODELS = ["gaussian:n=3", "sphere:n=3", "cylinder:k=2,m=2", "cylinder:k=3,m=1",
+               "sphereproduct:k=2,m=2"]
+
+
+@pytest.mark.parametrize("count", [1, 2000])
+@pytest.mark.parametrize("seed", [7, 12345])
+@pytest.mark.parametrize("label", DRAW_MODELS)
+def test_batched_draw_equals_per_point_draws_bytewise(label, seed, count):
+    model = models.parse_model(label)
+    batch = models.random_points(model, np.random.default_rng(seed), count)
+    assert batch.shape == (count, model.ambient_dim)
+    rng = np.random.default_rng(seed)
+    loop = np.array([models.random_point(model, rng) for _ in range(count)])
+    rng = np.random.default_rng(seed)
+    reference = np.array([per_factor_draw(model, rng) for _ in range(count)])
+    assert batch.tobytes() == loop.tobytes() == reference.tobytes()

@@ -235,35 +235,33 @@ def test_domain_guard(model, rng):
 def test_stacked_charts_equal_one_chart_calls_bytewise(model, rng):
     """Drifted Laplacians on a stack of charts, in audit blocks of FD_BLOCK,
     equal one-chart calls bit for bit at every stack size around the block
-    edge, for each field the audits use."""
+    edge, for each function of points the audits use."""
     from shrinker_audit.audit import FD_BLOCK, _drifted_laplacians
     from shrinker_audit.phigeo import PhiParams, phi_value
 
     assert FD_BLOCK == 128
-    fields = {
-        "f": potential_field,
-        "R": lambda chart: scalar_field(
-            chart, lambda pos: np.full(pos.shape[:-1], model.scalar_R)),
-        "R/f": lambda chart: scalar_field(
-            chart, lambda pos: model.scalar_R / models.potential_f(model, pos)),
-        "phi": lambda chart: scalar_field(
-            chart, lambda pos: phi_value(model, PhiParams(0.3), pos)),
+    funcs = {
+        "f": lambda pos: models.potential_f(model, pos),
+        "R": lambda pos: np.full(pos.shape[:-1], model.scalar_R),
+        "R/f": lambda pos: model.scalar_R / models.potential_f(model, pos),
+        "phi": lambda pos: phi_value(model, PhiParams(0.3), pos),
     }
     points = np.array([models.random_point(model, rng) for _ in range(300)])
     origin = np.zeros(model.n)
     charts = [Chart(model, p) for p in points]
     reference = np.array([
-        [weighted_laplacian_fd(chart, make(chart), potential_field(chart), origin)
+        [weighted_laplacian_fd(chart, scalar_field(chart, func), potential_field(chart), origin)
          for chart in charts]
-        for make in fields.values()
+        for func in funcs.values()
     ])
     assert isinstance(reference[0, 0].item(), float)
     for count in (1, 127, 128, 129, 300):
-        stacked = _drifted_laplacians(model, points[:count], FDConfig(), *fields.values())
+        stacked = _drifted_laplacians(model, points[:count], FDConfig(), *funcs.values())
         assert stacked.tobytes() == reference[:, :count].tobytes()
     chart = Chart(model, points[:129])
-    for row, make in enumerate(fields.values()):
-        direct = weighted_laplacian_fd(chart, make(chart), potential_field(chart), origin)
+    for row, func in enumerate(funcs.values()):
+        direct = weighted_laplacian_fd(chart, scalar_field(chart, func), potential_field(chart),
+                                       origin)
         assert direct.shape == (129,)
         assert direct.tobytes() == reference[row, :129].tobytes()
 
@@ -303,3 +301,13 @@ def test_non_finite_drifted_laplacian_refused(model, rng):
     with pytest.raises(PreconditionError, match="fd_h"):
         weighted_laplacian_fd(chart, potential_field(chart), potential_field(chart),
                               np.zeros(model.n), FDConfig(h=1e-300))
+
+
+def test_non_finite_stacked_drifted_laplacian_refused(model, rng):
+    from shrinker_audit.audit import _drifted_laplacians
+    from shrinker_audit.errors import PreconditionError
+
+    points = np.array([models.random_point(model, rng) for _ in range(3)])
+    with pytest.raises(PreconditionError, match="fd_h"):
+        _drifted_laplacians(model, points, FDConfig(h=1e-300),
+                            lambda pos: models.potential_f(model, pos))
