@@ -56,6 +56,8 @@ from .paths import PhiPath
 
 MAX_IVP_STEP = 1e-2
 DEFAULT_DRIFT_TOL = 1e-6
+# shooting's predictor marches in substeps this many times the audit step
+PREDICTOR_STEP_FACTOR = 8
 
 
 @dataclass(frozen=True)
@@ -186,15 +188,17 @@ class _Record(NamedTuple):
     e_max: float
 
 
-def _march(dyn: _Dynamics, blocks, step: float) -> list:
+def _march(dyn: _Dynamics, blocks) -> list:
     """March blocks of ``(batch, ambient)`` states in lockstep, each landing on its own nodes.
 
-    A block is ``(starts, v0, cR, s_nodes)``. Each gap of a block's
-    ``s_nodes`` is split into equal substeps no larger than ``step``, and
-    one batched RK4 step advances every row of every block that still has
-    substeps left. Blocks run longest schedule first, so the live rows are a
-    prefix that shrinks as schedules end; a finished row is never stepped
-    again. Every row comes out bitwise as if marched alone.
+    A block is ``(starts, v0, cR, s_nodes, step)``. Each gap of a block's
+    ``s_nodes`` is split into equal substeps no larger than the block's own
+    ``step``, and one batched RK4 step advances every row of every block
+    that still has substeps left, so blocks of different step sizes (a
+    shooting predictor's coarse trial beside fine ones) share the rounds.
+    Blocks run longest schedule first, so the live rows are a prefix that
+    shrinks as schedules end; a finished row is never stepped again. Every
+    row comes out bitwise as if marched alone.
 
     Returns, per block in the given order, its rows' final positions and
     velocities and the ``_Record`` of its row 0, whose state is kept after
@@ -203,7 +207,7 @@ def _march(dyn: _Dynamics, blocks, step: float) -> list:
     shooting trials of every cell of a grid (each trial with its
     forward-difference rows) share this routine.
     """
-    schedules = [_substeps(s_nodes, step) for *_, s_nodes in blocks]
+    schedules = [_substeps(s_nodes, step) for *_, s_nodes, step in blocks]
     sizes = [[h for n_sub, h in sched for _ in range(n_sub)] for sched in schedules]
     order = sorted(range(len(blocks)), key=lambda b: -len(sizes[b]))
     counts = [len(blocks[b][0]) for b in order]
@@ -280,8 +284,8 @@ def integrate_ivp(
     s_nodes = np.linspace(0.0, s_end, max(1, math.ceil(s_end / step)) + 1)
     pos = project_point(model, p0)
     vel = project_tangent(model, pos, v0)
-    block = (pos[None], vel[None], params.c * model.scalar_R, s_nodes)
-    ((_, _, record),) = _march(_Dynamics(model), [block], step)
+    block = (pos[None], vel[None], params.c * model.scalar_R, s_nodes, step)
+    ((_, _, record),) = _march(_Dynamics(model), [block])
     return _recorded_path(model, params, record, s_nodes, (0.0, s_end), step, drift_tol)
 
 
@@ -327,20 +331,35 @@ def solve_bvp_shooting(
     ``a`` in an orthonormal tangent basis, with a forward-difference Jacobian
     (step 1e-7 * (1 + |a|)) and Armijo damping on the endpoint miss.
 
+    Newton runs twice (``_newton``), each run with up to ``max_newton``
+    iterations. The predictor marches the one gap [0, s_bar] in substeps of
+    ``PREDICTOR_STEP_FACTOR * step``; Newton takes the same number of
+    iterations on a coarse discretization as on a fine one and lands within
+    the discretization gap of the fine root (Allgower, Böhmer, Potra &
+    Rheinboldt, SIAM J. Numer. Anal. 23, 1986), so its rounds are cheap.
+    The fine run marches the audit grid at ``step``, from the predictor's
+    ``a`` if the predictor converged; it then usually needs one Newton step.
+    A predictor that does not converge costs its marches and nothing else:
+    the fine run starts from the initial guess. Only the fine run can fail
+    the solve.
+
     Each trial ``a`` is marched in one batched ``_march`` together with its
     n perturbations ``a + delta e_j``: row 0 gives the miss, rows 1..n the
     Jacobian columns. Rows are independent, so the miss and the Jacobian are
     bitwise those of n + 1 separate marches, and an accepted line-search
     trial brings the Jacobian of the next iteration with it, and its row-0
-    record. The returned path is the converged trial's record, on the audit
-    grid, so it is the trajectory that landed within ``tol`` of y; it must
-    keep the first integral within ``drift_tol``.
+    record. The returned path is the converged fine trial's record, on the
+    audit grid, so it is the trajectory that landed within ``tol`` of y; it
+    must keep the first integral within ``drift_tol``.
 
-    ``minimal_evidence["shooting"]`` records the run's deterministic
+    ``minimal_evidence["shooting"]`` records the fine run's deterministic
     counts: Newton iterations, rejected line-search trials (backtracks),
-    marches and the rows they carried, RK4 steps and the final endpoint
-    miss. The counts are the problem's own: a march counts its own rows,
-    and its own substeps as RK4 steps, whatever else shared the batch.
+    marches and the rows they carried, RK4 steps, the final endpoint miss
+    and the stop reason; ``predictor`` holds the same counts (rows aside)
+    for the predictor, whose stop reason is ``converged``, ``stalled``,
+    ``budget-exhausted`` or ``ill-conditioned``. The counts are the
+    problem's own: a march counts its own rows, and its own substeps as RK4
+    steps, whatever else shared the batch.
 
     This is the one-problem case of ``solve_bvp_shooting_batch``; a batch
     returns bitwise the same path for each problem.
@@ -365,13 +384,15 @@ def solve_bvp_shooting_batch(
 ) -> list:
     """Shoot every ``(params, x, y)`` problem on one model in lockstep.
 
-    Each problem runs its own Newton/Armijo iteration (``_shooting``). A
+    Each problem runs its own Newton/Armijo iterations (``_shooting``). A
     round collects the pending trial of every live problem and marches them
-    all in one ``_march``, whatever their c and their grids; rows never mix,
-    so every path, and every count in its ``minimal_evidence``, is bitwise
-    that of a ``solve_bvp_shooting`` call on the problem alone. Returns, in
-    the given order, each problem's ``PhiPath``, or the exception it raised;
-    a failed problem stops marching and the others carry on.
+    all in one ``_march``, whatever their c, their grids and their step
+    sizes (one problem's predictor trials march beside another's fine
+    ones); rows never mix, so every path, and every count in its
+    ``minimal_evidence``, is bitwise that of a ``solve_bvp_shooting`` call
+    on the problem alone. Returns, in the given order, each problem's
+    ``PhiPath``, or the exception it raised; a failed problem stops marching
+    and the others carry on.
     """
     dyn = _Dynamics(model)
     results = [None] * len(problems)
@@ -390,17 +411,84 @@ def solve_bvp_shooting_batch(
                 None)
     while pending:
         batch, pending = pending, []
-        ends = _march(dyn, [request for *_, request in batch], step)
+        ends = _march(dyn, [request for *_, request in batch])
         for (i, solver, _), (p_end, _, record) in zip(batch, ends):
             advance(i, solver, (p_end, record))
     return results
 
 
-def _shooting(model, params, x, y, tol, step, max_newton, density, drift_tol):
-    """The Newton/Armijo iteration of one shooting problem, as a generator.
+class _Newton(NamedTuple):
+    """Where one Newton run stopped, and what it took to get there."""
 
-    It yields each trial's ``_march`` block ``(starts, v0, cR, s_out)`` and
-    receives that block's ``(p_end, record)``; it returns the ``PhiPath``.
+    a: np.ndarray
+    miss: float
+    record: _Record
+    iterations: int
+    backtracks: int
+    marches: int
+    stop_reason: str
+
+    def counts(self, schedule) -> dict:
+        """The run's report counts; a miss that is not finite reads None."""
+        return {
+            "newton_iterations": self.iterations,
+            "backtracks": self.backtracks,
+            "marches": self.marches,
+            "rk4_steps": self.marches * sum(n_sub for n_sub, _ in _substeps(*schedule)),
+            "final_miss": self.miss if math.isfinite(self.miss) else None,
+            "stop_reason": self.stop_reason,
+        }
+
+
+def _newton(trial, a, schedule, tol, max_newton):
+    """Armijo-damped Newton on the endpoint miss from coefficients ``a``, as a generator.
+
+    ``trial(a, *schedule)`` is a generator that yields the ``_march`` block
+    of ``a`` on the schedule ``(s_nodes, step)`` and returns the miss, its
+    Jacobian and the march's row-0 record. A Newton step is halved until
+    the miss falls by the Armijo factor, down to 1/256 of it. The run stops
+    ``converged`` (miss < ``tol``), ``ill-conditioned`` (a Jacobian that is
+    not finite or has condition > 1e10), ``stalled`` (no step accepted) or
+    ``budget-exhausted`` (``max_newton`` iterations); it returns a
+    ``_Newton`` and raises nothing.
+    """
+    m, jac, record = yield from trial(a, *schedule)
+    m_norm = float(np.linalg.norm(m))
+    iterations = backtracks = 0
+    marches = 1
+    stop = None
+    while stop is None:
+        if m_norm < tol:
+            stop = "converged"
+        elif iterations >= max_newton:
+            stop = "budget-exhausted"
+        elif not np.isfinite(jac).all() or np.linalg.cond(jac) > 1e10:
+            stop = "ill-conditioned"
+        else:
+            iterations += 1
+            step_dir = np.linalg.solve(jac, -m)
+            t = 1.0
+            while t >= 1.0 / 256.0:
+                a_try = a + t * step_dir
+                m_try, jac_try, record_try = yield from trial(a_try, *schedule)
+                marches += 1
+                m_try_norm = float(np.linalg.norm(m_try))
+                if m_try_norm < (1.0 - 1e-4 * t) * m_norm:
+                    a, m, jac, m_norm, record = a_try, m_try, jac_try, m_try_norm, record_try
+                    break
+                t *= 0.5
+                backtracks += 1
+            else:
+                stop = "stalled"
+    return _Newton(a, m_norm, record, iterations, backtracks, marches, stop)
+
+
+def _shooting(model, params, x, y, tol, step, max_newton, density, drift_tol):
+    """The predictor and fine Newton runs of one shooting problem, as a generator.
+
+    It yields each trial's ``_march`` block ``(starts, v0, cR, s_nodes,
+    step)`` and receives that block's ``(p_end, record)``; it returns the
+    ``PhiPath`` of the converged fine trial.
     """
     validate_point(model, x)
     validate_point(model, y)
@@ -424,70 +512,43 @@ def _shooting(model, params, x, y, tol, step, max_newton, density, drift_tol):
     dim = basis_x.shape[0]
     starts = np.tile(x, (dim + 1, 1))
     cR = params.c * model.scalar_R
-    marches = 0
 
-    def miss_and_jacobian(coeffs: np.ndarray):
-        nonlocal marches
+    def miss_and_jacobian(coeffs: np.ndarray, s_nodes, h: float):
         delta = 1e-7 * (1.0 + float(np.linalg.norm(coeffs)))
         rows = np.vstack([coeffs, coeffs + delta * np.eye(dim)])
         v0 = np.array([row @ basis_x for row in rows])
-        p_end, record = yield (starts, v0, cR, s_out)
-        marches += 1
+        p_end, record = yield (starts, v0, cR, s_nodes, h)
         misses = np.array([basis_y @ log_map(model, y, p) for p in p_end])
         return misses[0], (misses[1:] - misses[0]).T / delta, record
 
-    a = basis_x @ v_guess
-    m, jac, record = yield from miss_and_jacobian(a)
-    m_norm = float(np.linalg.norm(m))
-    best = m_norm
-    iterations = 0
-    backtracks = 0
-    for _ in range(max_newton):
-        if m_norm < tol:
-            break
-        if np.linalg.cond(jac) > 1e10:
-            raise IllConditionedShootingError(
-                f"{model}: endpoint-miss Jacobian is ill-conditioned "
-                f"(conjugate-point-like configuration at s_bar = {s_bar:.4g})"
-            )
-        iterations += 1
-        step_dir = np.linalg.solve(jac, -m)
-        t = 1.0
-        accepted = False
-        while t >= 1.0 / 256.0:
-            a_try = a + t * step_dir
-            m_try, jac_try, record_try = yield from miss_and_jacobian(a_try)
-            m_try_norm = float(np.linalg.norm(m_try))
-            if m_try_norm < (1.0 - 1e-4 * t) * m_norm:
-                a, m, jac, m_norm, record = a_try, m_try, jac_try, m_try_norm, record_try
-                best = min(best, m_norm)
-                accepted = True
-                break
-            t *= 0.5
-            backtracks += 1
-        if not accepted:
-            raise ShootingConvergenceError(
-                f"{model}: shooting stalled with endpoint miss {m_norm:.3e}",
-                best_miss=m_norm,
-            )
-    else:
-        if m_norm >= tol:
-            raise ShootingConvergenceError(
-                f"{model}: no convergence in {max_newton} Newton iterations "
-                f"(best endpoint miss {best:.3e})",
-                best_miss=best,
-            )
-    path = _recorded_path(model, params, record, s_out, breaks, step, drift_tol)
+    a_guess = basis_x @ v_guess
+    coarse = (np.array([0.0, s_bar]), PREDICTOR_STEP_FACTOR * step)
+    predictor = yield from _newton(miss_and_jacobian, a_guess, coarse, tol, max_newton)
+    a = predictor.a if predictor.stop_reason == "converged" else a_guess
+    fine = yield from _newton(miss_and_jacobian, a, (s_out, step), tol, max_newton)
+    if fine.stop_reason == "ill-conditioned":
+        raise IllConditionedShootingError(
+            f"{model}: endpoint-miss Jacobian is ill-conditioned "
+            f"(conjugate-point-like configuration at s_bar = {s_bar:.4g})"
+        )
+    if fine.stop_reason == "stalled":
+        raise ShootingConvergenceError(
+            f"{model}: shooting stalled with endpoint miss {fine.miss:.3e}",
+            best_miss=fine.miss,
+        )
+    if fine.stop_reason == "budget-exhausted":
+        # accepted trials only lower the miss, so the last one is the best
+        raise ShootingConvergenceError(
+            f"{model}: no convergence in {max_newton} Newton iterations "
+            f"(best endpoint miss {fine.miss:.3e})",
+            best_miss=fine.miss,
+        )
+    path = _recorded_path(model, params, fine.record, s_out, breaks, step, drift_tol)
     path.flags.append("shooting")
-    steps_per_march = sum(n_sub for n_sub, _ in _substeps(s_out, step))
-    path.minimal_evidence["shooting"] = {
-        "newton_iterations": iterations,
-        "backtracks": backtracks,
-        "marches": marches,
-        "rows_marched": marches * (dim + 1),
-        "rk4_steps": marches * steps_per_march,
-        "final_miss": m_norm,
-    }
+    counts = fine.counts((s_out, step))
+    counts["rows_marched"] = fine.marches * (dim + 1)
+    counts["predictor"] = predictor.counts(coarse)
+    path.minimal_evidence["shooting"] = counts
     return path
 
 

@@ -216,30 +216,36 @@ def test_rk4_step_matches_scalar_reference(model, rng):
     assert state.tobytes() == expected.tobytes()
 
 
-@pytest.mark.parametrize("rows", ["1", "3", "n+1", "blocks"])
+@pytest.mark.parametrize("rows", ["1", "3", "n+1", "blocks", "mixed-steps"])
 def test_march_rows_match_single_row_marches(model, rng, rows):
     dyn = phigeo._Dynamics(model)
     nodes = [0.0, 0.4, 0.45, 1.3]
     if rows == "blocks":
         # different c, nodes and row counts, shortest schedule first so that
         # the march has to reorder them
-        specs = [(0.9, [0.0, 0.2, 0.35], 2), (0.1, nodes, 3),
-                 (0.5, [0.0, 0.5, 0.8], model.n + 1), (0.3, nodes, 1)]
+        specs = [(0.9, [0.0, 0.2, 0.35], 2, 1e-2), (0.1, nodes, 3, 1e-2),
+                 (0.5, [0.0, 0.5, 0.8], model.n + 1, 1e-2), (0.3, nodes, 1, 1e-2)]
+    elif rows == "mixed-steps":
+        # a shooting predictor's one gap [0, s_bar] at the coarse step
+        # beside fine blocks, one of them on the same s_bar
+        coarse = phigeo.PREDICTOR_STEP_FACTOR * 1e-2
+        specs = [(0.3, [0.0, 1.3], model.n + 1, coarse), (0.3, nodes, model.n + 1, 1e-2),
+                 (0.5, [0.0, 0.5, 0.8], 2, 1e-2), (0.9, [0.0, 0.35], 3, coarse)]
     else:
-        specs = [(0.3, nodes, model.n + 1 if rows == "n+1" else int(rows))]
+        specs = [(0.3, nodes, model.n + 1 if rows == "n+1" else int(rows), 1e-2)]
     blocks = []
-    for c, s_nodes, k in specs:
+    for c, s_nodes, k, step in specs:
         pos, vel = _random_states(model, rng, k)
-        blocks.append((pos, vel, c * model.scalar_R, np.array(s_nodes)))
+        blocks.append((pos, vel, c * model.scalar_R, np.array(s_nodes), step))
 
-    marched = phigeo._march(dyn, blocks, 1e-2)
+    marched = phigeo._march(dyn, blocks)
     assert len(marched) == len(blocks)
-    for (p_end, v_end, record), (pos, vel, cR, s_nodes) in zip(marched, blocks):
+    for (p_end, v_end, record), (pos, vel, cR, s_nodes, step) in zip(marched, blocks):
         assert record.pos.shape == record.vel.shape == (len(s_nodes), model.ambient_dim)
         assert record.energies.shape == (len(s_nodes),)
         for i in range(len(pos)):
             ((p_i, v_i, record_i),) = phigeo._march(
-                dyn, [(pos[i:i + 1], vel[i:i + 1], cR, s_nodes)], 1e-2)
+                dyn, [(pos[i:i + 1], vel[i:i + 1], cR, s_nodes, step)])
             assert p_end[i].tobytes() == p_i[0].tobytes()
             assert v_end[i].tobytes() == v_i[0].tobytes()
             if i == 0:  # row 0 is the recorded one, whatever the batch
@@ -290,9 +296,35 @@ def test_shooting_counts_cylinder():
     assert counts["final_miss"] < 1e-10
 
 
-def test_shooting_backtracks_from_a_poor_initial_guess(monkeypatch):
+def _starve_predictor(monkeypatch):
+    """Give every shooting predictor run a budget of one Newton iteration.
+
+    That stops it short of converging, away from the initial guess.
+    """
+    newton = phigeo._newton
+
+    def starved(trial, a, schedule, tol, max_newton):
+        s_nodes, _ = schedule
+        return newton(trial, a, schedule, tol, 1 if len(s_nodes) == 2 else max_newton)
+
+    monkeypatch.setattr(phigeo, "_newton", starved)
+
+
+def _assert_phase_counts(counts, s_nodes, step):
+    # the initial guess, one accepted trial per iteration, and each rejected trial
+    assert counts["marches"] == 1 + counts["newton_iterations"] + counts["backtracks"]
+    assert counts["rk4_steps"] == counts["marches"] * sum(
+        n_sub for n_sub, _ in phigeo._substeps(s_nodes, step))
+    assert counts["stop_reason"] == "converged"
+    assert counts["final_miss"] < 1e-10
+
+
+@pytest.mark.parametrize("predictor", ["kept", "starved"])
+def test_shooting_backtracks_from_a_poor_initial_guess(monkeypatch, predictor):
     # A random initial velocity instead of the background-geodesic one makes
-    # the full Newton step overshoot, so the Armijo halving has to act.
+    # the full Newton step overshoot, so the Armijo halving has to act: in
+    # the predictor, which starts from that guess, or, when the predictor
+    # fails, in the fine run, which then starts from it.
     m = models.round_sphere(2)
     x = models.base_point(m)
     rng = np.random.default_rng(2)
@@ -307,14 +339,19 @@ def test_shooting_backtracks_from_a_poor_initial_guess(monkeypatch):
         return path
 
     monkeypatch.setattr(phigeo, "background_geodesic", poor_guess)
+    if predictor == "starved":
+        _starve_predictor(monkeypatch)
     path = solve_bvp_shooting(m, PhiParams(0.1), x, models.canonical_target(m, 3.5))
     counts = path.minimal_evidence["shooting"]
-    assert counts["backtracks"] >= 1
-    assert counts["marches"] == 1 + counts["newton_iterations"] + counts["backtracks"]
+    _assert_phase_counts(counts, path.s, phigeo.MAX_IVP_STEP)
     assert counts["rows_marched"] == counts["marches"] * (m.n + 1)
-    assert counts["rk4_steps"] == counts["marches"] * sum(
-        n_sub for n_sub, _ in phigeo._substeps(path.s, phigeo.MAX_IVP_STEP))
-    assert counts["final_miss"] < 1e-10
+    if predictor == "kept":
+        assert counts["predictor"]["backtracks"] >= 1
+        _assert_phase_counts(counts["predictor"], [0.0, path.s_bar],
+                             phigeo.PREDICTOR_STEP_FACTOR * phigeo.MAX_IVP_STEP)
+    else:
+        assert counts["predictor"]["stop_reason"] == "budget-exhausted"
+        assert counts["backtracks"] >= 1
 
 
 def _assert_same_path(got, alone):
@@ -366,16 +403,17 @@ def test_shooting_batch_backtracking_beside_a_plain_cell(monkeypatch):
     problems = [(PhiParams(0.1), x, models.canonical_target(m, 2.0)),
                 (PhiParams(0.1), x, poor_target)]
     plain, poor = solve_bvp_shooting_batch(m, problems)
-    assert plain.minimal_evidence["shooting"]["backtracks"] == 0
-    assert poor.minimal_evidence["shooting"]["backtracks"] >= 1
+    plain_counts = plain.minimal_evidence["shooting"]
+    assert plain_counts["backtracks"] == plain_counts["predictor"]["backtracks"] == 0
+    assert poor.minimal_evidence["shooting"]["predictor"]["backtracks"] >= 1
     for path, (params, x_i, y_i) in zip((plain, poor), problems):
         _assert_same_path(path, solve_bvp_shooting(m, params, x_i, y_i))
 
 
 def test_shooting_batch_keeps_each_failure_in_its_slot():
     # x == y fails before any march; at drift_tol 5e-12 the c = 0.9 cell fails
-    # its drift check after its third march, while the c = 0.5, r_y = 7 cell
-    # goes on to a fourth
+    # its drift check after its fifth march (3 predictor, 2 fine), while the
+    # c = 0.5, r_y = 7 cell goes on to a sixth (4 predictor, 2 fine)
     m = models.sphere_cylinder(2, 2)
     x = models.base_point(m)
     problems = [(PhiParams(0.1), x, models.canonical_target(m, 4.0)),
@@ -387,7 +425,124 @@ def test_shooting_batch_keeps_each_failure_in_its_slot():
     assert isinstance(results[2], DriftExceededError)
     for i in (0, 3):
         _assert_same_path(results[i], solve_bvp_shooting(m, *problems[i], drift_tol=5e-12))
-    assert results[3].minimal_evidence["shooting"]["marches"] == 4
+
+    def rounds(path):
+        counts = path.minimal_evidence["shooting"]
+        return counts["predictor"]["marches"] + counts["marches"]
+
+    assert rounds(solve_bvp_shooting(m, *problems[2])) == 5
+    assert rounds(results[3]) == 6
+
+
+# cells of the shape perfbench's chain (c in {0.1, 0.5}, r_y near 10 and 20)
+# and scan (c = 0.1, r_y near 20 and 40) workloads shoot on cylinder:k=2,m=2
+PERFBENCH_CELLS = [(0.1, 10.12), (0.1, 20.21), (0.5, 10.12), (0.5, 20.21),
+                   (0.1, 19.87), (0.1, 40.3)]
+
+
+@pytest.fixture(scope="module")
+def perfbench_paths():
+    m = models.sphere_cylinder(2, 2)
+    x = models.base_point(m)
+    problems = [(PhiParams(c), x, models.canonical_target(m, ry)) for c, ry in PERFBENCH_CELLS]
+    return solve_bvp_shooting_batch(m, problems)
+
+
+def test_shooting_fine_run_takes_one_newton_step(perfbench_paths):
+    for path in perfbench_paths:
+        counts = path.minimal_evidence["shooting"]
+        assert counts["predictor"]["stop_reason"] == "converged"
+        assert counts["marches"] == 2 and counts["newton_iterations"] == 1
+        _assert_phase_counts(counts, path.s, phigeo.MAX_IVP_STEP)
+        _assert_phase_counts(counts["predictor"], [0.0, path.s_bar],
+                             phigeo.PREDICTOR_STEP_FACTOR * phigeo.MAX_IVP_STEP)
+
+
+def test_shooting_matches_the_exact_radial_solution(perfbench_paths):
+    # From O the path is radial on the flat factor: r'' = -cR r/(4 f^2) with
+    # f = r^2/4 + 1, first integral r'^2 - cR/f = C, and s_bar = r_y fixes C
+    # through the integral of dr / sqrt(C + cR/f) over [0, r_y] = r_y.
+    integrate = pytest.importorskip("scipy.integrate")
+    optimize = pytest.importorskip("scipy.optimize")
+    m = models.sphere_cylinder(2, 2)
+    for (c, ry), path in zip(PERFBENCH_CELLS, perfbench_paths):
+        cR = c * m.scalar_R
+
+        def phi2(r):
+            return cR / (r * r / 4.0 + 1.0)
+
+        def quad(func):
+            return integrate.quad(func, 0.0, ry, epsabs=1e-13, epsrel=1e-13, limit=200)[0]
+
+        def length_gap(C):
+            return quad(lambda r: 1.0 / math.sqrt(C + phi2(r))) - ry
+
+        # speed <= 1 everywhere at the lower end, >= 1 at the upper one
+        exact_C = optimize.brentq(length_gap, 1.0 - phi2(0.0), 1.0 - phi2(ry), xtol=1e-15)
+        exact_J = quad(lambda r: (exact_C + 2.0 * phi2(r)) / math.sqrt(exact_C + phi2(r)))
+        assert abs(path.C_value - exact_C) <= 1e-10
+        assert abs(path.action_J - exact_J) <= 1e-8
+
+
+def test_failed_predictor_leaves_the_fine_run_as_it_was(monkeypatch, perfbench_paths):
+    # with the predictor out of budget the fine run starts from the initial
+    # guess: the counts and bits are those of one Newton run from that guess
+    # on the audit grid, recorded for the first cell
+    m = models.sphere_cylinder(2, 2)
+    c, ry = PERFBENCH_CELLS[0]
+    _starve_predictor(monkeypatch)
+    path = solve_bvp_shooting(m, PhiParams(c), models.base_point(m),
+                              models.canonical_target(m, ry))
+    counts = path.minimal_evidence["shooting"]
+    predictor = counts.pop("predictor")
+    assert predictor["stop_reason"] == "budget-exhausted"
+    assert predictor["newton_iterations"] == 1 and predictor["final_miss"] >= 1e-10
+    assert counts == {"newton_iterations": 2, "backtracks": 0, "marches": 3, "rk4_steps": 3444,
+                      "final_miss": 8.881784197001252e-12, "stop_reason": "converged",
+                      "rows_marched": 15}
+    assert (path.C_value, path.action_J) == (0.9734003114616471, 10.39312938357688)
+    assert abs(path.C_value - perfbench_paths[0].C_value) <= 1e-10
+    assert abs(path.action_J - perfbench_paths[0].action_J) <= 1e-10
+
+
+def _linear_trial(miss, jacobian):
+    """A ``_newton`` trial that marches nothing: the miss of ``a`` is ``miss(a)``."""
+    def trial(a, *schedule):
+        return miss(a), jacobian, None
+        yield  # a generator, like the real trials
+
+    return trial
+
+
+@pytest.mark.parametrize("case, reason, iterations, backtracks", [
+    ("linear", "converged", 1, 0),
+    ("singular", "ill-conditioned", 0, 0),
+    ("not-finite", "ill-conditioned", 0, 0),
+    # a Jacobian of the wrong sign: every step raises the miss
+    ("wrong-sign", "stalled", 1, 9),
+    # a Jacobian 1000x too large: each step takes 1/1000 of the miss
+    ("too-large", "budget-exhausted", 3, 0),
+])
+def test_newton_stop_reasons(case, reason, iterations, backtracks):
+    trial = {
+        "linear": _linear_trial(lambda a: a - 1.0, np.eye(2)),
+        "singular": _linear_trial(lambda a: a - 1.0, np.array([[1.0, 0.0], [0.0, 0.0]])),
+        "not-finite": _linear_trial(lambda a: a * np.nan, np.full((2, 2), np.nan)),
+        "wrong-sign": _linear_trial(lambda a: a - 1.0, -np.eye(2)),
+        "too-large": _linear_trial(lambda a: a - 1.0, 1000.0 * np.eye(2)),
+    }[case]
+    run = phigeo._newton(trial, np.zeros(2), ([0.0, 1.0], 1e-2), 1e-10, 3)
+    with pytest.raises(StopIteration) as done:
+        next(run)
+    result = done.value.value
+    assert (result.stop_reason, result.iterations, result.backtracks) == (
+        reason, iterations, backtracks)
+    counts = result.counts(([0.0, 1.0], 1e-2))
+    assert counts["stop_reason"] == reason
+    assert counts["marches"] == 1 + iterations + backtracks - (reason == "stalled")
+    assert counts["rk4_steps"] == 100 * counts["marches"]
+    # no NaN reaches a report
+    assert (counts["final_miss"] is None) == (case == "not-finite")
 
 
 def test_shooting_gaussian_straight_segment(rng):
