@@ -291,10 +291,6 @@ def random_point(model: ModelSpec, rng: np.random.Generator, euclid_scale: float
     return random_points(model, rng, 1, euclid_scale)[0]
 
 
-def random_tangent(model: ModelSpec, pos: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    return project_tangent(model, pos, rng.normal(size=model.ambient_dim))
-
-
 # ---------------------------------------------------------------------------
 # Closed-form geometry
 # ---------------------------------------------------------------------------

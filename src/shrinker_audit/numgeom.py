@@ -215,7 +215,11 @@ def _christoffels(chart: Chart, coords: np.ndarray, h: float):
 
 
 def christoffels_fd(chart: Chart, coords: np.ndarray, cfg: FDConfig = FDConfig()) -> np.ndarray:
-    """Gamma^i_jk from central differences of the metric components."""
+    """Gamma^i_jk from central differences of the metric components.
+
+    No audit calls it: it is the test reference for the Christoffels that
+    ``ricci_fd`` and the drifted Laplacians compute internally.
+    """
     coords = _per_chart(chart, coords, cfg)
     return _christoffels(chart, coords, cfg.h)[0]
 
@@ -297,12 +301,6 @@ def hessian_fd(chart: Chart, field, coords: np.ndarray, cfg: FDConfig = FDConfig
     dphi, ddphi = _field_derivatives(field, coords, cfg.h, chart.dim)
     gamma, _ = _christoffels(chart, coords, cfg.h)
     return ddphi - np.einsum("...ijk,...i->...jk", gamma, dphi)
-
-
-def laplacian_fd(chart: Chart, field, coords: np.ndarray, cfg: FDConfig = FDConfig()):
-    coords = _per_chart(chart, coords, cfg)
-    _, ginv = _metric_and_inverse(chart, coords)
-    return np.einsum("...jk,...jk->...", ginv, hessian_fd(chart, field, coords, cfg))
 
 
 def _weighted_laplacians(chart: Chart, coords: np.ndarray, cfg: FDConfig, evaluate):

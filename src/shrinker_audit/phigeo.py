@@ -58,6 +58,8 @@ MAX_IVP_STEP = 1e-2
 DEFAULT_DRIFT_TOL = 1e-6
 # shooting's predictor marches in substeps this many times the audit step
 PREDICTOR_STEP_FACTOR = 8
+# shooting's fine run marches the audit grid in segments of this many intervals
+SEGMENT_INTERVALS = 32
 
 
 @dataclass(frozen=True)
@@ -204,8 +206,8 @@ def _march(dyn: _Dynamics, blocks) -> list:
     velocities and the ``_Record`` of its row 0, whose state is kept after
     every substep; its energies are evaluated row-wise in one call at the
     end, bitwise the per-substep values. The one-row integrator and the
-    shooting trials of every cell of a grid (each trial with its
-    forward-difference rows) share this routine.
+    shooting trials of every cell of a grid (each trial, or each segment of
+    one, a block with its forward-difference rows) share this routine.
     """
     schedules = [_substeps(s_nodes, step) for *_, s_nodes, step in blocks]
     sizes = [[h for n_sub, h in sched for _ in range(n_sub)] for sched in schedules]
@@ -274,6 +276,10 @@ def integrate_ivp(
     Sphere components are renormalized after every step. The first integral
     |S|^2 - 2*phi is monitored at every internal step; exceeding
     ``drift_tol`` aborts (the step is too large for the requested drift).
+
+    No subcommand calls it: it is the test reference for the integrator
+    that shooting marches with (scipy's ``solve_ivp`` and the drift-order
+    tests check it).
     """
     if step > MAX_IVP_STEP * (1.0 + 1e-12):
         raise ValueError(f"integration step {step} exceeds the maximum {MAX_IVP_STEP}")
@@ -332,25 +338,38 @@ def solve_bvp_shooting(
     (step 1e-7 * (1 + |a|)) and Armijo damping on the endpoint miss.
 
     Newton runs twice (``_newton``), each run with up to ``max_newton``
-    iterations. The predictor marches the one gap [0, s_bar] in substeps of
-    ``PREDICTOR_STEP_FACTOR * step``; Newton takes the same number of
-    iterations on a coarse discretization as on a fine one and lands within
-    the discretization gap of the fine root (Allgower, Böhmer, Potra &
-    Rheinboldt, SIAM J. Numer. Anal. 23, 1986), so its rounds are cheap.
-    The fine run marches the audit grid at ``step``, from the predictor's
-    ``a`` if the predictor converged; it then usually needs one Newton step.
-    A predictor that does not converge costs its marches and nothing else:
-    the fine run starts from the initial guess. Only the fine run can fail
-    the solve.
+    iterations. The audit grid is cut into segments of ``SEGMENT_INTERVALS``
+    intervals. The predictor marches the gaps between the cuts, [0, joints,
+    s_bar], in substeps of ``PREDICTOR_STEP_FACTOR * step``; Newton takes
+    the same number of iterations on a coarse discretization as on a fine
+    one and lands within the discretization gap of the fine root (Allgower,
+    Böhmer, Potra & Rheinboldt, SIAM J. Numer. Anal. 23, 1986), so its
+    rounds are cheap. The fine run marches the audit grid at ``step`` and
+    usually needs one Newton step from the predictor's root. When the grid
+    spans several segments, it is a multiple-shooting run (Stoer &
+    Bulirsch, *Introduction to Numerical Analysis*, §7.3.5): its unknowns
+    are ``a`` and the phase state at each joint, which start at the
+    predictor's states there, its residual is the joint defects and the
+    endpoint miss, and every segment of a trial marches side by side in the
+    same round, so a round costs one segment's RK4 steps instead of the
+    whole grid's. Its Jacobian is condensed to the n x n endpoint map, which
+    takes the conditioning check, as single shooting's Jacobian does. On a
+    single segment, or when the predictor does not converge, the fine run is
+    single shooting on the whole grid, from the predictor's ``a`` or, after
+    a failed predictor, from the initial guess; a failed predictor costs its
+    marches and nothing else. Only the fine run can fail the solve.
 
     Each trial ``a`` is marched in one batched ``_march`` together with its
     n perturbations ``a + delta e_j``: row 0 gives the miss, rows 1..n the
-    Jacobian columns. Rows are independent, so the miss and the Jacobian are
-    bitwise those of n + 1 separate marches, and an accepted line-search
+    Jacobian columns; a joint's state is marched with its 2n perturbations
+    the same way. Rows are independent, so the residual and the Jacobian
+    are bitwise those of separate marches, and an accepted line-search
     trial brings the Jacobian of the next iteration with it, and its row-0
-    record. The returned path is the converged fine trial's record, on the
-    audit grid, so it is the trajectory that landed within ``tol`` of y; it
-    must keep the first integral within ``drift_tol``.
+    record. The returned path is the converged fine trial's record on the
+    audit grid: the trajectory that landed within ``tol`` of y or, for
+    multiple shooting, its segments' row-0 records joined end to end, each
+    joint node holding the solved joint state. It must keep the first
+    integral within ``drift_tol`` over every substep of every segment.
 
     ``minimal_evidence["shooting"]`` records the fine run's deterministic
     counts: Newton iterations, rejected line-search trials (backtracks),
@@ -358,8 +377,11 @@ def solve_bvp_shooting(
     and the stop reason; ``predictor`` holds the same counts (rows aside)
     for the predictor, whose stop reason is ``converged``, ``stalled``,
     ``budget-exhausted`` or ``ill-conditioned``. The counts are the
-    problem's own: a march counts its own rows, and its own substeps as RK4
-    steps, whatever else shared the batch.
+    problem's own: a march counts its own rows, and its own substeps over
+    every segment as RK4 steps, whatever else shared the batch. A
+    multiple-shooting run adds ``segments``, ``max_joint_defect`` (the
+    largest joint defect's norm) and ``march_steps`` (the longest segment's
+    substeps: the RK4 step calls one of its marches costs in lockstep).
 
     This is the one-problem case of ``solve_bvp_shooting_batch``; a batch
     returns bitwise the same path for each problem.
@@ -385,14 +407,14 @@ def solve_bvp_shooting_batch(
     """Shoot every ``(params, x, y)`` problem on one model in lockstep.
 
     Each problem runs its own Newton/Armijo iterations (``_shooting``). A
-    round collects the pending trial of every live problem and marches them
-    all in one ``_march``, whatever their c, their grids and their step
-    sizes (one problem's predictor trials march beside another's fine
-    ones); rows never mix, so every path, and every count in its
-    ``minimal_evidence``, is bitwise that of a ``solve_bvp_shooting`` call
-    on the problem alone. Returns, in the given order, each problem's
-    ``PhiPath``, or the exception it raised; a failed problem stops marching
-    and the others carry on.
+    round collects the march blocks of every live problem's pending trial
+    (one block, or one per segment) and marches them all in one ``_march``,
+    whatever their c, their grids and their step sizes (one problem's
+    predictor trials march beside another's segments); rows never mix, so
+    every path, and every count in its ``minimal_evidence``, is bitwise that
+    of a ``solve_bvp_shooting`` call on the problem alone. Returns, in the
+    given order, each problem's ``PhiPath``, or the exception it raised; a
+    failed problem stops marching and the others carry on.
     """
     dyn = _Dynamics(model)
     results = [None] * len(problems)
@@ -411,9 +433,9 @@ def solve_bvp_shooting_batch(
                 None)
     while pending:
         batch, pending = pending, []
-        ends = _march(dyn, [request for *_, request in batch])
-        for (i, solver, _), (p_end, _, record) in zip(batch, ends):
-            advance(i, solver, (p_end, record))
+        ends = iter(_march(dyn, [block for *_, blocks in batch for block in blocks]))
+        for i, solver, blocks in batch:
+            advance(i, solver, [next(ends) for _ in blocks])
     return results
 
 
@@ -422,6 +444,7 @@ class _Newton(NamedTuple):
 
     a: np.ndarray
     miss: float
+    residual: np.ndarray
     record: _Record
     iterations: int
     backtracks: int
@@ -440,17 +463,57 @@ class _Newton(NamedTuple):
         }
 
 
-def _newton(trial, a, schedule, tol, max_newton):
-    """Armijo-damped Newton on the endpoint miss from coefficients ``a``, as a generator.
+class _Condensed(NamedTuple):
+    """A multiple-shooting Jacobian, condensed onto the start coefficients ``a``.
 
-    ``trial(a, *schedule)`` is a generator that yields the ``_march`` block
-    of ``a`` on the schedule ``(s_nodes, step)`` and returns the miss, its
-    Jacobian and the march's row-0 record. A Newton step is halved until
-    the miss falls by the Armijo factor, down to 1/256 of it. The run stops
-    ``converged`` (miss < ``tol``), ``ill-conditioned`` (a Jacobian that is
-    not finite or has condition > 1e10), ``stalled`` (no step accepted) or
-    ``budget-exhausted`` (``max_newton`` iterations); it returns a
-    ``_Newton`` and raises nothing.
+    The unknowns are ``a`` and the coordinates z_k of each joint; the
+    residual is the joint defects D_k = F_k(z_{k-1}) - z_k, then the
+    endpoint miss M. The Jacobian is block-bidiagonal: [G_{k-1}, -I] in the
+    rows of D_k and H in those of M. So the Newton step moves z_k by
+    w_k + P_k d_a, with w_k = D_k + G_{k-1} w_{k-1} and P_k = G_{k-1} P_{k-1}
+    (Stoer & Bulirsch, *Introduction to Numerical Analysis*, §7.3.5), and
+    d_a solves ``endpoint @ d_a = -miss``: ``endpoint`` = H P is the n x n
+    Jacobian of the endpoint miss in ``a`` through the linearized segments,
+    the matrix single shooting would see, and ``miss`` = M + H w.
+    """
+
+    endpoint: np.ndarray
+    miss: np.ndarray
+    offsets: np.ndarray  # w, with zeros for a
+    sweep: np.ndarray  # P, stacked under the identity for a
+
+    def step(self) -> np.ndarray:
+        return self.offsets + self.sweep @ np.linalg.solve(self.endpoint, -self.miss)
+
+
+def _condense(flows, end_jac, defects, miss) -> _Condensed:
+    """Condense the Jacobian whose blocks are ``flows`` G_0.. and ``end_jac`` H.
+
+    ``defects`` are D_1.. and ``miss`` is M, as in ``_Condensed``.
+    """
+    offset, sweep = np.zeros(flows[0].shape[1]), np.eye(flows[0].shape[1])
+    offsets, sweeps = [offset], [sweep]
+    for flow, defect in zip(flows, defects):
+        offset, sweep = defect + flow @ offset, flow @ sweep
+        offsets.append(offset)
+        sweeps.append(sweep)
+    return _Condensed(end_jac @ sweep, miss + end_jac @ offset, np.concatenate(offsets),
+                      np.vstack(sweeps))
+
+
+def _newton(trial, a, schedule, tol, max_newton):
+    """Armijo-damped Newton on a shooting residual from unknowns ``a``, as a generator.
+
+    ``trial(a, *schedule)`` is a generator that yields the list of
+    ``_march`` blocks of ``a`` on the schedule ``(s_nodes, step)`` and
+    returns the residual, its Jacobian and the row-0 record of the trial's
+    path. The Jacobian is a square matrix, or a ``_Condensed`` one whose
+    endpoint map is what the conditioning check sees. A Newton step is
+    halved until the residual norm falls by the Armijo factor, down to 1/256
+    of it. The run stops ``converged`` (norm < ``tol``), ``ill-conditioned``
+    (a Jacobian that is not finite or has condition > 1e10), ``stalled`` (no
+    step accepted) or ``budget-exhausted`` (``max_newton`` iterations); it
+    returns a ``_Newton`` and raises nothing.
     """
     m, jac, record = yield from trial(a, *schedule)
     m_norm = float(np.linalg.norm(m))
@@ -458,15 +521,16 @@ def _newton(trial, a, schedule, tol, max_newton):
     marches = 1
     stop = None
     while stop is None:
+        matrix = jac.endpoint if isinstance(jac, _Condensed) else jac
         if m_norm < tol:
             stop = "converged"
         elif iterations >= max_newton:
             stop = "budget-exhausted"
-        elif not np.isfinite(jac).all() or np.linalg.cond(jac) > 1e10:
+        elif not np.isfinite(matrix).all() or np.linalg.cond(matrix) > 1e10:
             stop = "ill-conditioned"
         else:
             iterations += 1
-            step_dir = np.linalg.solve(jac, -m)
+            step_dir = jac.step() if isinstance(jac, _Condensed) else np.linalg.solve(jac, -m)
             t = 1.0
             while t >= 1.0 / 256.0:
                 a_try = a + t * step_dir
@@ -480,15 +544,72 @@ def _newton(trial, a, schedule, tol, max_newton):
                 backtracks += 1
             else:
                 stop = "stalled"
-    return _Newton(a, m_norm, record, iterations, backtracks, marches, stop)
+    return _Newton(a, m_norm, m, record, iterations, backtracks, marches, stop)
+
+
+class _Joints:
+    """Tangent coordinates of the phase states at the joints of a multiple-shooting run.
+
+    Joint j is charted around a reference state (p_j, v_j) with the
+    orthonormal basis B_j = ``tangent_basis(p_j)``: a state (p, v) has the
+    2n coordinates (B_j log_{p_j}(p), B_j v), measured as the endpoint miss
+    is. Back, p = exp_{p_j}(xi B_j), and v is eta B_j plus, on each sphere
+    factor, the multiple of p_j's block that makes it tangent at p; its
+    B_j-components are then eta. So coordinates give back their state, up
+    to rounding. ``at`` arguments are joint indices, one per state.
+    """
+
+    def __init__(self, model, pos, vel):
+        self.model = model
+        self.pos = pos
+        self.basis = np.array([tangent_basis(model, p) for p in pos])
+        self.start = self.coords(pos, vel, np.arange(len(pos)))
+
+    def coords(self, pos, vel, at):
+        basis = self.basis[at]
+        log = log_map(self.model, self.pos[at], pos)
+        return np.concatenate([np.einsum("...na,...a->...n", basis, log),
+                               np.einsum("...na,...a->...n", basis, vel)], axis=-1)
+
+    def states(self, coords, at):
+        n = self.model.n
+        ref, basis = self.pos[at], self.basis[at]
+        pos = exp_map(self.model, ref, np.einsum("...n,...na->...a", coords[..., :n], basis))
+        vel = np.einsum("...n,...na->...a", coords[..., n:], basis)
+        for f in self.model.sphere_factors:
+            u_ref, u, w = (arr[..., f.start : f.stop] for arr in (ref, pos, vel))
+            w -= (np.vecdot(w, u) / np.vecdot(u_ref, u))[..., None] * u_ref
+        return pos, vel
+
+
+def _joined(records) -> _Record:
+    """Segment records end to end; each joint node takes the next segment's start."""
+
+    def join(name):
+        return np.concatenate([getattr(r, name)[:-1] for r in records[:-1]]
+                              + [getattr(records[-1], name)])
+
+    return _Record(join("pos"), join("vel"), join("energies"),
+                   min(r.e_min for r in records), max(r.e_max for r in records))
 
 
 def _shooting(model, params, x, y, tol, step, max_newton, density, drift_tol):
     """The predictor and fine Newton runs of one shooting problem, as a generator.
 
-    It yields each trial's ``_march`` block ``(starts, v0, cR, s_nodes,
-    step)`` and receives that block's ``(p_end, record)``; it returns the
-    ``PhiPath`` of the converged fine trial.
+    It yields each trial's list of ``_march`` blocks ``(starts, v0, cR,
+    s_nodes, step)`` and receives their ``(p_end, v_end, record)`` triples;
+    it returns the ``PhiPath`` of the converged fine trial.
+
+    The audit grid is cut every ``SEGMENT_INTERVALS`` intervals. When it
+    spans more than one segment and the predictor converged, the fine run is
+    multiple shooting. Its unknowns are ``a`` and each joint's ``_Joints``
+    coordinates, which start at the predictor's states there; its residual
+    is the joint defects, then the endpoint miss. A trial marches segment 0
+    from x with single shooting's n + 1 rows and every other segment from
+    its joint with 2n + 1 rows, each segment its own block. Its record is
+    the segments' row-0 records joined end to end. Otherwise the fine run
+    is single shooting on the whole grid. A multiple-shooting run that fails
+    reports its residual norm, joint defects included, as its miss.
     """
     validate_point(model, x)
     validate_point(model, y)
@@ -512,20 +633,59 @@ def _shooting(model, params, x, y, tol, step, max_newton, density, drift_tol):
     dim = basis_x.shape[0]
     starts = np.tile(x, (dim + 1, 1))
     cR = params.c * model.scalar_R
+    # the node where each segment starts, then the last node
+    cuts = [*range(0, len(s_out) - 1, SEGMENT_INTERVALS), len(s_out) - 1]
+    segments = len(cuts) - 1
 
-    def miss_and_jacobian(coeffs: np.ndarray, s_nodes, h: float):
+    def head_block(coeffs: np.ndarray, s_nodes, h: float):
+        """The march block of ``coeffs`` and its n forward-difference rows, and their delta."""
         delta = 1e-7 * (1.0 + float(np.linalg.norm(coeffs)))
         rows = np.vstack([coeffs, coeffs + delta * np.eye(dim)])
         v0 = np.array([row @ basis_x for row in rows])
-        p_end, record = yield (starts, v0, cR, s_nodes, h)
+        return (starts, v0, cR, s_nodes, h), delta
+
+    def end_misses(p_end, delta):
+        """Row 0's endpoint miss and the Jacobian the other rows give."""
         misses = np.array([basis_y @ log_map(model, y, p) for p in p_end])
-        return misses[0], (misses[1:] - misses[0]).T / delta, record
+        return misses[0], (misses[1:] - misses[0]).T / delta
+
+    def miss_and_jacobian(coeffs: np.ndarray, s_nodes, h: float):
+        block, delta = head_block(coeffs, s_nodes, h)
+        ((p_end, _, record),) = yield [block]
+        return (*end_misses(p_end, delta), record)
+
+    def multiple_shooting(z: np.ndarray, s_nodes, h: float):
+        coords = z[dim:].reshape(-1, 2 * dim)
+        deltas = 1e-7 * (1.0 + np.linalg.norm(coords, axis=1))
+        rows = np.concatenate(
+            [coords[:, None], coords[:, None] + deltas[:, None, None] * np.eye(2 * dim)], axis=1)
+        head, delta = head_block(z[:dim], s_nodes[: cuts[1] + 1], h)
+        joint_starts = zip(*joints.states(rows, np.arange(segments - 1)[:, None]))
+        ends = yield [head] + [(p, v, cR, s_nodes[lo : hi + 1], h)
+                               for (p, v), lo, hi in zip(joint_starts, cuts[1:], cuts[2:])]
+        p_ends, v_ends, records = zip(*ends)
+        # every segment but the last ends at the next joint
+        rows_landed = [len(p) for p in p_ends[:-1]]
+        at = np.repeat(np.arange(segments - 1), rows_landed)
+        landed = np.split(joints.coords(np.concatenate(p_ends[:-1]), np.concatenate(v_ends[:-1]),
+                                        at), np.cumsum(rows_landed)[:-1])
+        defects = np.array([c[0] for c in landed]) - coords
+        flows = [(c[1:] - c[0]).T / d for c, d in zip(landed, [delta, *deltas[:-1]])]
+        miss, end_jac = end_misses(p_ends[-1], deltas[-1])
+        return (np.concatenate([defects.ravel(), miss]),
+                _condense(flows, end_jac, defects, miss), _joined(records))
 
     a_guess = basis_x @ v_guess
-    coarse = (np.array([0.0, s_bar]), PREDICTOR_STEP_FACTOR * step)
+    coarse = (np.array([0.0, *s_out[cuts[1:-1]], s_bar]), PREDICTOR_STEP_FACTOR * step)
     predictor = yield from _newton(miss_and_jacobian, a_guess, coarse, tol, max_newton)
-    a = predictor.a if predictor.stop_reason == "converged" else a_guess
-    fine = yield from _newton(miss_and_jacobian, a, (s_out, step), tol, max_newton)
+    if predictor.stop_reason != "converged" or segments == 1:
+        segments = 1
+        a = predictor.a if predictor.stop_reason == "converged" else a_guess
+        fine = yield from _newton(miss_and_jacobian, a, (s_out, step), tol, max_newton)
+    else:
+        joints = _Joints(model, predictor.record.pos[1:-1], predictor.record.vel[1:-1])
+        z = np.concatenate([predictor.a, joints.start.ravel()])
+        fine = yield from _newton(multiple_shooting, z, (s_out, step), tol, max_newton)
     if fine.stop_reason == "ill-conditioned":
         raise IllConditionedShootingError(
             f"{model}: endpoint-miss Jacobian is ill-conditioned "
@@ -546,10 +706,20 @@ def _shooting(model, params, x, y, tol, step, max_newton, density, drift_tol):
     path = _recorded_path(model, params, fine.record, s_out, breaks, step, drift_tol)
     path.flags.append("shooting")
     counts = fine.counts((s_out, step))
-    counts["rows_marched"] = fine.marches * (dim + 1)
+    counts["rows_marched"] = fine.marches * (dim + 1 + (segments - 1) * (2 * dim + 1))
+    if segments > 1:
+        defects = fine.residual[:-dim].reshape(-1, 2 * dim)
+        counts.update(
+            final_miss=float(np.linalg.norm(fine.residual[-dim:])),
+            segments=segments,
+            max_joint_defect=float(np.linalg.norm(defects, axis=1).max()),
+            march_steps=max(sum(n_sub for n_sub, _ in _substeps(s_out[lo : hi + 1], step))
+                            for lo, hi in zip(cuts, cuts[1:])),
+        )
     counts["predictor"] = predictor.counts(coarse)
     path.minimal_evidence["shooting"] = counts
     return path
+
 
 
 # ---------------------------------------------------------------------------

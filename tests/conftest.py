@@ -18,6 +18,11 @@ def model(request):
     return request.param
 
 
+def random_tangent(model, pos, rng):
+    """A random tangent vector at ``pos``: a normal draw with its normal part removed."""
+    return models.project_tangent(model, pos, rng.normal(size=model.ambient_dim))
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(20260808)

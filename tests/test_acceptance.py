@@ -9,6 +9,7 @@ import math
 
 import numpy as np
 
+from conftest import random_tangent
 from shrinker_audit import models
 from shrinker_audit.audit import (
     check_deltaf_Rf,
@@ -75,8 +76,8 @@ def test_criterion_1_identity_suite():
             geom = models.eval_geometry(model, p)
             # closed forms
             for _ in range(3):
-                v = models.random_tangent(model, p, rng)
-                w = models.random_tangent(model, p, rng)
+                v = random_tangent(model, p, rng)
+                w = random_tangent(model, p, rng)
                 resid = geom.ricci(v, w) + geom.hess_f(v, w) - 0.5 * geom.metric(v, w)
                 scale = 1.0 + np.linalg.norm(v) * np.linalg.norm(w)
                 worst_closed = max(worst_closed, abs(resid) / scale)

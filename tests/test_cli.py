@@ -145,8 +145,11 @@ def test_audit_chain_small_grid(tmp_path):
     s_out, _ = quadrature.audit_grid(5.0, cfg.density)
     steps_per_march = sum(n_sub for n_sub, _ in phigeo._substeps(s_out, cfg.step))
     assert counts["marches"] == 1 + counts["newton_iterations"] + counts["backtracks"]
-    assert counts["rows_marched"] == counts["marches"] * (
-        models.parse_model("cylinder:k=2,m=2").n + 1)
+    # n + 1 rows in the first segment, 2n + 1 in each of the others
+    n = models.parse_model("cylinder:k=2,m=2").n
+    segments = math.ceil((len(s_out) - 1) / phigeo.SEGMENT_INTERVALS)
+    assert counts["segments"] == segments
+    assert counts["rows_marched"] == counts["marches"] * (n + 1 + (segments - 1) * (2 * n + 1))
     assert counts["rk4_steps"] == counts["marches"] * steps_per_march
 
 

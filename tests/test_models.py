@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import random_tangent
 from shrinker_audit import models
 from shrinker_audit.errors import (
     DegenerateEndpointsError,
@@ -85,8 +86,8 @@ def test_shrinker_equation_on_random_tangents(model, rng):
         p = models.random_point(model, rng)
         geom = models.eval_geometry(model, p)
         for _ in range(20):
-            v = models.random_tangent(model, p, rng)
-            w = models.random_tangent(model, p, rng)
+            v = random_tangent(model, p, rng)
+            w = random_tangent(model, p, rng)
             resid = geom.ricci(v, w) + geom.hess_f(v, w) - 0.5 * geom.metric(v, w)
             scale = 1.0 + np.linalg.norm(v) * np.linalg.norm(w)
             assert abs(resid) <= 1e-10 * scale
@@ -259,7 +260,7 @@ def test_background_geodesic_rejects_equal_endpoints():
 def test_exp_log_inverse(model, rng):
     for _ in range(50):
         p = models.random_point(model, rng)
-        v = 0.5 * models.random_tangent(model, p, rng)
+        v = 0.5 * random_tangent(model, p, rng)
         q = models.exp_map(model, p, v)
         back = models.log_map(model, p, q)
         assert np.allclose(back, v, atol=1e-9)
@@ -353,7 +354,7 @@ def test_sphere_frame_and_maps_properties(label, seed, length):
         assert np.allclose(frame @ frame.T, np.eye(f.dim), atol=1e-12)
         assert np.max(np.abs(frame @ (p[f.start : f.stop] / f.radius))) <= 1e-12
     # |v| <= 3.5 keeps every sphere angle below pi (radius >= sqrt(2))
-    v = models.random_tangent(model, p, rng)
+    v = random_tangent(model, p, rng)
     v *= length / np.linalg.norm(v)
     q = models.exp_map(model, p, v)
     assert np.allclose(models.log_map(model, p, q), v, atol=1e-9)
@@ -381,7 +382,7 @@ def test_point_validation_tolerances(model, rng):
     p = models.random_point(model, rng)
     for f in model.sphere_factors:
         assert abs(np.linalg.norm(p[f.start : f.stop]) - f.radius) < 1e-12
-    v = models.random_tangent(model, p, rng)
+    v = random_tangent(model, p, rng)
     models.validate_tangent(model, p, v)
     if model.sphere_factors:
         bad = v.copy()

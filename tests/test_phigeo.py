@@ -1,9 +1,11 @@
+import hashlib
 import math
 
 import numpy as np
 import pytest
 
-from shrinker_audit import models, phigeo
+from conftest import random_tangent
+from shrinker_audit import models, phigeo, quadrature
 from shrinker_audit.errors import (
     ConfigError,
     DegenerateEndpointsError,
@@ -289,23 +291,35 @@ def test_shooting_counts_cylinder():
     assert counts["newton_iterations"] >= 1
     # the initial guess, one accepted trial per iteration, and each rejected trial
     assert counts["marches"] == 1 + counts["newton_iterations"] + counts["backtracks"]
-    # every trial carries the n forward-difference rows; the path is a trial's row 0
-    assert counts["rows_marched"] == counts["marches"] * (m.n + 1)
+    # every trial carries the n forward-difference rows of segment 0 and the
+    # 2n of each other segment; the path is the trial's row-0 records joined
+    assert counts["segments"] == math.ceil((len(path.s) - 1) / phigeo.SEGMENT_INTERVALS) > 1
+    assert counts["rows_marched"] == counts["marches"] * _rows_per_trial(m, counts)
     assert counts["rk4_steps"] == counts["marches"] * sum(
         n_sub for n_sub, _ in phigeo._substeps(path.s, phigeo.MAX_IVP_STEP))
     assert counts["final_miss"] < 1e-10
 
 
+def _rows_per_trial(m, counts):
+    return m.n + 1 + (counts.get("segments", 1) - 1) * (2 * m.n + 1)
+
+
+def _predictor_nodes(path):
+    """The predictor's schedule: 0, the fine run's joint nodes, s_bar."""
+    return [0.0, *path.s[phigeo.SEGMENT_INTERVALS:-1:phigeo.SEGMENT_INTERVALS], path.s_bar]
+
+
 def _starve_predictor(monkeypatch):
     """Give every shooting predictor run a budget of one Newton iteration.
 
-    That stops it short of converging, away from the initial guess.
+    That stops it short of converging, away from the initial guess. The
+    predictor is the run that marches at more than the default step.
     """
     newton = phigeo._newton
 
     def starved(trial, a, schedule, tol, max_newton):
-        s_nodes, _ = schedule
-        return newton(trial, a, schedule, tol, 1 if len(s_nodes) == 2 else max_newton)
+        _, step = schedule
+        return newton(trial, a, schedule, tol, 1 if step > phigeo.MAX_IVP_STEP else max_newton)
 
     monkeypatch.setattr(phigeo, "_newton", starved)
 
@@ -328,7 +342,7 @@ def test_shooting_backtracks_from_a_poor_initial_guess(monkeypatch, predictor):
     m = models.round_sphere(2)
     x = models.base_point(m)
     rng = np.random.default_rng(2)
-    guess = models.random_tangent(m, x, rng)
+    guess = random_tangent(m, x, rng)
     guess *= rng.uniform(0.5, 4.0) / np.linalg.norm(guess)
     background = phigeo.background_geodesic
 
@@ -344,10 +358,10 @@ def test_shooting_backtracks_from_a_poor_initial_guess(monkeypatch, predictor):
     path = solve_bvp_shooting(m, PhiParams(0.1), x, models.canonical_target(m, 3.5))
     counts = path.minimal_evidence["shooting"]
     _assert_phase_counts(counts, path.s, phigeo.MAX_IVP_STEP)
-    assert counts["rows_marched"] == counts["marches"] * (m.n + 1)
+    assert counts["rows_marched"] == counts["marches"] * _rows_per_trial(m, counts)
     if predictor == "kept":
         assert counts["predictor"]["backtracks"] >= 1
-        _assert_phase_counts(counts["predictor"], [0.0, path.s_bar],
+        _assert_phase_counts(counts["predictor"], _predictor_nodes(path),
                              phigeo.PREDICTOR_STEP_FACTOR * phigeo.MAX_IVP_STEP)
     else:
         assert counts["predictor"]["stop_reason"] == "budget-exhausted"
@@ -388,7 +402,7 @@ def test_shooting_batch_backtracking_beside_a_plain_cell(monkeypatch):
     x = models.base_point(m)
     poor_target = models.canonical_target(m, 3.5)
     rng = np.random.default_rng(2)
-    guess = models.random_tangent(m, x, rng)
+    guess = random_tangent(m, x, rng)
     guess *= rng.uniform(0.5, 4.0) / np.linalg.norm(guess)
     background = phigeo.background_geodesic
 
@@ -454,7 +468,7 @@ def test_shooting_fine_run_takes_one_newton_step(perfbench_paths):
         assert counts["predictor"]["stop_reason"] == "converged"
         assert counts["marches"] == 2 and counts["newton_iterations"] == 1
         _assert_phase_counts(counts, path.s, phigeo.MAX_IVP_STEP)
-        _assert_phase_counts(counts["predictor"], [0.0, path.s_bar],
+        _assert_phase_counts(counts["predictor"], _predictor_nodes(path),
                              phigeo.PREDICTOR_STEP_FACTOR * phigeo.MAX_IVP_STEP)
 
 
@@ -503,6 +517,209 @@ def test_failed_predictor_leaves_the_fine_run_as_it_was(monkeypatch, perfbench_p
     assert (path.C_value, path.action_J) == (0.9734003114616471, 10.39312938357688)
     assert abs(path.C_value - perfbench_paths[0].C_value) <= 1e-10
     assert abs(path.action_J - perfbench_paths[0].action_J) <= 1e-10
+
+
+def _exact_radius(c, ry, s_nodes):
+    """The exact radial solution r(s) at ``s_nodes``, from O to r_y, on cylinder:k=2,m=2.
+
+    C* solves the integral of dr / sqrt(C + cR/f) over [0, r_y] = r_y, and
+    s(r) = integral of dr / sqrt(C* + cR/f) over [0, r] is inverted node by
+    node with ``brentq``, adding the integral from the previous node's r.
+    """
+    integrate = pytest.importorskip("scipy.integrate")
+    optimize = pytest.importorskip("scipy.optimize")
+    cR = c * models.sphere_cylinder(2, 2).scalar_R
+
+    def phi2(r):
+        return cR / (r * r / 4.0 + 1.0)
+
+    def quad(func, lo, hi):
+        return integrate.quad(func, lo, hi, epsabs=1e-13, epsrel=1e-13, limit=200)[0]
+
+    def length_gap(C):
+        return quad(lambda r: 1.0 / math.sqrt(C + phi2(r)), 0.0, ry) - ry
+
+    exact_C = optimize.brentq(length_gap, 1.0 - phi2(0.0), 1.0 - phi2(ry), xtol=1e-15)
+
+    def ds(r):
+        return 1.0 / math.sqrt(exact_C + phi2(r))
+
+    # r' = sqrt(C* + cR/f) lies between these speeds
+    slow, fast = math.sqrt(exact_C + phi2(2.0 * ry)), math.sqrt(exact_C + phi2(0.0))
+    radii, r_prev, s_prev = [0.0], 0.0, 0.0
+    for s in s_nodes[1:]:
+        gap = s - s_prev
+        r_prev = optimize.brentq(lambda r: quad(ds, r_prev, r) - gap,
+                                 r_prev + 0.5 * slow * gap, r_prev + 2.0 * fast * gap,
+                                 xtol=1e-15)
+        radii.append(r_prev)
+        s_prev = s
+    return np.array(radii)
+
+
+def test_shooting_path_is_the_exact_radial_solution_at_every_node(perfbench_paths):
+    # every node, the joint nodes among them, within 1e-8 of the exact r(s)
+    m = models.sphere_cylinder(2, 2)
+    for (c, ry), path in zip(PERFBENCH_CELLS, perfbench_paths):
+        exact = _exact_radius(c, ry, path.s)
+        assert np.max(np.abs(models.radial_distance(m, path.pos) - exact)) <= 1e-8
+
+
+def _spy_rounds(monkeypatch):
+    """Record every ``_march`` call's blocks and what it returned."""
+    rounds = []
+    march = phigeo._march
+
+    def spy(dyn, blocks):
+        out = march(dyn, blocks)
+        rounds.append((blocks, out))
+        return out
+
+    monkeypatch.setattr(phigeo, "_march", spy)
+    return rounds
+
+
+@pytest.mark.parametrize("label, pair", [("cylinder:k=2,m=2", None),
+                                         ("sphereproduct:k=2,m=2", 3)])
+def test_segmented_path_joins_the_converged_segment_records(monkeypatch, label, pair):
+    if pair is None:
+        m = models.parse_model(label)
+        x, y = models.base_point(m), models.canonical_target(m, 10.0)
+    else:
+        m, x, y = _random_endpoints(label, pair)
+    rounds = _spy_rounds(monkeypatch)
+    path = solve_bvp_shooting(m, PhiParams(0.1), x, y)
+    counts = path.minimal_evidence["shooting"]
+    # the converged trial is the last march: one block per segment
+    blocks, out = rounds[-1]
+    assert len(blocks) == counts["segments"] > 1
+    assert counts["march_steps"] == max(
+        sum(n_sub for n_sub, _ in phigeo._substeps(block[3], block[4])) for block in blocks)
+    node = 0
+    for k, ((starts, v0, _, s_nodes, _), (_, _, record)) in enumerate(zip(blocks, out)):
+        stop = len(s_nodes) if k == len(blocks) - 1 else len(s_nodes) - 1
+        assert path.s[node : node + len(s_nodes)].tobytes() == s_nodes.tobytes()
+        # the joint node holds the solved joint state: the segment's row-0 start
+        assert record.pos[0].tobytes() == starts[0].tobytes()
+        assert record.vel[0].tobytes() == v0[0].tobytes()
+        assert path.pos[node : node + stop].tobytes() == record.pos[:stop].tobytes()
+        assert path.vel[node : node + stop].tobytes() == record.vel[:stop].tobytes()
+        if k:
+            # and the previous segment landed on it within the joint defect
+            assert np.max(np.abs(previous_end - starts[0])) <= 1e-12
+        previous_end = record.pos[-1]
+        node += stop
+    assert node == path.n_nodes
+    assert 0.0 <= counts["max_joint_defect"] < 1e-10
+    e_min = min(record.e_min for *_, record in out)
+    e_max = max(record.e_max for *_, record in out)
+    assert path.drift == max(e_max - path.C_value, path.C_value - e_min)
+
+
+def test_drift_inside_an_interior_segment_fails_the_solve(monkeypatch):
+    m = models.sphere_cylinder(2, 2)
+    x, y = models.base_point(m), models.canonical_target(m, 10.0)
+    s_out, _ = quadrature.audit_grid(float(models.distance(m, x, y)))
+    interior = s_out[2 * phigeo.SEGMENT_INTERVALS]  # where the third of five segments starts
+    march = phigeo._march
+
+    def drifting(dyn, blocks):
+        out = march(dyn, blocks)
+        for i, block in enumerate(blocks):
+            if block[4] == phigeo.MAX_IVP_STEP and block[3][0] == interior:
+                p_end, v_end, record = out[i]
+                out[i] = (p_end, v_end, record._replace(e_max=record.e_max + 1e-5))
+        return out
+
+    assert solve_bvp_shooting(m, PhiParams(0.1), x, y).minimal_evidence["shooting"][
+        "segments"] == 5
+    monkeypatch.setattr(phigeo, "_march", drifting)
+    with pytest.raises(DriftExceededError):
+        solve_bvp_shooting(m, PhiParams(0.1), x, y)
+
+
+def test_shooting_batch_mixing_predictor_and_segment_trials_matches_solo_solves(monkeypatch):
+    # different s_bar (one of them a single segment) and c, so the cells'
+    # predictors take different numbers of rounds
+    m = models.sphere_cylinder(2, 2)
+    x = models.base_point(m)
+    problems = [(PhiParams(c), x, models.canonical_target(m, ry))
+                for c, ry in [(0.9, 2.0), (0.1, 5.0), (0.9, 12.0), (0.5, 30.0), (0.1, 30.0)]]
+    rounds = _spy_rounds(monkeypatch)
+    paths = solve_bvp_shooting_batch(m, problems)
+    coarse = phigeo.PREDICTOR_STEP_FACTOR * phigeo.MAX_IVP_STEP
+    assert any(any(b[4] == coarse for b in blocks)
+               and any(b[4] == phigeo.MAX_IVP_STEP and b[3][0] > 0.0 for b in blocks)
+               for blocks, _ in rounds)
+    assert [p.minimal_evidence["shooting"].get("segments", 1) for p in paths] == [1, 3, 6, 15, 15]
+    monkeypatch.undo()
+    for path, (params, x_i, y_i) in zip(paths, problems):
+        _assert_same_path(path, solve_bvp_shooting(m, params, x_i, y_i))
+
+
+@pytest.mark.parametrize("label, ry", [("cylinder:k=2,m=2", 40.3), ("sphere:n=3", 5.5)])
+def test_condensed_endpoint_map_is_the_single_shooting_jacobian(monkeypatch, label, ry):
+    # the conditioning check sees the map a single-shooting trial would give
+    # at the converged a: one march of the whole grid with n difference rows
+    m = models.parse_model(label)
+    x, y = models.base_point(m), models.canonical_target(m, ry)
+    condensed = []
+    condense = phigeo._condense
+
+    def spy(*args):
+        condensed.append(condense(*args))
+        return condensed[-1]
+
+    monkeypatch.setattr(phigeo, "_condense", spy)
+    path = solve_bvp_shooting(m, PhiParams(0.5), x, y)
+    assert path.minimal_evidence["shooting"]["segments"] > 2
+    basis_x, basis_y = models.tangent_basis(m, x), models.tangent_basis(m, y)
+    a = basis_x @ path.vel[0]
+    delta = 1e-7 * (1.0 + np.linalg.norm(a))
+    rows = np.vstack([a, a + delta * np.eye(m.n)])
+    block = (np.tile(x, (m.n + 1, 1)), rows @ basis_x, 0.5 * m.scalar_R, path.s,
+             phigeo.MAX_IVP_STEP)
+    ((p_end, _, _),) = phigeo._march(phigeo._Dynamics(m), [block])
+    misses = np.array([basis_y @ models.log_map(m, y, p) for p in p_end])
+    single = (misses[1:] - misses[0]).T / delta
+    endpoint = condensed[-1].endpoint
+    assert np.linalg.norm(endpoint - single) <= 1e-5 * np.linalg.norm(single)
+    assert np.linalg.cond(endpoint) == pytest.approx(np.linalg.cond(single), rel=1e-5)
+
+
+def _digest(path):
+    digest = hashlib.sha256()
+    for array in (path.s, path.pos, path.vel):
+        digest.update(array.tobytes())
+    return digest.hexdigest()[:16]
+
+
+@pytest.mark.parametrize("case", ["one-segment", "starved-predictor"])
+def test_single_shooting_cases_keep_their_bits(monkeypatch, case):
+    # the counts, C, J and path bytes single shooting gave before the fine
+    # run was segmented: s_bar = 2 spans 32 intervals, one segment; with the
+    # predictor starved, the fine run is single shooting from the guess
+    m = models.sphere_cylinder(2, 2)
+    c, ry = (0.1, 2.0) if case == "one-segment" else (0.5, 20.21)
+    if case == "starved-predictor":
+        _starve_predictor(monkeypatch)
+    path = solve_bvp_shooting(m, PhiParams(c), models.base_point(m),
+                              models.canonical_target(m, ry))
+    counts = path.minimal_evidence["shooting"]
+    predictor = counts.pop("predictor")
+    expected = {
+        "one-segment": ({"newton_iterations": 1, "backtracks": 0, "marches": 2, "rk4_steps": 448,
+                         "final_miss": 8.881784197001252e-16, "stop_reason": "converged",
+                         "rows_marched": 10},
+                        0.9216545781978147, 2.1569501765699597, "8888ba2f451344cc"),
+        "starved-predictor": ({"newton_iterations": 3, "backtracks": 0, "marches": 4,
+                               "rk4_steps": 9072, "final_miss": 3.170796958329447e-11,
+                               "stop_reason": "converged", "rows_marched": 20},
+                              0.935833586593772, 21.61903500346927, "29f4a816838fb3b3"),
+    }[case]
+    assert (counts, path.C_value, path.action_J, _digest(path)) == expected
+    assert predictor["stop_reason"] == ("converged" if case == "one-segment"
+                                        else "budget-exhausted")
 
 
 def _linear_trial(miss, jacobian):
