@@ -79,10 +79,6 @@ class CutoffZeta:
         return np.where(s < 1.0, 1.0, np.where(s > self.s_bar - 1.0, -1.0, 0.0))
 
     @property
-    def integral_zeta_sq(self) -> float:
-        return self.s_bar - 4.0 / 3.0
-
-    @property
     def integral_slope_sq(self) -> float:
         return 2.0
 
@@ -398,7 +394,6 @@ def radial_envelope_audit(model: ModelSpec, params: PhiParams, path: PhiPath,
 
 
 def weighted_ricci_integral_audit(model: ModelSpec, params: PhiParams, path: PhiPath,
-                                  x=None, y=None,
                                   tol: float = DEFAULT_TOL) -> AuditReport:
     """Cutoff-weighted integral of |Rc|^2/f against its explicit bound."""
     if model.degenerate:
@@ -406,8 +401,7 @@ def weighted_ricci_integral_audit(model: ModelSpec, params: PhiParams, path: Phi
             f"{model}: weighted curvature integral needs f(O) > 0 (degenerate: R == 0)"
         )
     validate_point(model, path.pos)
-    x = path.pos[0] if x is None else x
-    y = path.pos[-1] if y is None else y
+    x, y = path.pos[0], path.pos[-1]
     zeta = CutoffZeta(path.s_bar)
     zs = zeta.zeta(path.s)
     f = potential_f(model, path.pos)

@@ -258,6 +258,9 @@ def cmd_verify_identities(config: RunConfig) -> int:
 
 
 def cmd_geodesic(config: RunConfig) -> int:
+    if len(config.c) > 1 or len(config.ry) > 1:
+        raise ConfigError(f"geodesic solves one (c, ry) case; got c={list(config.c)}, "
+                          f"ry={list(config.ry)}")
     model = parse_model(config.model)
     params = PhiParams(config.c[0])
     x = base_point(model)
@@ -437,8 +440,10 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=help_text, allow_abbrev=False)
         p.add_argument("--model", help="model string, e.g. cylinder:k=2,m=2")
         if grid:
-            p.add_argument("--c", type=_float_list, help="comma-separated potential constants")
-            p.add_argument("--ry", type=_float_list, help="comma-separated target radii")
+            p.add_argument("--c", type=_float_list,
+                           help="comma-separated potential constants (geodesic takes one)")
+            p.add_argument("--ry", type=_float_list,
+                           help="comma-separated target radii (geodesic takes one)")
         p.add_argument("--out", help="output directory for reports (default ./reports)")
         p.add_argument("--config", help="JSON config file; flags override its fields")
         return p

@@ -52,6 +52,8 @@ from .paths import PhiPath
 POINT_NORM_TOL = 1e-9
 TANGENT_ORTHO_TOL = 1e-10
 ANTIPODAL_TOL = 1e-9
+# random points scale the standard normal draw of each Euclidean block by this
+RANDOM_EUCLID_SCALE = 2.0
 
 
 def sphere_radius(k: int) -> float:
@@ -269,12 +271,13 @@ def validate_tangent(model: ModelSpec, pos: np.ndarray, vec: np.ndarray) -> None
             )
 
 
-def random_points(model: ModelSpec, rng: np.random.Generator, count: int,
-                  euclid_scale: float = 2.0) -> np.ndarray:
+def random_points(model: ModelSpec, rng: np.random.Generator, count: int) -> np.ndarray:
     """``count`` random points, shape (count, ambient), from one normal draw.
 
-    The draw fills the rows in order, so the points are bitwise those of
-    ``count`` successive ``random_point`` calls on the same generator.
+    Sphere blocks are scaled onto their sphere and Euclidean blocks by
+    ``RANDOM_EUCLID_SCALE``. The draw fills the rows in order, so the points
+    are bitwise those of ``count`` successive ``random_point`` calls on the
+    same generator.
     """
     pos = rng.normal(size=(count, model.ambient_dim))
     for f in model.factors:
@@ -283,12 +286,12 @@ def random_points(model: ModelSpec, rng: np.random.Generator, count: int,
             # sqrt of a dot per row: bitwise the 1-D np.linalg.norm
             block *= f.radius / np.sqrt(np.vecdot(block, block))[:, None]
         else:
-            block *= euclid_scale
+            block *= RANDOM_EUCLID_SCALE
     return project_point(model, pos)
 
 
-def random_point(model: ModelSpec, rng: np.random.Generator, euclid_scale: float = 2.0) -> np.ndarray:
-    return random_points(model, rng, 1, euclid_scale)[0]
+def random_point(model: ModelSpec, rng: np.random.Generator) -> np.ndarray:
+    return random_points(model, rng, 1)[0]
 
 
 # ---------------------------------------------------------------------------

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 from typing import NamedTuple
 
 import numpy as np
@@ -60,6 +61,15 @@ DEFAULT_DRIFT_TOL = 1e-6
 PREDICTOR_STEP_FACTOR = 8
 # shooting's fine run marches the audit grid in segments of this many intervals
 SEGMENT_INTERVALS = 32
+# each Newton run of shooting takes at most this many iterations
+MAX_NEWTON = 100
+# the discrete minimizer stops once |grad| <= DESCENT_GRAD_TOL * (1 + |J|)
+DESCENT_GRAD_TOL = 1e-6
+# certify_minimal_candidate: |J_s - J_d| <= CERTIFY_J_RTOL * (1 + |J_s|),
+# |C_s - C_d| <= CERTIFY_C_ATOL and J_s <= J_background + CERTIFY_ACTION_SLACK
+CERTIFY_J_RTOL = 1e-3
+CERTIFY_C_ATOL = 1e-3
+CERTIFY_ACTION_SLACK = 1e-6
 
 
 @dataclass(frozen=True)
@@ -325,7 +335,6 @@ def solve_bvp_shooting(
     y: np.ndarray,
     tol: float = 1e-10,
     step: float = MAX_IVP_STEP,
-    max_newton: int = 100,
     density: int = 16,
     drift_tol: float = DEFAULT_DRIFT_TOL,
 ) -> PhiPath:
@@ -334,42 +343,40 @@ def solve_bvp_shooting(
     The parameter interval is [0, d(x, y)]; the speed is whatever the solver
     finds. Initial guess: the background-geodesic velocity scaled to speed
     sqrt(1 + c * mean(R/f)). Newton iterations act on velocity coefficients
-    ``a`` in an orthonormal tangent basis, with a forward-difference Jacobian
-    (step 1e-7 * (1 + |a|)) and Armijo damping on the endpoint miss.
+    ``a`` in an orthonormal tangent basis and on the phase state at each of
+    zero or more joints, with forward-difference Jacobians (step 1e-7 * (1 +
+    |unknowns|)) and Armijo damping. This is multiple shooting (Stoer &
+    Bulirsch, *Introduction to Numerical Analysis*, §7.3.5): the residual is
+    the joint defects and the endpoint miss, and every segment of a trial
+    marches in the same round, so a round costs one segment's RK4 steps
+    instead of the whole grid's. The Jacobian is condensed to the n x n
+    endpoint map, which takes the conditioning check. With no joints the
+    trial is single shooting, bit for bit.
 
-    Newton runs twice (``_newton``), each run with up to ``max_newton``
+    Newton runs twice (``_newton``), each with up to ``MAX_NEWTON``
     iterations. The audit grid is cut into segments of ``SEGMENT_INTERVALS``
-    intervals. The predictor marches the gaps between the cuts, [0, joints,
-    s_bar], in substeps of ``PREDICTOR_STEP_FACTOR * step``; Newton takes
-    the same number of iterations on a coarse discretization as on a fine
-    one and lands within the discretization gap of the fine root (Allgower,
-    Böhmer, Potra & Rheinboldt, SIAM J. Numer. Anal. 23, 1986), so its
-    rounds are cheap. The fine run marches the audit grid at ``step`` and
-    usually needs one Newton step from the predictor's root. When the grid
-    spans several segments, it is a multiple-shooting run (Stoer &
-    Bulirsch, *Introduction to Numerical Analysis*, §7.3.5): its unknowns
-    are ``a`` and the phase state at each joint, which start at the
-    predictor's states there, its residual is the joint defects and the
-    endpoint miss, and every segment of a trial marches side by side in the
-    same round, so a round costs one segment's RK4 steps instead of the
-    whole grid's. Its Jacobian is condensed to the n x n endpoint map, which
-    takes the conditioning check, as single shooting's Jacobian does. On a
-    single segment, or when the predictor does not converge, the fine run is
-    single shooting on the whole grid, from the predictor's ``a`` or, after
-    a failed predictor, from the initial guess; a failed predictor costs its
-    marches and nothing else. Only the fine run can fail the solve.
+    intervals. The predictor has no joints and marches the gaps between the
+    cuts, [0, joints, s_bar], in substeps of ``PREDICTOR_STEP_FACTOR *
+    step``; Newton takes the same number of iterations on a coarse
+    discretization as on a fine one and lands within the discretization gap
+    of the fine root (Allgower, Böhmer, Potra & Rheinboldt, SIAM J. Numer.
+    Anal. 23, 1986), so its rounds are cheap. The fine run marches the audit
+    grid at ``step`` with a joint at every cut, from the predictor's ``a``
+    and states there, and usually needs one Newton step. After a failed
+    predictor it starts from the initial guess with no joints, so a failed
+    predictor costs its marches and nothing else. Only the fine run can
+    fail the solve.
 
-    Each trial ``a`` is marched in one batched ``_march`` together with its
-    n perturbations ``a + delta e_j``: row 0 gives the miss, rows 1..n the
-    Jacobian columns; a joint's state is marched with its 2n perturbations
-    the same way. Rows are independent, so the residual and the Jacobian
-    are bitwise those of separate marches, and an accepted line-search
-    trial brings the Jacobian of the next iteration with it, and its row-0
-    record. The returned path is the converged fine trial's record on the
-    audit grid: the trajectory that landed within ``tol`` of y or, for
-    multiple shooting, its segments' row-0 records joined end to end, each
-    joint node holding the solved joint state. It must keep the first
-    integral within ``drift_tol`` over every substep of every segment.
+    A trial marches segment 0 from x with ``a`` and its n perturbations
+    ``a + delta e_j``, and every other segment from its joint's state with
+    its 2n perturbations, all in one batched ``_march``: row 0 gives the
+    residual, the other rows the Jacobian columns. Rows are independent, so
+    both are bitwise those of separate marches, and an accepted line-search
+    trial brings the next iteration's Jacobian with it, and its row-0
+    records. The returned path is the converged fine trial's segment
+    records joined end to end on the audit grid, each joint node holding
+    the solved joint state. It must keep the first integral within
+    ``drift_tol`` over every substep of every segment.
 
     ``minimal_evidence["shooting"]`` records the fine run's deterministic
     counts: Newton iterations, rejected line-search trials (backtracks),
@@ -378,17 +385,16 @@ def solve_bvp_shooting(
     for the predictor, whose stop reason is ``converged``, ``stalled``,
     ``budget-exhausted`` or ``ill-conditioned``. The counts are the
     problem's own: a march counts its own rows, and its own substeps over
-    every segment as RK4 steps, whatever else shared the batch. A
-    multiple-shooting run adds ``segments``, ``max_joint_defect`` (the
-    largest joint defect's norm) and ``march_steps`` (the longest segment's
-    substeps: the RK4 step calls one of its marches costs in lockstep).
+    every segment as RK4 steps, whatever else shared the batch. A fine run
+    with joints adds ``segments``, ``max_joint_defect`` (the largest joint
+    defect's norm) and ``march_steps`` (the longest segment's substeps: the
+    RK4 step calls one of its marches costs in lockstep).
 
     This is the one-problem case of ``solve_bvp_shooting_batch``; a batch
     returns bitwise the same path for each problem.
     """
     (path,) = solve_bvp_shooting_batch(
-        model, [(params, x, y)], tol=tol, step=step, max_newton=max_newton, density=density,
-        drift_tol=drift_tol,
+        model, [(params, x, y)], tol=tol, step=step, density=density, drift_tol=drift_tol,
     )
     if isinstance(path, Exception):
         raise path
@@ -400,7 +406,6 @@ def solve_bvp_shooting_batch(
     problems,
     tol: float = 1e-10,
     step: float = MAX_IVP_STEP,
-    max_newton: int = 100,
     density: int = 16,
     drift_tol: float = DEFAULT_DRIFT_TOL,
 ) -> list:
@@ -408,13 +413,13 @@ def solve_bvp_shooting_batch(
 
     Each problem runs its own Newton/Armijo iterations (``_shooting``). A
     round collects the march blocks of every live problem's pending trial
-    (one block, or one per segment) and marches them all in one ``_march``,
-    whatever their c, their grids and their step sizes (one problem's
-    predictor trials march beside another's segments); rows never mix, so
-    every path, and every count in its ``minimal_evidence``, is bitwise that
-    of a ``solve_bvp_shooting`` call on the problem alone. Returns, in the
-    given order, each problem's ``PhiPath``, or the exception it raised; a
-    failed problem stops marching and the others carry on.
+    (one per segment) and marches them all in one ``_march``, whatever their
+    c, their grids and their step sizes (one problem's predictor trials
+    march beside another's segments); rows never mix, so every path, and
+    every count in its ``minimal_evidence``, is bitwise that of a
+    ``solve_bvp_shooting`` call on the problem alone. Returns, in the given
+    order, each problem's ``PhiPath``, or the exception it raised; a failed
+    problem stops marching and the others carry on.
     """
     dyn = _Dynamics(model)
     results = [None] * len(problems)
@@ -429,8 +434,7 @@ def solve_bvp_shooting_batch(
             results[i] = exc
 
     for i, (params, x, y) in enumerate(problems):
-        advance(i, _shooting(model, params, x, y, tol, step, max_newton, density, drift_tol),
-                None)
+        advance(i, _shooting(model, params, x, y, tol, step, density, drift_tol), None)
     while pending:
         batch, pending = pending, []
         ends = iter(_march(dyn, [block for *_, blocks in batch for block in blocks]))
@@ -489,9 +493,12 @@ class _Condensed(NamedTuple):
 def _condense(flows, end_jac, defects, miss) -> _Condensed:
     """Condense the Jacobian whose blocks are ``flows`` G_0.. and ``end_jac`` H.
 
-    ``defects`` are D_1.. and ``miss`` is M, as in ``_Condensed``.
+    ``defects`` are D_1.. and ``miss`` is M, as in ``_Condensed``. With no
+    flows (no joints) the endpoint map is H I, the miss M + H 0 and the step
+    0 + I solve(H, -M): for finite H, bitwise H, M and single shooting's
+    step, and a non-finite H stays non-finite.
     """
-    offset, sweep = np.zeros(flows[0].shape[1]), np.eye(flows[0].shape[1])
+    offset, sweep = np.zeros(len(miss)), np.eye(len(miss))
     offsets, sweeps = [offset], [sweep]
     for flow, defect in zip(flows, defects):
         offset, sweep = defect + flow @ offset, flow @ sweep
@@ -506,13 +513,13 @@ def _newton(trial, a, schedule, tol, max_newton):
 
     ``trial(a, *schedule)`` is a generator that yields the list of
     ``_march`` blocks of ``a`` on the schedule ``(s_nodes, step)`` and
-    returns the residual, its Jacobian and the row-0 record of the trial's
-    path. The Jacobian is a square matrix, or a ``_Condensed`` one whose
-    endpoint map is what the conditioning check sees. A Newton step is
-    halved until the residual norm falls by the Armijo factor, down to 1/256
-    of it. The run stops ``converged`` (norm < ``tol``), ``ill-conditioned``
-    (a Jacobian that is not finite or has condition > 1e10), ``stalled`` (no
-    step accepted) or ``budget-exhausted`` (``max_newton`` iterations); it
+    returns the residual, its ``_Condensed`` Jacobian and the row-0 record
+    of the trial's path; the condensed endpoint map is what the
+    conditioning check sees. A Newton step is halved until the residual
+    norm falls by the Armijo factor, down to 1/256 of it. The run stops
+    ``converged`` (norm < ``tol``), ``ill-conditioned`` (an endpoint map
+    that is not finite or has condition > 1e10), ``stalled`` (no step
+    accepted) or ``budget-exhausted`` (``max_newton`` iterations); it
     returns a ``_Newton`` and raises nothing.
     """
     m, jac, record = yield from trial(a, *schedule)
@@ -521,16 +528,15 @@ def _newton(trial, a, schedule, tol, max_newton):
     marches = 1
     stop = None
     while stop is None:
-        matrix = jac.endpoint if isinstance(jac, _Condensed) else jac
         if m_norm < tol:
             stop = "converged"
         elif iterations >= max_newton:
             stop = "budget-exhausted"
-        elif not np.isfinite(matrix).all() or np.linalg.cond(matrix) > 1e10:
+        elif not np.isfinite(jac.endpoint).all() or np.linalg.cond(jac.endpoint) > 1e10:
             stop = "ill-conditioned"
         else:
             iterations += 1
-            step_dir = jac.step() if isinstance(jac, _Condensed) else np.linalg.solve(jac, -m)
+            step_dir = jac.step()
             t = 1.0
             while t >= 1.0 / 256.0:
                 a_try = a + t * step_dir
@@ -548,7 +554,7 @@ def _newton(trial, a, schedule, tol, max_newton):
 
 
 class _Joints:
-    """Tangent coordinates of the phase states at the joints of a multiple-shooting run.
+    """Tangent coordinates of the phase states at the joints of a shooting trial.
 
     Joint j is charted around a reference state (p_j, v_j) with the
     orthonormal basis B_j = ``tangent_basis(p_j)``: a state (p, v) has the
@@ -556,13 +562,15 @@ class _Joints:
     is. Back, p = exp_{p_j}(xi B_j), and v is eta B_j plus, on each sphere
     factor, the multiple of p_j's block that makes it tangent at p; its
     B_j-components are then eta. So coordinates give back their state, up
-    to rounding. ``at`` arguments are joint indices, one per state.
+    to rounding. ``at`` arguments are joint indices, one per state. There
+    may be no joints; every array then keeps its shape with a leading 0.
     """
 
     def __init__(self, model, pos, vel):
         self.model = model
         self.pos = pos
-        self.basis = np.array([tangent_basis(model, p) for p in pos])
+        self.basis = np.array([tangent_basis(model, p) for p in pos]).reshape(
+            len(pos), model.n, model.ambient_dim)
         self.start = self.coords(pos, vel, np.arange(len(pos)))
 
     def coords(self, pos, vel, at):
@@ -593,23 +601,18 @@ def _joined(records) -> _Record:
                    min(r.e_min for r in records), max(r.e_max for r in records))
 
 
-def _shooting(model, params, x, y, tol, step, max_newton, density, drift_tol):
+def _shooting(model, params, x, y, tol, step, density, drift_tol):
     """The predictor and fine Newton runs of one shooting problem, as a generator.
 
     It yields each trial's list of ``_march`` blocks ``(starts, v0, cR,
     s_nodes, step)`` and receives their ``(p_end, v_end, record)`` triples;
     it returns the ``PhiPath`` of the converged fine trial.
 
-    The audit grid is cut every ``SEGMENT_INTERVALS`` intervals. When it
-    spans more than one segment and the predictor converged, the fine run is
-    multiple shooting. Its unknowns are ``a`` and each joint's ``_Joints``
-    coordinates, which start at the predictor's states there; its residual
-    is the joint defects, then the endpoint miss. A trial marches segment 0
-    from x with single shooting's n + 1 rows and every other segment from
-    its joint with 2n + 1 rows, each segment its own block. Its record is
-    the segments' row-0 records joined end to end. Otherwise the fine run
-    is single shooting on the whole grid. A multiple-shooting run that fails
-    reports its residual norm, joint defects included, as its miss.
+    Both runs use the one trial below: segments between the node indices
+    ``cuts`` with a ``_Joints`` at every inner cut, unknowns z = [a, each
+    joint's coordinates], and the joint defects, then the endpoint miss, as
+    residual. A run with joints that fails reports its residual norm, joint
+    defects included, as its miss.
     """
     validate_point(model, x)
     validate_point(model, y)
@@ -633,59 +636,47 @@ def _shooting(model, params, x, y, tol, step, max_newton, density, drift_tol):
     dim = basis_x.shape[0]
     starts = np.tile(x, (dim + 1, 1))
     cR = params.c * model.scalar_R
-    # the node where each segment starts, then the last node
-    cuts = [*range(0, len(s_out) - 1, SEGMENT_INTERVALS), len(s_out) - 1]
-    segments = len(cuts) - 1
 
-    def head_block(coeffs: np.ndarray, s_nodes, h: float):
-        """The march block of ``coeffs`` and its n forward-difference rows, and their delta."""
-        delta = 1e-7 * (1.0 + float(np.linalg.norm(coeffs)))
-        rows = np.vstack([coeffs, coeffs + delta * np.eye(dim)])
-        v0 = np.array([row @ basis_x for row in rows])
-        return (starts, v0, cR, s_nodes, h), delta
-
-    def end_misses(p_end, delta):
-        """Row 0's endpoint miss and the Jacobian the other rows give."""
-        misses = np.array([basis_y @ log_map(model, y, p) for p in p_end])
-        return misses[0], (misses[1:] - misses[0]).T / delta
-
-    def miss_and_jacobian(coeffs: np.ndarray, s_nodes, h: float):
-        block, delta = head_block(coeffs, s_nodes, h)
-        ((p_end, _, record),) = yield [block]
-        return (*end_misses(p_end, delta), record)
-
-    def multiple_shooting(z: np.ndarray, s_nodes, h: float):
+    def trial(cuts, joints, z: np.ndarray, s_nodes, h: float):
         coords = z[dim:].reshape(-1, 2 * dim)
-        deltas = 1e-7 * (1.0 + np.linalg.norm(coords, axis=1))
+        # the forward-difference steps of segment 0, then of each joint
+        deltas = 1e-7 * (1.0 + np.array([np.linalg.norm(z[:dim]),
+                                         *np.linalg.norm(coords, axis=1)]))
+        head = np.vstack([z[:dim], z[:dim] + deltas[0] * np.eye(dim)])
         rows = np.concatenate(
-            [coords[:, None], coords[:, None] + deltas[:, None, None] * np.eye(2 * dim)], axis=1)
-        head, delta = head_block(z[:dim], s_nodes[: cuts[1] + 1], h)
-        joint_starts = zip(*joints.states(rows, np.arange(segments - 1)[:, None]))
-        ends = yield [head] + [(p, v, cR, s_nodes[lo : hi + 1], h)
-                               for (p, v), lo, hi in zip(joint_starts, cuts[1:], cuts[2:])]
+            [coords[:, None], coords[:, None] + deltas[1:, None, None] * np.eye(2 * dim)], axis=1)
+        segment_starts = [(starts, np.array([row @ basis_x for row in head])),
+                          *zip(*joints.states(rows, np.arange(len(coords))[:, None]))]
+        ends = yield [(p, v, cR, s_nodes[lo : hi + 1], h)
+                      for (p, v), lo, hi in zip(segment_starts, cuts, cuts[1:])]
         p_ends, v_ends, records = zip(*ends)
-        # every segment but the last ends at the next joint
-        rows_landed = [len(p) for p in p_ends[:-1]]
-        at = np.repeat(np.arange(segments - 1), rows_landed)
-        landed = np.split(joints.coords(np.concatenate(p_ends[:-1]), np.concatenate(v_ends[:-1]),
-                                        at), np.cumsum(rows_landed)[:-1])
-        defects = np.array([c[0] for c in landed]) - coords
-        flows = [(c[1:] - c[0]).T / d for c, d in zip(landed, [delta, *deltas[:-1]])]
-        miss, end_jac = end_misses(p_ends[-1], deltas[-1])
+        # every segment but the last lands at the next joint; segment k's
+        # rows start at row firsts[k] of the ends joined end to end
+        firsts = np.cumsum([0, *(len(p) for p in p_ends)])[:-1]
+        landed = joints.coords(np.concatenate(p_ends)[: firsts[-1]],
+                               np.concatenate(v_ends)[: firsts[-1]],
+                               np.repeat(np.arange(len(coords)), np.diff(firsts)))
+        defects = landed[firsts[:-1]] - coords
+        flows = [(landed[lo + 1 : hi] - landed[lo]).T / d
+                 for lo, hi, d in zip(firsts, firsts[1:], deltas)]
+        misses = np.array([basis_y @ log_map(model, y, p) for p in p_ends[-1]])
+        miss, end_jac = misses[0], (misses[1:] - misses[0]).T / deltas[-1]
         return (np.concatenate([defects.ravel(), miss]),
                 _condense(flows, end_jac, defects, miss), _joined(records))
 
+    no_joints = _Joints(model, np.empty((0, x.size)), np.empty((0, x.size)))
+    # the node where each segment of the fine run starts, then the last node
+    cuts = [*range(0, len(s_out) - 1, SEGMENT_INTERVALS), len(s_out) - 1]
     a_guess = basis_x @ v_guess
     coarse = (np.array([0.0, *s_out[cuts[1:-1]], s_bar]), PREDICTOR_STEP_FACTOR * step)
-    predictor = yield from _newton(miss_and_jacobian, a_guess, coarse, tol, max_newton)
-    if predictor.stop_reason != "converged" or segments == 1:
-        segments = 1
-        a = predictor.a if predictor.stop_reason == "converged" else a_guess
-        fine = yield from _newton(miss_and_jacobian, a, (s_out, step), tol, max_newton)
-    else:
+    predictor = yield from _newton(partial(trial, [0, len(cuts) - 1], no_joints), a_guess,
+                                   coarse, tol, MAX_NEWTON)
+    if predictor.stop_reason == "converged":
         joints = _Joints(model, predictor.record.pos[1:-1], predictor.record.vel[1:-1])
         z = np.concatenate([predictor.a, joints.start.ravel()])
-        fine = yield from _newton(multiple_shooting, z, (s_out, step), tol, max_newton)
+    else:
+        cuts, joints, z = [0, len(s_out) - 1], no_joints, a_guess
+    fine = yield from _newton(partial(trial, cuts, joints), z, (s_out, step), tol, MAX_NEWTON)
     if fine.stop_reason == "ill-conditioned":
         raise IllConditionedShootingError(
             f"{model}: endpoint-miss Jacobian is ill-conditioned "
@@ -699,13 +690,14 @@ def _shooting(model, params, x, y, tol, step, max_newton, density, drift_tol):
     if fine.stop_reason == "budget-exhausted":
         # accepted trials only lower the miss, so the last one is the best
         raise ShootingConvergenceError(
-            f"{model}: no convergence in {max_newton} Newton iterations "
+            f"{model}: no convergence in {MAX_NEWTON} Newton iterations "
             f"(best endpoint miss {fine.miss:.3e})",
             best_miss=fine.miss,
         )
     path = _recorded_path(model, params, fine.record, s_out, breaks, step, drift_tol)
     path.flags.append("shooting")
     counts = fine.counts((s_out, step))
+    segments = len(cuts) - 1
     counts["rows_marched"] = fine.marches * (dim + 1 + (segments - 1) * (2 * dim + 1))
     if segments > 1:
         defects = fine.residual[:-dim].reshape(-1, 2 * dim)
@@ -719,7 +711,6 @@ def _shooting(model, params, x, y, tol, step, max_newton, density, drift_tol):
     counts["predictor"] = predictor.counts(coarse)
     path.minimal_evidence["shooting"] = counts
     return path
-
 
 
 # ---------------------------------------------------------------------------
@@ -766,7 +757,6 @@ def minimize_action_discrete(
     y: np.ndarray,
     N: int = 256,
     max_iters: int = 10000,
-    grad_tol: float = 1e-6,
 ) -> PhiPath:
     """Minimize the discretized action over interior nodes.
 
@@ -803,7 +793,7 @@ def minimize_action_discrete(
     prev_grad = None
     iters = 0
     backtracks = 0
-    while iters < max_iters and g_norm > grad_tol * (1.0 + abs(j_val)):
+    while iters < max_iters and g_norm > DESCENT_GRAD_TOL * (1.0 + abs(j_val)):
         iters += 1
         mid = pos[1:-1]
         if prev_mid is not None:
@@ -844,7 +834,7 @@ def minimize_action_discrete(
             recent.pop(0)
         grad = _discrete_gradient(model, params, pos, ds)
         g_norm = float(np.linalg.norm(grad))
-    if g_norm > grad_tol * (1.0 + abs(j_val)) and "stalled" not in flags:
+    if g_norm > DESCENT_GRAD_TOL * (1.0 + abs(j_val)) and "stalled" not in flags:
         flags.append("budget-exhausted")
     vel = np.empty_like(pos)
     log_next = log_map(model, pos[1:-1], pos[2:])
@@ -862,7 +852,7 @@ def minimize_action_discrete(
         "backtracks": backtracks,
         "stop_reason": flags[-1] if flags else "converged",
         "grad_norm": g_norm,
-        "grad_tol": grad_tol * (1.0 + abs(j_val)),
+        "grad_tol": DESCENT_GRAD_TOL * (1.0 + abs(j_val)),
         "discrete_action": j_val,
     }
     return path
@@ -873,9 +863,6 @@ def certify_minimal_candidate(
     params: PhiParams,
     shooting_path: PhiPath,
     discrete_path: PhiPath,
-    J_rtol: float = 1e-3,
-    C_atol: float = 1e-3,
-    action_slack: float = 1e-6,
 ) -> dict:
     """Mark both paths as minimal candidates if the evidence supports it.
 
@@ -895,9 +882,9 @@ def certify_minimal_candidate(
         "J_background": j_bg,
         "C_shooting": c_s,
         "C_discrete": c_d,
-        "J_agree": bool(abs(j_s - j_d) <= J_rtol * (1.0 + abs(j_s))),
-        "C_agree": bool(abs(c_s - c_d) <= C_atol),
-        "below_background": bool(j_s <= j_bg + action_slack),
+        "J_agree": bool(abs(j_s - j_d) <= CERTIFY_J_RTOL * (1.0 + abs(j_s))),
+        "C_agree": bool(abs(c_s - c_d) <= CERTIFY_C_ATOL),
+        "below_background": bool(j_s <= j_bg + CERTIFY_ACTION_SLACK),
     }
     ok = evidence["J_agree"] and evidence["C_agree"] and evidence["below_background"]
     for path in (shooting_path, discrete_path):

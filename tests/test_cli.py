@@ -127,6 +127,22 @@ def test_geodesic_degenerate_endpoints_exit_2(tmp_path, capsys):
     assert "ry" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("source", ["flags", "config"])
+def test_geodesic_grid_of_more_than_one_case_exit_2(tmp_path, capsys, source):
+    # geodesic solves one (c, ry), so it refuses a grid rather than solve its first cell
+    if source == "flags":
+        argv = ["--c", "0.1,0.5", "--ry", "5,7"]
+    else:
+        cfg_path = tmp_path / "grid.json"
+        cfg_path.write_text(json.dumps({"c": 0.1, "ry": [5.0, 7.0]}))
+        argv = ["--config", str(cfg_path)]
+    code = main(["geodesic", *argv, "--out", str(tmp_path / "out")])
+    assert code == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "one (c, ry)" in err
+    assert not (tmp_path / "out").exists()
+
+
 def test_audit_chain_small_grid(tmp_path):
     code = main([
         "audit-chain", "--model", "cylinder:k=2,m=2", "--c", "0.1",

@@ -723,12 +723,32 @@ def test_single_shooting_cases_keep_their_bits(monkeypatch, case):
 
 
 def _linear_trial(miss, jacobian):
-    """A ``_newton`` trial that marches nothing: the miss of ``a`` is ``miss(a)``."""
+    """A ``_newton`` trial that marches nothing: the miss of ``a`` is ``miss(a)``.
+
+    Its Jacobian is the one-segment ``_Condensed`` of a trial with no joints.
+    """
     def trial(a, *schedule):
-        return miss(a), jacobian, None
+        m = miss(a)
+        return m, phigeo._condense([], jacobian, np.empty((0, 2 * len(m))), m), None
         yield  # a generator, like the real trials
 
     return trial
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2, 3])
+def test_condensing_no_joints_is_single_shooting_bitwise(seed):
+    # a shooting trial with no joints is single shooting, bit for bit, because of this
+    rng = np.random.default_rng(seed)
+    n = 2 + seed
+    end_jac = rng.normal(size=(n, n)) + n * np.eye(n)  # well conditioned
+    miss = rng.normal(size=n)
+    no_defects = np.empty((0, 2 * n))
+    condensed = phigeo._condense([], end_jac, no_defects, miss)
+    assert condensed.endpoint.tobytes() == end_jac.tobytes()
+    assert condensed.miss.tobytes() == miss.tobytes()
+    assert condensed.step().tobytes() == np.linalg.solve(end_jac, -miss).tobytes()
+    end_jac[0, -1] = np.nan
+    assert not np.isfinite(phigeo._condense([], end_jac, no_defects, miss).endpoint).all()
 
 
 @pytest.mark.parametrize("case, reason, iterations, backtracks", [
