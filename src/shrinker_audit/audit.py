@@ -10,6 +10,10 @@ Path audits integrate against the trapezoid cutoff (ramp up on [0, 1],
 plateau, ramp down on [s_bar - 1, s_bar]), so they require the path grid to
 be aligned to the cutoff kinks; ``solve_bvp_shooting`` produces such grids
 whenever s_bar >= 2, and the scan snaps its window to the nodes of that grid.
+``_cutoff`` checks both once per audit and hands zeta at the nodes, the
+grid's pieces and the two slope-weighted ramp pieces to
+``quadrature.integrate_pieces``, which forms every integral and its error
+estimate, the scan's window integral included.
 
 The scan comes in three parts so that a grid of cells can share its solves:
 ``check_good_point_target`` (the refusals that need no path), the shooting
@@ -55,32 +59,6 @@ DEFAULT_TOL = 1e-6
 # Charts per finite-difference stack: large enough to amortize the per-call
 # overhead, small enough that the stencil arrays stay out of peak memory.
 FD_BLOCK = 128
-
-
-@dataclass(frozen=True)
-class CutoffZeta:
-    """Trapezoid cutoff on [0, s_bar]: s, then 1, then s_bar - s."""
-
-    s_bar: float
-
-    def __post_init__(self):
-        if self.s_bar < 2.0:
-            raise CutoffUndefinedError(
-                f"trapezoid cutoff needs s_bar >= 2 (got {self.s_bar:.6g})"
-            )
-
-    def zeta(self, s: np.ndarray) -> np.ndarray:
-        s = np.asarray(s, dtype=float)
-        return np.minimum(np.minimum(s, 1.0), self.s_bar - s)
-
-    def zeta_prime(self, s: np.ndarray) -> np.ndarray:
-        """Slope +1 / 0 / -1; the kink points take the plateau value."""
-        s = np.asarray(s, dtype=float)
-        return np.where(s < 1.0, 1.0, np.where(s > self.s_bar - 1.0, -1.0, 0.0))
-
-    @property
-    def integral_slope_sq(self) -> float:
-        return 2.0
 
 
 @dataclass
@@ -131,36 +109,38 @@ class AuditReport:
 # ---------------------------------------------------------------------------
 
 
-def _aligned_pieces(path: PhiPath, zeta: CutoffZeta):
-    """(i0, i1, slope) per grid piece; requires kink-aligned breakpoints."""
-    s_bar = path.s_bar
-    needed = (1.0, s_bar - 1.0)
-    breaks = path.breaks if path.breaks else (0.0, s_bar)
-    for b in needed:
-        if not any(abs(b - x) <= 1e-9 * (1.0 + abs(b)) for x in breaks):
+def _cutoff(path: PhiPath):
+    """The trapezoid cutoff on a kink-aligned path grid, ready for
+    ``quadrature.integrate_pieces``: ``(zeta, whole, ramps)``.
+
+    ``zeta`` is the cutoff at the nodes, ``whole`` the grid's pieces
+    ``(i0, i1, 1.0)``, and ``ramps`` the two ramp pieces weighted by their
+    slope zeta' = +1 / -1, read off each piece's end nodes (so s_bar = 2,
+    which has no plateau piece, needs no special case).
+    """
+    s, s_bar = path.s, path.s_bar
+    if s_bar < 2.0:
+        raise CutoffUndefinedError(f"trapezoid cutoff needs s_bar >= 2 (got {s_bar!r})")
+    for b in (1.0, s_bar - 1.0):
+        if not any(abs(b - x) <= 1e-9 * (1.0 + abs(b)) for x in path.breaks):
             raise ValueError(
                 "path grid is not aligned to the cutoff kinks; sample it on "
                 "quadrature.audit_grid (solve_bvp_shooting does so when s_bar >= 2)"
             )
-    out = []
-    for i0, i1 in quadrature.piece_slices(path.s, breaks):
-        mid = 0.5 * (path.s[i0] + path.s[i1])
-        out.append((i0, i1, float(zeta.zeta_prime(mid))))
-    return out
+    zeta = np.minimum(np.minimum(s, 1.0), s_bar - s)
+    whole = [(i0, i1, 1.0) for i0, i1 in quadrature.piece_slices(s, path.breaks)]
+    ramps = []
+    for i0, i1, _ in whole:
+        slope = round((zeta[i1] - zeta[i0]) / (s[i1] - s[i0]))
+        if slope:
+            ramps.append((i0, i1, float(slope)))
+    return zeta, whole, ramps
 
 
-def _integral(path: PhiPath, zeta: CutoffZeta, vals: np.ndarray, slope_weight: bool = False):
-    """Integral of vals ds, or of slope(zeta) * vals ds, with error estimate."""
-    pieces = _aligned_pieces(path, zeta)
-    if slope_weight:
-        pieces = [piece for piece in pieces if piece[2] != 0.0]
-    else:
-        pieces = [(i0, i1, 1.0) for i0, i1, _ in pieces]
-    return quadrature.integrate_pieces(path.s, vals, pieces)
-
-
-def _grad_f_dot_velocity(model: ModelSpec, path: PhiPath) -> np.ndarray:
-    return np.einsum("ij,ij->i", grad_potential(model, path.pos), path.vel)
+def _boundary_coupling(model: ModelSpec, path: PhiPath, zeta: np.ndarray, ramps):
+    """Slope-weighted integral of zeta * <grad f, S> over the ramps, with its error."""
+    coupling = np.einsum("ij,ij->i", grad_potential(model, path.pos), path.vel)
+    return quadrature.integrate_pieces(path.s, zeta * coupling, ramps)
 
 
 def _speed_bound(path: PhiPath, params: PhiParams) -> float:
@@ -299,13 +279,6 @@ def gradient_f_bound_audit(model: ModelSpec, sample_points, tol: float = 1e-12):
 # ---------------------------------------------------------------------------
 
 
-def _delta_f_phi_fd(model: ModelSpec, params: PhiParams, pos: np.ndarray,
-                    cfg: FDConfig) -> np.ndarray:
-    """Drifted Laplacian of the potential phi, FD-evaluated at each node."""
-    (out,) = _drifted_laplacians(model, pos, cfg, lambda q: phi_value(model, params, q))
-    return out
-
-
 def second_variation_audit(model: ModelSpec, params: PhiParams, path: PhiPath,
                            tol: float = DEFAULT_TOL,
                            cfg: FDConfig = FDConfig()) -> AuditReport:
@@ -316,14 +289,13 @@ def second_variation_audit(model: ModelSpec, params: PhiParams, path: PhiPath,
     FD-evaluated along the path. RHS: n * integral of slope^2 minus twice
     the slope-weighted boundary coupling with grad f.
     """
-    zeta = CutoffZeta(path.s_bar)
-    zs = zeta.zeta(path.s)
+    zs, whole, ramps = _cutoff(path)
     rc_term = 0.5 * path.speed_sq()
-    lap_phi = _delta_f_phi_fd(model, params, path.pos, cfg)
-    lhs, err_lhs = _integral(path, zeta, zs * zs * (rc_term - lap_phi))
-    coupling = _grad_f_dot_velocity(model, path)
-    boundary, err_b = _integral(path, zeta, zs * coupling, slope_weight=True)
-    rhs = model.n * zeta.integral_slope_sq - 2.0 * boundary
+    (lap_phi,) = _drifted_laplacians(model, path.pos, cfg,
+                                     lambda q: phi_value(model, params, q))
+    lhs, err_lhs = quadrature.integrate_pieces(path.s, zs * zs * (rc_term - lap_phi), whole)
+    boundary, err_b = _boundary_coupling(model, path, zs, ramps)
+    rhs = model.n * 2.0 - 2.0 * boundary  # the integral of zeta'^2 is 2
     ctx = _path_context(model, params, path)
     ctx["boundary_term"] = boundary
     return AuditReport(
@@ -336,17 +308,16 @@ def combined_integral_audit(model: ModelSpec, params: PhiParams, path: PhiPath,
     """Combined inequality mixing the curvature ratio, the speed, and the
     boundary coupling, all weighted by the cutoff."""
     validate_point(model, path.pos)
-    zeta = CutoffZeta(path.s_bar)
-    zs = zeta.zeta(path.s)
+    zs, whole, ramps = _cutoff(path)
     n = model.n
     f = potential_f(model, path.pos)
     safe = f > 0.0
     inv_f = np.where(safe, 1.0 / np.where(safe, f, 1.0), 0.0)
-    i_rc, err_rc = _integral(path, zeta, zs * zs * model.ricci_norm_sq * inv_f)
-    i_invf, err_invf = _integral(path, zeta, zs * zs * inv_f)
-    i_speed, err_speed = _integral(path, zeta, zs * zs * path.speed_sq())
-    coupling = _grad_f_dot_velocity(model, path)
-    boundary, err_b = _integral(path, zeta, zs * coupling, slope_weight=True)
+    i_rc, err_rc = quadrature.integrate_pieces(
+        path.s, zs * zs * model.ricci_norm_sq * inv_f, whole)
+    i_invf, err_invf = quadrature.integrate_pieces(path.s, zs * zs * inv_f, whole)
+    i_speed, err_speed = quadrature.integrate_pieces(path.s, zs * zs * path.speed_sq(), whole)
+    boundary, err_b = _boundary_coupling(model, path, zs, ramps)
     coeff = 4.0 * (1.0 + math.sqrt(n)) ** 2
     lhs = 0.5 * params.c * (i_rc - coeff * i_invf) + 0.5 * i_speed
     rhs = 2.0 * n - 2.0 * boundary
@@ -359,10 +330,8 @@ def combined_integral_audit(model: ModelSpec, params: PhiParams, path: PhiPath,
 def boundary_term_audit(model: ModelSpec, params: PhiParams, path: PhiPath,
                         tol: float = DEFAULT_TOL) -> AuditReport:
     """Slope-weighted boundary coupling against its closed-form estimate."""
-    zeta = CutoffZeta(path.s_bar)
-    zs = zeta.zeta(path.s)
-    coupling = _grad_f_dot_velocity(model, path)
-    boundary, err_b = _integral(path, zeta, zs * coupling, slope_weight=True)
+    zs, _, ramps = _cutoff(path)
+    boundary, err_b = _boundary_coupling(model, path, zs, ramps)
     lhs = -boundary
     a_bound = _speed_bound(path, params)
     r_x = float(radial_distance(model, path.pos[0]))
@@ -393,6 +362,20 @@ def radial_envelope_audit(model: ModelSpec, params: PhiParams, path: PhiPath,
     )
 
 
+def _weighted_ricci_bound(model: ModelSpec, params: PhiParams, a_bound: float,
+                          d_xy: float, r_x: float, r_y: float):
+    """The explicit bound on the cutoff-weighted integral of |Rc|^2/f along
+    a path from x to y, and f(O), which it divides by."""
+    n = model.n
+    f_origin = float(potential_f(model, base_point(model)))
+    rhs = (
+        4.0 * (1.0 + math.sqrt(n)) ** 2 * d_xy / f_origin
+        + 4.0 * (math.sqrt(n) + a_bound) ** 2 / params.c
+        + 2.0 * a_bound * (r_x + r_y) / params.c
+    )
+    return rhs, f_origin
+
+
 def weighted_ricci_integral_audit(model: ModelSpec, params: PhiParams, path: PhiPath,
                                   tol: float = DEFAULT_TOL) -> AuditReport:
     """Cutoff-weighted integral of |Rc|^2/f against its explicit bound."""
@@ -402,21 +385,14 @@ def weighted_ricci_integral_audit(model: ModelSpec, params: PhiParams, path: Phi
         )
     validate_point(model, path.pos)
     x, y = path.pos[0], path.pos[-1]
-    zeta = CutoffZeta(path.s_bar)
-    zs = zeta.zeta(path.s)
+    zs, whole, _ = _cutoff(path)
     f = potential_f(model, path.pos)
-    lhs, qerr = _integral(path, zeta, zs * zs * model.ricci_norm_sq / f)
-    n = model.n
-    a_bound = _speed_bound(path, params)
-    f_origin = float(potential_f(model, base_point(model)))
+    lhs, qerr = quadrature.integrate_pieces(path.s, zs * zs * model.ricci_norm_sq / f, whole)
     d_xy = float(distance(model, x, y))
     r_x = float(radial_distance(model, x))
     r_y = float(radial_distance(model, y))
-    rhs = (
-        4.0 * (1.0 + math.sqrt(n)) ** 2 * d_xy / f_origin
-        + 4.0 * (math.sqrt(n) + a_bound) ** 2 / params.c
-        + 2.0 * a_bound * (r_x + r_y) / params.c
-    )
+    rhs, f_origin = _weighted_ricci_bound(model, params, _speed_bound(path, params),
+                                          d_xy, r_x, r_y)
     ctx = _path_context(model, params, path)
     ctx.update({"f_origin": f_origin, "d_xy": d_xy, "r_x": r_x, "r_y": r_y})
     return AuditReport("weighted-ricci-integral", lhs, rhs, tol, qerr, context=ctx)
@@ -499,7 +475,7 @@ def check_good_point_target(model: ModelSpec, y: np.ndarray) -> None:
     r_y = float(distance(model, base_point(model), y))
     if r_y < 2.0:
         raise CutoffUndefinedError(
-            f"{model}: scan needs r(y) >= 2 for the cutoff (got {r_y:.4g})"
+            f"{model}: scan needs r(y) >= 2 for the cutoff (got {r_y!r})"
         )
 
 
@@ -524,8 +500,8 @@ def good_point_on_path(model: ModelSpec, params: PhiParams, y: np.ndarray, path:
     required = max(math.sqrt(2.0 * n), 3.0 * a_bound)
     if r_y < required:
         raise PreconditionError(
-            f"{model}: scan precondition r(y) >= max(sqrt(2n), 3A) = {required:.4g} "
-            f"fails at r(y) = {r_y:.4g}"
+            f"{model}: scan precondition r(y) >= max(sqrt(2n), 3A) = {required!r} "
+            f"fails at r(y) = {r_y!r}"
         )
     s_bar = path.s_bar
     w0 = (1.0 - 1.0 / (2.0 * a_bound)) * s_bar
@@ -551,12 +527,8 @@ def good_point_on_path(model: ModelSpec, params: PhiParams, y: np.ndarray, path:
     span = window[1] - window[0]
     denom = (math.sqrt(n / 2.0) + 1.5 * r_y) ** 2
     lower = span * (rc_z**2) / denom
-    f_origin = float(potential_f(model, origin))
-    rhs5 = (
-        4.0 * (1.0 + math.sqrt(n)) ** 2 * r_y / f_origin
-        + 4.0 * (math.sqrt(n) + a_bound) ** 2 / params.c
-        + 2.0 * a_bound * r_y / params.c
-    )
+    # the path starts at the bytes of O: r(x) = 0 and d(x, y) = r(y)
+    rhs5, _ = _weighted_ricci_bound(model, params, a_bound, r_y, 0.0, r_y)
     bound = math.sqrt(rhs5 * denom / span)
     c_hat = bound / (r_y + 1.0)
     # report the tighter of the two displayed inequalities

@@ -313,7 +313,8 @@ def integrate_ivp(
 def action(model: ModelSpec, params: PhiParams, path: PhiPath) -> float:
     """Composite Simpson quadrature of |S|^2 + 2*phi over the path grid."""
     integrand = path.speed_sq() + 2.0 * phi_value(model, params, path.pos)
-    return float(quadrature.integrate(path.s, integrand, path.breaks))
+    pieces = [(i0, i1, 1.0) for i0, i1 in quadrature.piece_slices(path.s, path.breaks)]
+    return quadrature.integrate_pieces(path.s, integrand, pieces)[0]
 
 
 def conserved_quantity(model: ModelSpec, params: PhiParams, path: PhiPath):
@@ -619,6 +620,12 @@ def _shooting(model, params, x, y, tol, step, density, drift_tol):
     s_bar = float(distance(model, x, y))
     if s_bar <= 0.0:
         raise DegenerateEndpointsError(f"{model}: shooting needs x != y")
+    if s_bar >= 2.0:
+        s_out, breaks = quadrature.audit_grid(s_bar, density)
+    else:
+        n = max(64, 4 * math.ceil(s_bar * density / 4.0))
+        s_out = quadrature.uniform_grid(s_bar, n)
+        breaks = (0.0, s_bar)
     bg = background_geodesic(model, x, y, 64)
     if model.scalar_R == 0.0:
         mean_rof = 0.0
@@ -627,12 +634,6 @@ def _shooting(model, params, x, y, tol, step, density, drift_tol):
     v_guess = bg.vel[0] * math.sqrt(1.0 + params.c * mean_rof)
     basis_x = tangent_basis(model, x)
     basis_y = tangent_basis(model, y)
-    if s_bar >= 2.0:
-        s_out, breaks = quadrature.audit_grid(s_bar, density)
-    else:
-        n = max(64, 4 * math.ceil(s_bar * density / 4.0))
-        s_out = quadrature.uniform_grid(s_bar, n)
-        breaks = (0.0, s_bar)
     dim = basis_x.shape[0]
     starts = np.tile(x, (dim + 1, 1))
     cR = params.c * model.scalar_R

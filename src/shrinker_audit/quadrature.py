@@ -6,6 +6,9 @@ straddle a kink would degrade the order, so paths meant for auditing are
 sampled on grids that contain every kink as a node and are uniform between
 consecutive breakpoints. Simpson's rule is exact for cubics, which makes the
 cutoff factors integrate exactly piece by piece.
+
+``integrate_pieces`` is the package's one quadrature-with-error routine:
+the path audits, the scan window and the action all integrate through it.
 """
 
 from __future__ import annotations
@@ -59,11 +62,6 @@ def piece_slices(s: np.ndarray, breaks) -> list:
     return [(idx[i], idx[i + 1]) for i in range(len(idx) - 1)]
 
 
-def integrate(s: np.ndarray, y: np.ndarray, breaks=()) -> float:
-    """Piecewise composite Simpson over break-aligned uniform pieces."""
-    return integrate_pieces(s, y, [(i0, i1, 1.0) for i0, i1 in piece_slices(s, breaks)])[0]
-
-
 def integrate_pieces(s: np.ndarray, y: np.ndarray, pieces):
     """Weighted sum of per-piece Simpson integrals, with an error estimate.
 
@@ -100,10 +98,10 @@ def audit_grid(s_bar: float, density: int = 16):
     be coarsened once for Richardson error estimates; so can any run of
     nodes inside a piece with an even interval count (the scan's window).
     """
+    if not math.isfinite(s_bar):
+        raise CutoffUndefinedError(f"trapezoid cutoff needs a finite s_bar (got {s_bar!r})")
     if s_bar < 2.0:
-        raise CutoffUndefinedError(
-            f"trapezoid cutoff needs s_bar >= 2 (got {s_bar:.6g})"
-        )
+        raise CutoffUndefinedError(f"trapezoid cutoff needs s_bar >= 2 (got {s_bar!r})")
     breaks = sorted({0.0, 1.0, s_bar - 1.0, s_bar})
     pieces = []
     for a, b in zip(breaks[:-1], breaks[1:]):

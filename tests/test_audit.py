@@ -7,7 +7,7 @@ import pytest
 from shrinker_audit import models, quadrature
 from shrinker_audit.audit import (
     AuditReport,
-    CutoffZeta,
+    _cutoff,
     boundary_term_audit,
     check_deltaf_Rf,
     check_soliton_identities,
@@ -24,6 +24,7 @@ from shrinker_audit.errors import (
     DegenerateModelError,
     PreconditionError,
 )
+from shrinker_audit.paths import PhiPath
 from shrinker_audit.phigeo import PhiParams, minimize_action_discrete, solve_bvp_shooting
 
 
@@ -40,32 +41,40 @@ def cylinder_path(c=0.1, ry=10.0, model=None):
 # ---------------------------------------------------------------------------
 
 
+def _grid_path(s, breaks=()):
+    """A path that only carries a grid: the cutoff reads nothing else."""
+    zero = np.zeros((len(s), 1))
+    return PhiPath(s, zero, zero, breaks=breaks)
+
+
 def test_cutoff_shape():
-    z = CutoffZeta(6.0)
-    s = np.array([0.0, 0.5, 1.0, 3.0, 5.0, 5.5, 6.0])
-    assert np.allclose(z.zeta(s), [0.0, 0.5, 1.0, 1.0, 1.0, 0.5, 0.0])
-    assert np.allclose(z.zeta_prime(s), [1.0, 1.0, 0.0, 0.0, 0.0, -1.0, -1.0])
-    assert z.zeta(np.array([0.0]))[0] == 0.0
-    vals = z.zeta(np.linspace(0, 6, 601))
+    s, breaks = quadrature.audit_grid(6.0, density=2)
+    zeta, whole, ramps = _cutoff(_grid_path(s, breaks))
+    nodes = np.searchsorted(s, [0.0, 0.5, 1.0, 3.0, 5.0, 5.5, 6.0])
+    assert np.allclose(zeta[nodes], [0.0, 0.5, 1.0, 1.0, 1.0, 0.5, 0.0])
+    # slope +1 on [0, 1], 0 on the plateau [1, 5], -1 on [5, 6]: the kink
+    # nodes 1 and 5 bound the plateau piece
+    i_up, i_down = nodes[2], nodes[4]
+    assert whole == [(0, i_up, 1.0), (i_up, i_down, 1.0), (i_down, len(s) - 1, 1.0)]
+    assert ramps == [(0, i_up, 1.0), (i_down, len(s) - 1, -1.0)]
+    assert zeta[0] == 0.0
+    fine, fine_breaks = quadrature.audit_grid(6.0, density=100)
+    vals = _cutoff(_grid_path(fine, fine_breaks))[0]
     assert np.all(vals >= 0.0) and np.all(vals <= 1.0)
 
 
 def test_cutoff_requires_long_interval():
-    with pytest.raises(CutoffUndefinedError):
-        CutoffZeta(1.9)
+    with pytest.raises(CutoffUndefinedError, match=r"\(got 1\.9\)"):
+        _cutoff(_grid_path(np.linspace(0.0, 1.9, 9)))
 
 
 def test_cutoff_analytic_integrals_via_quadrature():
     for s_bar in [2.0, 3.0, 10.0, 25.5]:
-        z = CutoffZeta(s_bar)
         s, breaks = quadrature.audit_grid(s_bar, density=8)
-        zeta_sq = z.zeta(s) ** 2
-        val = quadrature.integrate(s, zeta_sq, breaks)
+        zeta, whole, ramps = _cutoff(_grid_path(s, breaks))
+        val = quadrature.integrate_pieces(s, zeta**2, whole)[0]
         assert abs(val - (s_bar - 4.0 / 3.0)) <= 1e-10
-        slope_sq_total = 0.0
-        for i0, i1 in quadrature.piece_slices(s, breaks):
-            mid = 0.5 * (s[i0] + s[i1])
-            slope_sq_total += float(z.zeta_prime(mid)) ** 2 * (s[i1] - s[i0])
+        slope_sq_total = sum(slope**2 * (s[i1] - s[i0]) for i0, i1, slope in ramps)
         assert abs(slope_sq_total - 2.0) <= 1e-12
 
 

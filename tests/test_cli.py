@@ -428,8 +428,8 @@ def test_fuzzed_verify_identities_exits_with_a_documented_code(tmp_path_factory,
     [
         # cell 0 is refused after its solve, cell 1 before any solve
         (["scan", "--c", "0.1", "--ry", "3,1.5"], None, EXIT_REFUSED,
-         "refused: cylinder:k=2,m=2: scan precondition r(y) >= max(sqrt(2n), 3A) = 3.052 "
-         "fails at r(y) = 3"),
+         "refused: cylinder:k=2,m=2: scan precondition r(y) >= max(sqrt(2n), 3A) = "
+         "3.0518582978101687 fails at r(y) = 3.0"),
         # cell 0 passes; cell 1 is refused before any solve; cell 2 fails its solve
         (["scan", "--c", "0.1,0.9", "--ry", "5,1.5"], 1e-12, EXIT_REFUSED,
          "refused: cylinder:k=2,m=2: scan needs r(y) >= 2 for the cutoff (got 1.5)"),
@@ -440,22 +440,44 @@ def test_fuzzed_verify_identities_exits_with_a_documented_code(tmp_path_factory,
         # cell 0 is refused in its audits, after cell 3's solve has failed
         (["audit-chain", "--c", "0.1,0.9", "--ry", "1.5,5", "--N", "16"], 1e-12, EXIT_REFUSED,
          "refused: trapezoid cutoff needs s_bar >= 2 (got 1.5)"),
+        # the compared values are printed in full: each is refused by a
+        # rounding error that fewer digits would hide
+        (["audit-chain", "--model", "sphere:n=3", "--c", "0.1", "--ry", "2"], None,
+         EXIT_REFUSED, "refused: trapezoid cutoff needs s_bar >= 2 (got 1.9999999999999998)"),
+        (["scan", "--model", "sphere:n=3", "--c", "0.1", "--ry", "2"], None, EXIT_REFUSED,
+         "refused: sphere:n=3: scan needs r(y) >= 2 for the cutoff (got 1.9999999999999998)"),
+        (["scan", "--model", "sphere:n=3", "--c", "0.5", "--ry", "3"], None, EXIT_REFUSED,
+         "refused: sphere:n=3: scan precondition r(y) >= max(sqrt(2n), 3A) = "
+         "3.0000000000099343 fails at r(y) = 3.0"),
     ],
     ids=["scan-precondition-then-cutoff", "scan-pass-cutoff-drift", "audit-chain-pass-drift",
-         "audit-chain-cutoff-then-drift"],
+         "audit-chain-cutoff-then-drift", "audit-chain-cutoff-digits", "scan-cutoff-digits",
+         "scan-precondition-digits"],
 )
 def test_grid_errors_come_in_grid_order(tmp_path, capsys, argv, drift_tol, code, err):
     # every cell is shot before any cell is audited; the error reported is
     # still the one the first failing cell raises when the cells run in order
+    if "--model" not in argv:
+        argv = argv + ["--model", "cylinder:k=2,m=2"]
     cfg = []
     if drift_tol is not None:
         cfg_path = tmp_path / "run.json"
         cfg_path.write_text(json.dumps({"drift_tol": drift_tol}))
         cfg = ["--config", str(cfg_path)]
-    assert main(argv + ["--model", "cylinder:k=2,m=2", *cfg, "--out", str(tmp_path)]) == code
+    assert main(argv + [*cfg, "--out", str(tmp_path)]) == code
     captured = capsys.readouterr()
     assert captured.err == err + "\n"
     assert captured.out == ""
+
+
+@pytest.mark.parametrize("command", ["geodesic", "audit-chain", "scan"])
+def test_overflowing_target_radius_is_refused(tmp_path, capsys, command):
+    # r(y) = 1e200 overflows the distance to inf, which no cutoff grid covers
+    out = tmp_path / "out"
+    assert main([command, "--ry", "1e200", "--out", str(out)]) == EXIT_REFUSED
+    captured = capsys.readouterr()
+    assert captured.err == "refused: trapezoid cutoff needs a finite s_bar (got inf)\n"
+    assert captured.out == "" and not out.exists()
 
 
 _REPORTS = {"geodesic": "geodesic_summary.json", "audit-chain": "audit_chain.json",

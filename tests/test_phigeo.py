@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from conftest import random_tangent
-from shrinker_audit import models, phigeo, quadrature
+from shrinker_audit import audit, models, phigeo, quadrature
 from shrinker_audit.errors import (
     ConfigError,
     DegenerateEndpointsError,
@@ -519,37 +519,46 @@ def test_failed_predictor_leaves_the_fine_run_as_it_was(monkeypatch, perfbench_p
     assert abs(path.action_J - perfbench_paths[0].action_J) <= 1e-10
 
 
-def _exact_radius(c, ry, s_nodes):
-    """The exact radial solution r(s) at ``s_nodes``, from O to r_y, on cylinder:k=2,m=2.
-
-    C* solves the integral of dr / sqrt(C + cR/f) over [0, r_y] = r_y, and
-    s(r) = integral of dr / sqrt(C* + cR/f) over [0, r] is inverted node by
-    node with ``brentq``, adding the integral from the previous node's r.
-    """
+def _quad(func, lo, hi):
     integrate = pytest.importorskip("scipy.integrate")
+    return integrate.quad(func, lo, hi, epsabs=1e-13, epsrel=1e-13, limit=200)[0]
+
+
+def _exact_speed(c, ry):
+    """r'(r) = sqrt(C* + cR/f(r)) of the exact radial solution from O to r_y on
+    cylinder:k=2,m=2, where f = r^2/4 + 1 and C* solves the integral of
+    dr / sqrt(C + cR/f) over [0, r_y] = r_y."""
     optimize = pytest.importorskip("scipy.optimize")
     cR = c * models.sphere_cylinder(2, 2).scalar_R
 
     def phi2(r):
         return cR / (r * r / 4.0 + 1.0)
 
-    def quad(func, lo, hi):
-        return integrate.quad(func, lo, hi, epsabs=1e-13, epsrel=1e-13, limit=200)[0]
-
     def length_gap(C):
-        return quad(lambda r: 1.0 / math.sqrt(C + phi2(r)), 0.0, ry) - ry
+        return _quad(lambda r: 1.0 / math.sqrt(C + phi2(r)), 0.0, ry) - ry
 
     exact_C = optimize.brentq(length_gap, 1.0 - phi2(0.0), 1.0 - phi2(ry), xtol=1e-15)
+    return lambda r: math.sqrt(exact_C + phi2(r))
+
+
+def _exact_radius(c, ry, s_nodes):
+    """The exact radial solution r(s) at ``s_nodes``, from O to r_y, on cylinder:k=2,m=2.
+
+    s(r) = integral of dr / r'(r) over [0, r] is inverted node by node with
+    ``brentq``, adding the integral from the previous node's r.
+    """
+    optimize = pytest.importorskip("scipy.optimize")
+    speed = _exact_speed(c, ry)
 
     def ds(r):
-        return 1.0 / math.sqrt(exact_C + phi2(r))
+        return 1.0 / speed(r)
 
-    # r' = sqrt(C* + cR/f) lies between these speeds
-    slow, fast = math.sqrt(exact_C + phi2(2.0 * ry)), math.sqrt(exact_C + phi2(0.0))
+    # r' lies between these speeds
+    slow, fast = speed(2.0 * ry), speed(0.0)
     radii, r_prev, s_prev = [0.0], 0.0, 0.0
     for s in s_nodes[1:]:
         gap = s - s_prev
-        r_prev = optimize.brentq(lambda r: quad(ds, r_prev, r) - gap,
+        r_prev = optimize.brentq(lambda r: _quad(ds, r_prev, r) - gap,
                                  r_prev + 0.5 * slow * gap, r_prev + 2.0 * fast * gap,
                                  xtol=1e-15)
         radii.append(r_prev)
@@ -563,6 +572,38 @@ def test_shooting_path_is_the_exact_radial_solution_at_every_node(perfbench_path
     for (c, ry), path in zip(PERFBENCH_CELLS, perfbench_paths):
         exact = _exact_radius(c, ry, path.s)
         assert np.max(np.abs(models.radial_distance(m, path.pos) - exact)) <= 1e-8
+
+
+@pytest.mark.parametrize("cell", [(0.1, 10.12), (0.5, 20.21), (0.1, 40.3)])
+def test_richardson_estimates_bound_the_true_quadrature_error(perfbench_paths, cell):
+    # the exact audit integrals, taken in r with ds = dr / r'(r) and split at
+    # the kinks r(1) and r(s_bar - 1): zeta = s(r), 1, r_y - s(r) on the three
+    # pieces, and <grad f, S> = (r/2) r' on the radial path
+    m = models.sphere_cylinder(2, 2)
+    c, ry = cell
+    path = perfbench_paths[PERFBENCH_CELLS.index(cell)]
+    speed = _exact_speed(c, ry)
+    _, r_up, r_down = _exact_radius(c, ry, np.array([0.0, 1.0, path.s_bar - 1.0]))
+
+    def zeta(r):
+        if r <= r_up:
+            return _quad(lambda rho: 1.0 / speed(rho), 0.0, r)
+        if r >= r_down:
+            return _quad(lambda rho: 1.0 / speed(rho), r, ry)
+        return 1.0
+
+    def ricci_density(r):
+        return zeta(r) ** 2 * m.ricci_norm_sq / (r * r / 4.0 + 1.0) / speed(r)
+
+    weighted = sum(_quad(ricci_density, lo, hi)
+                   for lo, hi in [(0.0, r_up), (r_up, r_down), (r_down, ry)])
+    boundary = (_quad(lambda r: zeta(r) * r / 2.0, 0.0, r_up)
+                - _quad(lambda r: zeta(r) * r / 2.0, r_down, ry))
+    params = PhiParams(c)
+    for report, exact in [(audit.weighted_ricci_integral_audit(m, params, path), weighted),
+                          (audit.boundary_term_audit(m, params, path), -boundary)]:
+        true_err = abs(report.lhs - exact)
+        assert true_err <= report.quadrature_error <= 20.0 * true_err, report.name
 
 
 def _spy_rounds(monkeypatch):
