@@ -48,14 +48,13 @@ from .models import (
 )
 from .numgeom import Chart, FDConfig, weighted_laplacians_at_centers
 from .paths import PhiPath
-from .phigeo import (
-    DEFAULT_DRIFT_TOL,
-    PhiParams,
-    phi_value,
-    solve_bvp_shooting,
-)
+from .phigeo import PhiParams, phi_value, solve_bvp_shooting
 
 DEFAULT_TOL = 1e-6
+# FD residual allowed in both soliton identities
+SOLITON_IDENTITY_TOL = 1e-4
+# rounding allowed in the gradient bounds; the first is an equality on the flat model
+GRADIENT_BOUND_TOL = 1e-12
 # Charts per finite-difference stack: large enough to amortize the per-call
 # overhead, small enough that the stencil arrays stay out of peak memory.
 FD_BLOCK = 128
@@ -190,8 +189,7 @@ def _drifted_laplacians(model: ModelSpec, points: np.ndarray, cfg: FDConfig, *fu
     return out
 
 
-def check_soliton_identities(model: ModelSpec, sample_points, tol: float = 1e-4,
-                             cfg: FDConfig = FDConfig()):
+def check_soliton_identities(model: ModelSpec, sample_points, cfg: FDConfig = FDConfig()):
     """Drifted-Laplacian identities for R and f, evaluated by the FD oracle.
 
     For constant-R models the curvature identity reduces to 2|Rc|^2 = R,
@@ -208,10 +206,10 @@ def check_soliton_identities(model: ModelSpec, sample_points, tol: float = 1e-4,
     resid_f = np.abs(lap_f - (model.n / 2.0 - potential_f(model, points)))
     ctx = {"model": model.label, "points": len(points), "fd_h": cfg.h}
     return [
-        AuditReport("soliton-identity:curvature", float(np.max(resid_r)), tol, 0.0,
-                    context=dict(ctx)),
-        AuditReport("soliton-identity:potential", float(np.max(resid_f)), tol, 0.0,
-                    context=dict(ctx)),
+        AuditReport("soliton-identity:curvature", float(np.max(resid_r)), SOLITON_IDENTITY_TOL,
+                    0.0, context=dict(ctx)),
+        AuditReport("soliton-identity:potential", float(np.max(resid_f)), SOLITON_IDENTITY_TOL,
+                    0.0, context=dict(ctx)),
     ]
 
 
@@ -252,11 +250,11 @@ def check_deltaf_Rf(model: ModelSpec, sample_points, tol: float = 1e-4,
     ]
 
 
-def gradient_f_bound_audit(model: ModelSpec, sample_points, tol: float = 1e-12):
+def gradient_f_bound_audit(model: ModelSpec, sample_points):
     """Pointwise |grad f| <= sqrt(f) <= sqrt(n/2) + r.
 
     On the flat model the first bound is an equality, so the tolerance
-    absorbs float rounding.
+    ``GRADIENT_BOUND_TOL`` absorbs float rounding.
     """
     points = _sample_stack(model, sample_points)
     sqrt_f = np.sqrt(potential_f(model, points))
@@ -267,10 +265,10 @@ def gradient_f_bound_audit(model: ModelSpec, sample_points, tol: float = 1e-12):
     b = int(np.argmin(radial - sqrt_f))
     ctx = {"model": model.label}
     return [
-        AuditReport("gradient-f-bound:sqrt-f", float(grad_norm[a]), float(sqrt_f[a]), tol,
-                    context=dict(ctx)),
-        AuditReport("gradient-f-bound:radial", float(sqrt_f[b]), float(radial[b]), tol,
-                    context=dict(ctx)),
+        AuditReport("gradient-f-bound:sqrt-f", float(grad_norm[a]), float(sqrt_f[a]),
+                    GRADIENT_BOUND_TOL, context=dict(ctx)),
+        AuditReport("gradient-f-bound:radial", float(sqrt_f[b]), float(radial[b]),
+                    GRADIENT_BOUND_TOL, context=dict(ctx)),
     ]
 
 
@@ -398,15 +396,6 @@ def weighted_ricci_integral_audit(model: ModelSpec, params: PhiParams, path: Phi
     return AuditReport("weighted-ricci-integral", lhs, rhs, tol, qerr, context=ctx)
 
 
-AUDIT_CHAIN_ORDER = (
-    "second-variation",
-    "combined-integral",
-    "boundary-term",
-    "weighted-ricci-integral",
-    "radial-envelope",
-)
-
-
 def run_audit_chain(model: ModelSpec, params: PhiParams, path: PhiPath,
                     tol: float = DEFAULT_TOL,
                     cfg: FDConfig = FDConfig()) -> list:
@@ -441,8 +430,7 @@ class GoodPointResult:
 
 def find_good_point(model: ModelSpec, params: PhiParams, y: np.ndarray,
                     density: int = 16, step: float = 1e-2,
-                    tol: float = DEFAULT_TOL,
-                    drift_tol: float = DEFAULT_DRIFT_TOL) -> GoodPointResult:
+                    tol: float = DEFAULT_TOL) -> GoodPointResult:
     """Scan a base-to-y minimal candidate for a point of controlled curvature.
 
     Solves the boundary-value problem from the base point O to y, verifies
@@ -452,7 +440,8 @@ def find_good_point(model: ModelSpec, params: PhiParams, y: np.ndarray,
     the grid). The returned bound ties the pointwise curvature at that node
     to the explicit constants of the weighted integral estimate; c_hat is
     the smallest constant making the whole chain pass, reported per run.
-    ``density``, ``step`` and ``drift_tol`` go to the solve.
+    ``density`` and ``step`` go to the solve, which keeps its default
+    drift tolerance.
 
     This is the one-cell composition of the scan's three parts:
     ``check_good_point_target`` (the checks that need no path), the shooting
@@ -462,7 +451,7 @@ def find_good_point(model: ModelSpec, params: PhiParams, y: np.ndarray,
     """
     check_good_point_target(model, y)
     path = solve_bvp_shooting(model, params, base_point(model), y, step=step,
-                              density=density, drift_tol=drift_tol)
+                              density=density)
     return good_point_on_path(model, params, y, path, tol=tol)
 
 

@@ -24,7 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from . import audit as audit_mod
-from . import phigeo
+from . import phigeo, quadrature
 from .errors import (
     ConfigError,
     CutoffUndefinedError,
@@ -97,8 +97,9 @@ class RunConfig:
             raise ConfigError(f"samples must be >= 1 (got {self.samples})")
         if self.seed < 0:
             raise ConfigError(f"seed must be >= 0 (got {self.seed})")
-        if self.N < 16:
-            raise ConfigError(f"N must be >= 16 (got {self.N})")
+        if not 16 <= self.N <= quadrature.MAX_GRID_INTERVALS:
+            raise ConfigError(
+                f"N must lie in [16, {quadrature.MAX_GRID_INTERVALS}] (got {self.N})")
         if not 0.0 < self.step <= phigeo.MAX_IVP_STEP:
             raise ConfigError(f"step must lie in (0, {phigeo.MAX_IVP_STEP}] (got {self.step})")
         for name in ("shoot_tol", "drift_tol", "audit_tol", "fd_h"):

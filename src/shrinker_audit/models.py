@@ -389,6 +389,17 @@ def chart_ricci(model: ModelSpec, g: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
+def _sphere_angle(f: Factor, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Angle between sphere blocks ``a`` and ``b`` of factor ``f``; batched.
+
+    arccos loses ~1e-8 of resolution near 1, so small separations use the
+    half-chord arcsine formula instead.
+    """
+    cosang = np.clip(np.sum(a * b, axis=-1) / (f.radius**2), -1.0, 1.0)
+    half_chord = np.clip(np.linalg.norm(a - b, axis=-1) / (2.0 * f.radius), 0.0, 1.0)
+    return np.where(cosang > 0.5, 2.0 * np.arcsin(half_chord), np.arccos(cosang))
+
+
 def distance(model: ModelSpec, p: np.ndarray, q: np.ndarray) -> np.ndarray:
     """Product distance sqrt(sum of factor distances squared); batched."""
     p = np.asarray(p, dtype=float)
@@ -398,16 +409,7 @@ def distance(model: ModelSpec, p: np.ndarray, q: np.ndarray) -> np.ndarray:
         a = p[..., f.start : f.stop]
         b = q[..., f.start : f.stop]
         if f.kind == "sphere":
-            cosang = np.clip(np.sum(a * b, axis=-1) / (f.radius**2), -1.0, 1.0)
-            # arccos loses ~1e-8 of resolution near 1; switch to the
-            # half-chord arcsine formula for small separations
-            half_chord = np.clip(
-                np.linalg.norm(a - b, axis=-1) / (2.0 * f.radius), 0.0, 1.0
-            )
-            angle = np.where(
-                cosang > 0.5, 2.0 * np.arcsin(half_chord), np.arccos(cosang)
-            )
-            d = f.radius * angle
+            d = f.radius * _sphere_angle(f, a, b)
         else:
             d = np.linalg.norm(a - b, axis=-1)
         total = total + d * d
@@ -480,52 +482,31 @@ def log_map(model: ModelSpec, pos: np.ndarray, target: np.ndarray) -> np.ndarray
 def sphere_frame(f: Factor, pos: np.ndarray) -> np.ndarray:
     """Orthonormal frames of sphere factor ``f``: (..., ambient) -> (..., dim, k+1).
 
-    Gram-Schmidt of the factor's ambient basis vectors against the unit
-    position u_hat, skipping those (nearly) parallel to what is already spanned.
-    A candidate that lost more than 99% of its length is projected a second
-    time, since one pass leaves it only about eps/|cand| away from orthogonal.
-    Rows are independent: the not-yet-filled frame slots are zero, so
-    projecting on them changes nothing, and each row gets the arithmetic of a
-    lone point.
+    Rows 1..k of the Householder reflection H = I - 2 w w^T / |w|^2 with
+    w = u_hat + s e_0, u_hat the unit position and s the sign of its first
+    entry (+1 at 0). H maps e_0 to -s u_hat, so its other rows are
+    orthonormal and tangent at u_hat; |w|^2 = 2(1 + |u_0|) >= 2, so nothing
+    cancels. At the base point u_hat = e_0 the frame is e_1..e_k exactly.
+    Every entry is elementwise arithmetic on its own point.
     """
-    pos = np.asarray(pos, dtype=float)
-    u_hat = pos[..., f.start : f.stop].reshape(-1, f.ambient_dim) / f.radius
-    rows = np.arange(len(u_hat))
-    # slot f.dim takes the writes of rows whose frame is already complete
-    frame = np.zeros((len(u_hat), f.dim + 1, f.ambient_dim))
-    filled = np.zeros(len(u_hat), dtype=int)
-
-    def project(cand, slots):
-        for prev in [u_hat, *frame.transpose(1, 0, 2)[:slots]]:
-            cand = cand - np.vecdot(cand, prev)[:, None] * prev
-        return cand, np.sqrt(np.vecdot(cand, cand))
-
-    for i, e_i in enumerate(np.eye(f.ambient_dim)):
-        slots = min(i, f.dim)
-        cand, norm = project(e_i, slots)
-        again = norm < 1e-2
-        if again.any():
-            cand_2, norm_2 = project(cand, slots)
-            cand = np.where(again[:, None], cand_2, cand)
-            norm = np.where(again, norm_2, norm)
-        keep = (norm > 1e-8) & (filled < f.dim)
-        # rows that skip e_i write zeros into a slot that stays empty
-        unit = cand / np.where(keep, norm, 1.0)[:, None]
-        frame[rows, filled] = np.where(keep[:, None], unit, 0.0)
-        filled += keep
-        if filled.min() == f.dim:
-            break
-    return frame[:, : f.dim].reshape(pos.shape[:-1] + (f.dim, f.ambient_dim))
+    w = np.asarray(pos, dtype=float)[..., None, f.start : f.stop] / f.radius
+    w[..., 0] += np.where(w[..., 0] < 0.0, -1.0, 1.0)
+    scale = 2.0 / np.vecdot(w, w)[..., None]
+    return np.eye(f.ambient_dim)[1:] - (np.swapaxes(w[..., 1:], -1, -2) * scale) * w
 
 
 def tangent_basis(model: ModelSpec, pos: np.ndarray) -> np.ndarray:
-    """Deterministic orthonormal basis of the tangent space, rows of shape (n, ambient)."""
+    """Deterministic orthonormal tangent bases: (..., ambient) -> (..., n, ambient).
+
+    Rows are the Euclidean axes and each sphere factor's ``sphere_frame``,
+    in factor order.
+    """
     pos = np.asarray(pos, dtype=float)
-    basis = np.zeros((model.n, model.ambient_dim))
+    basis = np.zeros(pos.shape[:-1] + (model.n, model.ambient_dim))
     row = 0
     for f in model.factors:
         block = np.eye(f.dim) if f.kind == "euclidean" else sphere_frame(f, pos)
-        basis[row : row + f.dim, f.start : f.stop] = block
+        basis[..., row : row + f.dim, f.start : f.stop] = block
         row += f.dim
     return basis
 
@@ -563,7 +544,7 @@ def background_geodesic(model: ModelSpec, p: np.ndarray, q: np.ndarray, N: int) 
             vel[:, f.start : f.stop] = (b - a) / s_bar
             continue
         cosang = float(np.clip(np.dot(a, b) / f.radius**2, -1.0, 1.0))
-        theta = math.acos(cosang)
+        theta = float(_sphere_angle(f, a, b))
         if theta < 1e-15:
             pos[:, f.start : f.stop] = a
             vel[:, f.start : f.stop] = 0.0

@@ -558,7 +558,8 @@ class _Joints:
     """Tangent coordinates of the phase states at the joints of a shooting trial.
 
     Joint j is charted around a reference state (p_j, v_j) with the
-    orthonormal basis B_j = ``tangent_basis(p_j)``: a state (p, v) has the
+    orthonormal basis B_j, entry j of one stacked ``tangent_basis`` call on
+    every p_j: a state (p, v) has the
     2n coordinates (B_j log_{p_j}(p), B_j v), measured as the endpoint miss
     is. Back, p = exp_{p_j}(xi B_j), and v is eta B_j plus, on each sphere
     factor, the multiple of p_j's block that makes it tangent at p; its
@@ -570,8 +571,7 @@ class _Joints:
     def __init__(self, model, pos, vel):
         self.model = model
         self.pos = pos
-        self.basis = np.array([tangent_basis(model, p) for p in pos]).reshape(
-            len(pos), model.n, model.ambient_dim)
+        self.basis = tangent_basis(model, pos)
         self.start = self.coords(pos, vel, np.arange(len(pos)))
 
     def coords(self, pos, vel, at):

@@ -17,7 +17,20 @@ import math
 
 import numpy as np
 
-from .errors import CutoffUndefinedError
+from .errors import CutoffUndefinedError, PreconditionError
+
+# Most intervals a path grid may have. At the default density of 16 this
+# admits s_bar up to 4 096; larger grids are refused before anything
+# is allocated.
+MAX_GRID_INTERVALS = 2**16
+
+
+def _refuse_oversized(intervals) -> None:
+    if not intervals <= MAX_GRID_INTERVALS:
+        raise PreconditionError(
+            f"a path grid of {intervals:.6g} intervals exceeds "
+            f"MAX_GRID_INTERVALS = {MAX_GRID_INTERVALS}"
+        )
 
 
 def simpson_uniform(s: np.ndarray, y: np.ndarray) -> float:
@@ -87,6 +100,7 @@ def integrate_pieces(s: np.ndarray, y: np.ndarray, pieces):
 def uniform_grid(s_bar: float, n_intervals: int) -> np.ndarray:
     if n_intervals < 2:
         raise ValueError("need at least 2 intervals")
+    _refuse_oversized(n_intervals)
     return np.linspace(0.0, s_bar, n_intervals + 1)
 
 
@@ -97,18 +111,17 @@ def audit_grid(s_bar: float, density: int = 16):
     uniform with an interval count that is a multiple of 4, so the grid can
     be coarsened once for Richardson error estimates; so can any run of
     nodes inside a piece with an even interval count (the scan's window).
+    A grid of more than ``MAX_GRID_INTERVALS`` intervals is refused.
     """
     if not math.isfinite(s_bar):
         raise CutoffUndefinedError(f"trapezoid cutoff needs a finite s_bar (got {s_bar!r})")
     if s_bar < 2.0:
         raise CutoffUndefinedError(f"trapezoid cutoff needs s_bar >= 2 (got {s_bar!r})")
     breaks = sorted({0.0, 1.0, s_bar - 1.0, s_bar})
-    pieces = []
-    for a, b in zip(breaks[:-1], breaks[1:]):
-        length = b - a
-        if length < 1e-12:
-            continue
-        count = max(4, 4 * math.ceil(length * density / 4.0))
-        pieces.append(np.linspace(a, b, count + 1))
+    spans = [(a, b) for a, b in zip(breaks[:-1], breaks[1:]) if b - a >= 1e-12]
+    # float counts, so that an overflowing s_bar * density is refused too
+    counts = [max(4.0, 4.0 * np.ceil((b - a) * density / 4.0)) for a, b in spans]
+    _refuse_oversized(sum(counts))
+    pieces = [np.linspace(a, b, int(count) + 1) for (a, b), count in zip(spans, counts)]
     s = np.concatenate([p if i == 0 else p[1:] for i, p in enumerate(pieces)])
     return s, tuple(breaks)

@@ -119,6 +119,44 @@ def test_geodesic_sphere_quarter_arc(tmp_path):
     assert abs(payload["shooting"]["C_value"] - 0.9) <= 1e-9
 
 
+def test_geodesic_sphere_tiny_radius_solvers_agree(tmp_path):
+    # the discrete solver's background start must end at y and hold unit speed
+    code = main([
+        "geodesic", "--model", "sphere:n=3", "--c", "0.2", "--ry", "1e-7",
+        "--out", str(tmp_path),
+    ])
+    assert code == EXIT_OK
+    payload = read_json(tmp_path / "geodesic_summary.json")
+    assert payload["evidence"]["J_agree"] and payload["evidence"]["C_agree"]
+
+
+@pytest.mark.parametrize(
+    "argv, config",
+    [(["scan", "--ry", "1e12"], {}), (["scan", "--ry", "1e6"], {}),
+     (["audit-chain", "--ry", "5000"], {}), (["geodesic", "--ry", "1.5"], {"density": 10**8}),
+     (["audit-chain", "--ry", "5"], {"density": 10**300})],
+    ids=["scan-1e12", "scan-1e6", "audit-chain-5000", "geodesic-short-dense",
+         "audit-chain-overflowing-density"],
+)
+def test_oversized_path_grid_refused_before_allocation(tmp_path, capsys, argv, config):
+    cfg_path = tmp_path / "grid.json"
+    cfg_path.write_text(json.dumps(config))
+    out = tmp_path / "out"
+    code = main(argv + ["--config", str(cfg_path), "--out", str(out)])
+    assert code == EXIT_REFUSED
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("refused:")
+    assert "MAX_GRID_INTERVALS" in err[0]
+    assert not out.exists() or not any(out.iterdir())
+
+
+@pytest.mark.parametrize("N", [quadrature.MAX_GRID_INTERVALS + 1, 10**8])
+def test_discrete_grid_above_the_bound_exit_2(tmp_path, capsys, N):
+    code = main(["geodesic", "--N", str(N), "--out", str(tmp_path)])
+    assert code == EXIT_CONFIG
+    assert "N must lie in" in capsys.readouterr().err
+
+
 def test_geodesic_degenerate_endpoints_exit_2(tmp_path, capsys):
     code = main([
         "geodesic", "--model", "cylinder:k=2,m=2", "--ry", "0", "--out", str(tmp_path),

@@ -251,6 +251,17 @@ def test_background_geodesic_antipodal_flagged():
     assert path.s_bar == pytest.approx(math.pi * math.sqrt(2.0), rel=1e-12)
 
 
+@pytest.mark.parametrize("d", [1e-3, 1e-5, 1e-7])
+def test_background_geodesic_resolves_small_sphere_angles(d):
+    # arccos resolves small angles only to ~1e-8: at d = 1e-7 a path built
+    # on it misses q by 1.2e-9 and drifts in speed by 0.023
+    m = models.round_sphere(3)
+    q = models.canonical_target(m, d)
+    path = models.background_geodesic(m, models.base_point(m), q, 64)
+    assert path.drift <= 1e-12
+    assert np.max(np.abs(path.pos[-1] - q)) <= 1e-14
+
+
 def test_background_geodesic_rejects_equal_endpoints():
     m = models.gaussian(2)
     p = np.array([1.0, 2.0])
@@ -279,9 +290,26 @@ def test_tangent_basis_orthonormal(model, rng):
         models.validate_tangent(model, p, row)
 
 
+def test_tangent_basis_stacks_per_point_bases(model, rng):
+    points = models.random_points(model, rng, 12)
+    stacked = models.tangent_basis(model, points.reshape(3, 4, -1))
+    assert stacked.shape == (3, 4, model.n, model.ambient_dim)
+    per_point = np.array([models.tangent_basis(model, p) for p in points])
+    assert stacked.tobytes() == per_point.tobytes()
+    assert models.tangent_basis(model, points[:0]).shape == (0, model.n, model.ambient_dim)
+
+
+def test_tangent_basis_at_the_base_point_is_the_axes(model):
+    # every ambient axis but each sphere factor's first, bit for bit
+    firsts = {f.start for f in model.sphere_factors}
+    axes = [i for i in range(model.ambient_dim) if i not in firsts]
+    basis = models.tangent_basis(model, models.base_point(model))
+    assert basis.tobytes() == np.eye(model.ambient_dim)[axes].tobytes()
+
+
 def test_sphere_frame_orthogonal_when_gram_schmidt_cancels():
-    # u_hat within 1e-5 of -e_1: a single Gram-Schmidt pass left a frame row
-    # 3.5e-12 away from orthogonal to u_hat
+    # u_hat within 1e-5 of -e_1, where one Gram-Schmidt pass leaves a frame
+    # row 3.5e-12 away from orthogonal to u_hat
     m = models.parse_model("sphereproduct:k=2,m=2")
     p = models.random_point(m, np.random.default_rng(812629830))
     for f in m.sphere_factors:
@@ -291,33 +319,22 @@ def test_sphere_frame_orthogonal_when_gram_schmidt_cancels():
 
 
 def per_point_frame(f, pos):
-    """Test-only reference: Gram-Schmidt on one point with 1-D np.dot and
-    np.linalg.norm, the arithmetic the stacked frame builder must reproduce."""
-    u_hat = pos[f.start : f.stop] / f.radius
-    frame = []
-    for i in range(f.ambient_dim):
-        cand = np.zeros(f.ambient_dim)
-        cand[i] = 1.0
-        for _ in range(2):
-            cand -= np.dot(cand, u_hat) * u_hat
-            for prev in frame:
-                cand -= np.dot(cand, prev) * prev
-            norm = np.linalg.norm(cand)
-            if norm >= 1e-2:
-                break
-        if norm > 1e-8:
-            frame.append(cand / norm)
-        if len(frame) == f.dim:
-            break
-    return np.array(frame)
+    """Test-only reference: the Householder frame of one point, rows 1..k of
+    I - 2 w w^T / |w|^2 with |w|^2 from 1-D np.dot, the arithmetic the
+    stacked frame builder must reproduce."""
+    w = pos[f.start : f.stop] / f.radius
+    w[0] += -1.0 if w[0] < 0.0 else 1.0
+    scale = 2.0 / np.dot(w, w)
+    return np.array([np.eye(f.ambient_dim)[i] - (w[i] * scale) * w
+                     for i in range(1, f.ambient_dim)])
 
 
 @pytest.mark.parametrize("label", ["sphere:n=3", "cylinder:k=2,m=2", "sphereproduct:k=2,m=2"])
 def test_stacked_sphere_frame_equals_per_point_gram_schmidt(label, rng):
     model = models.parse_model(label)
     points = [models.random_point(model, rng) for _ in range(2000)]
-    # axis-aligned and nearly axis-aligned positions: a candidate cancels
-    # entirely (skipped) or to under 1% of its length (second pass)
+    # axis-aligned and nearly axis-aligned positions, both signs: u_0 at and
+    # near 0 and +-1, where the reflection's sign switches
     for f in model.sphere_factors:
         for i in range(f.ambient_dim):
             for sign in (1.0, -1.0):
@@ -352,8 +369,8 @@ def test_sphere_frame_and_maps_properties(label, seed, length):
     for f in model.sphere_factors:
         frame = models.sphere_frame(f, p)
         assert frame.shape == (f.dim, f.ambient_dim)
-        assert np.allclose(frame @ frame.T, np.eye(f.dim), atol=1e-12)
-        assert np.max(np.abs(frame @ (p[f.start : f.stop] / f.radius))) <= 1e-12
+        assert np.max(np.abs(frame @ frame.T - np.eye(f.dim))) <= 1e-15
+        assert np.max(np.abs(frame @ (p[f.start : f.stop] / f.radius))) <= 1e-15
     # |v| <= 3.5 keeps every sphere angle below pi (radius >= sqrt(2))
     v = random_tangent(model, p, rng)
     v *= length / np.linalg.norm(v)

@@ -524,10 +524,10 @@ def _quad(func, lo, hi):
     return integrate.quad(func, lo, hi, epsabs=1e-13, epsrel=1e-13, limit=200)[0]
 
 
-def _exact_speed(c, ry):
-    """r'(r) = sqrt(C* + cR/f(r)) of the exact radial solution from O to r_y on
-    cylinder:k=2,m=2, where f = r^2/4 + 1 and C* solves the integral of
-    dr / sqrt(C + cR/f) over [0, r_y] = r_y."""
+def _exact_C(c, ry):
+    """C* of the exact radial solution from O to r_y on cylinder:k=2,m=2: the
+    C for which the integral of dr / sqrt(C + cR/f) over [0, r_y] is r_y,
+    where f = r^2/4 + 1."""
     optimize = pytest.importorskip("scipy.optimize")
     cR = c * models.sphere_cylinder(2, 2).scalar_R
 
@@ -537,8 +537,15 @@ def _exact_speed(c, ry):
     def length_gap(C):
         return _quad(lambda r: 1.0 / math.sqrt(C + phi2(r)), 0.0, ry) - ry
 
-    exact_C = optimize.brentq(length_gap, 1.0 - phi2(0.0), 1.0 - phi2(ry), xtol=1e-15)
-    return lambda r: math.sqrt(exact_C + phi2(r))
+    return optimize.brentq(length_gap, 1.0 - phi2(0.0), 1.0 - phi2(ry), xtol=1e-15)
+
+
+def _exact_speed(c, ry):
+    """r'(r) = sqrt(C* + cR/f(r)) of the exact radial solution from O to r_y
+    on cylinder:k=2,m=2."""
+    cR = c * models.sphere_cylinder(2, 2).scalar_R
+    exact_C = _exact_C(c, ry)
+    return lambda r: math.sqrt(exact_C + cR / (r * r / 4.0 + 1.0))
 
 
 def _exact_radius(c, ry, s_nodes):
@@ -604,6 +611,23 @@ def test_richardson_estimates_bound_the_true_quadrature_error(perfbench_paths, c
                           (audit.boundary_term_audit(m, params, path), -boundary)]:
         true_err = abs(report.lhs - exact)
         assert true_err <= report.quadrature_error <= 20.0 * true_err, report.name
+
+
+@pytest.mark.parametrize("cell", [(0.1, 10.12), (0.5, 20.21), (0.1, 40.3)])
+def test_radial_envelope_margin_is_the_exact_one(perfbench_paths, cell):
+    # r' = sqrt(C* + cR/f) <= A* = sqrt(C* + c), as R = 1 and f >= 1, so
+    # s A* - r(s) grows along the path and r_y + (s_bar - s) A* - r(s)
+    # shrinks by at least A* per unit s: the least slack is at node 1
+    m = models.sphere_cylinder(2, 2)
+    c, ry = cell
+    path = perfbench_paths[PERFBENCH_CELLS.index(cell)]
+    report = audit.radial_envelope_audit(m, PhiParams(c), path)
+    assert report.context["worst_node"] == 1
+    s_1 = path.s[1]
+    a_exact = math.sqrt(_exact_C(c, ry) + c)
+    exact = (min(s_1 * a_exact, ry + (path.s_bar - s_1) * a_exact)
+             - _exact_radius(c, ry, path.s[:2])[1])
+    assert abs(report.margin - exact) <= 1e-10
 
 
 def _spy_rounds(monkeypatch):
