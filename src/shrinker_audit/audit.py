@@ -7,11 +7,11 @@ estimate. Audits never claim more than the numerics support: a report is
 and the pass flag always carries its tolerance.
 
 Path audits integrate against the trapezoid cutoff (ramp up on [0, 1],
-plateau, ramp down on [s_bar - 1, s_bar]), so they require the path grid to
-be aligned to the cutoff kinks; ``solve_bvp_shooting`` produces such grids
-whenever s_bar >= 2, and the scan snaps its window to the nodes of that grid.
+plateau, ramp down on [s_bar - 1, s_bar]), so they require pieces of the
+path to start at both kinks; ``solve_bvp_shooting``'s ``audit_grid`` pieces
+do whenever s_bar >= 2, and the scan snaps its window to that grid.
 ``_cutoff`` checks both once per audit and hands zeta at the nodes, the
-grid's pieces and the two slope-weighted ramp pieces to
+path's pieces and the two slope-weighted ramp pieces to
 ``quadrature.integrate_pieces``, which forms every integral and its error
 estimate, the scan's window integral included.
 
@@ -48,7 +48,7 @@ from .models import (
 )
 from .numgeom import Chart, FDConfig, weighted_laplacians_at_centers
 from .paths import PhiPath
-from .phigeo import PhiParams, phi_value, solve_bvp_shooting
+from .phigeo import MAX_IVP_STEP, PhiParams, phi_value, solve_bvp_shooting
 
 DEFAULT_TOL = 1e-6
 # FD residual allowed in both soliton identities
@@ -109,30 +109,25 @@ class AuditReport:
 
 
 def _cutoff(path: PhiPath):
-    """The trapezoid cutoff on a kink-aligned path grid, ready for
-    ``quadrature.integrate_pieces``: ``(zeta, whole, ramps)``.
-
-    ``zeta`` is the cutoff at the nodes, ``whole`` the grid's pieces
-    ``(i0, i1, 1.0)``, and ``ramps`` the two ramp pieces weighted by their
-    slope zeta' = +1 / -1, read off each piece's end nodes (so s_bar = 2,
-    which has no plateau piece, needs no special case).
+    """The trapezoid cutoff on a path with pieces starting at s = 1 and at
+    s = s_bar - 1, ready for ``quadrature.integrate_pieces``: ``(zeta,
+    whole, ramps)``. ``zeta`` is the cutoff at the nodes, ``whole`` the
+    path's pieces ``(i0, i1, 1.0)``, and ``ramps`` the two ramp pieces
+    weighted by their slope zeta' = +1 / -1, read off each piece's end
+    nodes (so s_bar = 2, which has no plateau piece, needs no special case).
     """
     s, s_bar = path.s, path.s_bar
     if s_bar < 2.0:
         raise CutoffUndefinedError(f"trapezoid cutoff needs s_bar >= 2 (got {s_bar!r})")
-    for b in (1.0, s_bar - 1.0):
-        if not any(abs(b - x) <= 1e-9 * (1.0 + abs(b)) for x in path.breaks):
-            raise ValueError(
-                "path grid is not aligned to the cutoff kinks; sample it on "
-                "quadrature.audit_grid (solve_bvp_shooting does so when s_bar >= 2)"
-            )
+    starts = s[[i0 for i0, _ in path.pieces]]
+    for kink in (1.0, s_bar - 1.0):
+        if not np.any(np.abs(starts - kink) <= 1e-9 * (1.0 + kink)):
+            raise ValueError("path grid is not aligned to the cutoff kinks; sample it "
+                             "on quadrature.audit_grid (solve_bvp_shooting does so)")
     zeta = np.minimum(np.minimum(s, 1.0), s_bar - s)
-    whole = [(i0, i1, 1.0) for i0, i1 in quadrature.piece_slices(s, path.breaks)]
-    ramps = []
-    for i0, i1, _ in whole:
-        slope = round((zeta[i1] - zeta[i0]) / (s[i1] - s[i0]))
-        if slope:
-            ramps.append((i0, i1, float(slope)))
+    whole = [(i0, i1, 1.0) for i0, i1 in path.pieces]
+    slopes = [round((zeta[i1] - zeta[i0]) / (s[i1] - s[i0])) for i0, i1 in path.pieces]
+    ramps = [(i0, i1, float(k)) for (i0, i1), k in zip(path.pieces, slopes) if k]
     return zeta, whole, ramps
 
 
@@ -429,7 +424,7 @@ class GoodPointResult:
 
 
 def find_good_point(model: ModelSpec, params: PhiParams, y: np.ndarray,
-                    density: int = 16, step: float = 1e-2,
+                    density: int = quadrature.DEFAULT_DENSITY, step: float = MAX_IVP_STEP,
                     tol: float = DEFAULT_TOL) -> GoodPointResult:
     """Scan a base-to-y minimal candidate for a point of controlled curvature.
 
@@ -474,8 +469,8 @@ def good_point_on_path(model: ModelSpec, params: PhiParams, y: np.ndarray, path:
 
     Checks the radius precondition, then snaps the window [w0, s_bar - 1],
     w0 = (1 - 1/(2A)) * s_bar, to the path's audit grid: it starts at the
-    first node s[i0] >= w0 whose interval count to the node at s_bar - 1 is
-    even, so the window integral is one Simpson piece with a coarsened-grid
+    first node s[i0] >= w0 whose interval count to s_bar - 1, the first node
+    of the last piece, is even, so the window integral is one Simpson piece with a coarsened-grid
     error estimate. The lower bound and ``bound`` use the snapped length
     span = s_bar - 1 - s[i0]. Since s[i0] >= w0, every window node z keeps
     d(z, y) <= A * (s_bar - s) <= r(y)/2; the distance is checked anyway.
@@ -494,7 +489,7 @@ def good_point_on_path(model: ModelSpec, params: PhiParams, y: np.ndarray, path:
         )
     s_bar = path.s_bar
     w0 = (1.0 - 1.0 / (2.0 * a_bound)) * s_bar
-    i1 = int(np.searchsorted(path.s, s_bar - 1.0))  # the cutoff kink, a grid node
+    i1 = path.pieces[-1][0]  # the cutoff kink s_bar - 1 starts the last piece
     i0 = int(np.searchsorted(path.s, w0))
     i0 += (i1 - i0) % 2
     if i1 - i0 < 2:

@@ -62,8 +62,7 @@ EXIT_REFUSED = 4
 class RunConfig:
     """Run parameters; every tolerance the suites use lives here.
 
-    Defaults: drift tolerance 1e-6, audit tolerance 1e-6, FD step 1e-3,
-    integrator step 1e-2, discrete-minimizer grid 256.
+    Each solver and audit field defaults to the library's own named default.
     """
 
     model: str = "cylinder:k=2,m=2"
@@ -72,14 +71,14 @@ class RunConfig:
     samples: int = 100
     seed: int = 0
     out: str = "reports"
-    N: int = 256
-    step: float = 1e-2
-    shoot_tol: float = 1e-10
-    density: int = 16
-    drift_tol: float = 1e-6
-    audit_tol: float = 1e-6
-    fd_h: float = 1e-3
-    max_iters: int = 10000
+    N: int = phigeo.DEFAULT_DESCENT_N
+    step: float = phigeo.MAX_IVP_STEP
+    shoot_tol: float = phigeo.DEFAULT_SHOOT_TOL
+    density: int = quadrature.DEFAULT_DENSITY
+    drift_tol: float = phigeo.DEFAULT_DRIFT_TOL
+    audit_tol: float = audit_mod.DEFAULT_TOL
+    fd_h: float = FDConfig.h
+    max_iters: int = phigeo.DEFAULT_DESCENT_ITERS
 
     def validate(self) -> None:
         for f in fields(self):
@@ -449,13 +448,15 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", help="JSON config file; flags override its fields")
         return p
 
+    n_help = f"discrete-minimizer grid size (default {phigeo.DEFAULT_DESCENT_N})"
     p_verify = add_command("verify-identities", "pointwise identity suite", grid=False)
-    p_verify.add_argument("--samples", type=int, help="random sample points (default 100)")
-    p_verify.add_argument("--seed", type=int, help="random seed (default 0)")
+    p_verify.add_argument("--samples", type=int,
+                          help=f"random sample points (default {RunConfig.samples})")
+    p_verify.add_argument("--seed", type=int, help=f"random seed (default {RunConfig.seed})")
     p_geo = add_command("geodesic", "solve one boundary-value case both ways")
-    p_geo.add_argument("--N", type=int, help="discrete-minimizer grid size (default 256)")
+    p_geo.add_argument("--N", type=int, help=n_help)
     p_chain = add_command("audit-chain", "inequality chain over a (c, ry) grid")
-    p_chain.add_argument("--N", type=int, help="discrete-minimizer grid size (default 256)")
+    p_chain.add_argument("--N", type=int, help=n_help)
     add_command("scan", "good-point scan over a (c, ry) grid")
     return parser
 

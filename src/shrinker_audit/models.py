@@ -401,18 +401,19 @@ def _sphere_angle(f: Factor, a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def distance(model: ModelSpec, p: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """Product distance sqrt(sum of factor distances squared); batched."""
+    """Product distance sqrt(sum of factor distances squared); batched; inf on overflow."""
     p = np.asarray(p, dtype=float)
     q = np.asarray(q, dtype=float)
     total = np.zeros(np.broadcast_shapes(p.shape[:-1], q.shape[:-1]))
-    for f in model.factors:
-        a = p[..., f.start : f.stop]
-        b = q[..., f.start : f.stop]
-        if f.kind == "sphere":
-            d = f.radius * _sphere_angle(f, a, b)
-        else:
-            d = np.linalg.norm(a - b, axis=-1)
-        total = total + d * d
+    with np.errstate(over="ignore"):
+        for f in model.factors:
+            a = p[..., f.start : f.stop]
+            b = q[..., f.start : f.stop]
+            if f.kind == "sphere":
+                d = f.radius * _sphere_angle(f, a, b)
+            else:
+                d = np.linalg.norm(a - b, axis=-1)
+            total = total + d * d
     out = np.sqrt(total)
     return out if out.shape else float(out)
 

@@ -1,8 +1,9 @@
 """Discretized path container shared by the geodesic machinery.
 
 A ``PhiPath`` is a value object: an increasing parameter grid, one ambient
-position and velocity row per node, and the scalars extracted from them
-(conserved quantity, drift, action). Solvers fill it in; audits only read it.
+position and velocity row per node, the grid's quadrature pieces, and the
+scalars extracted from them (conserved quantity, drift, action). Solvers
+fill it in; audits only read it.
 """
 
 from __future__ import annotations
@@ -19,6 +20,9 @@ class PhiPath:
     ``pos`` and ``vel`` have one row per grid node, in the model's ambient
     representation. ``C_value`` is the conserved ``|S|^2 - 2*phi`` extracted
     from the node data and ``drift`` its maximal deviation across nodes.
+    ``pieces`` are the ``(i0, i1)`` node ranges the grid is uniform on, as
+    ``quadrature.audit_grid`` returns them; ``()`` means one piece over the
+    whole grid. They must cover the grid with consecutive ranges.
     """
 
     s: np.ndarray
@@ -27,7 +31,7 @@ class PhiPath:
     C_value: float = float("nan")
     drift: float = float("nan")
     action_J: float = float("nan")
-    breaks: tuple = ()  # quadrature breakpoints the grid is aligned to
+    pieces: tuple = ()
     is_minimal_candidate: bool = False
     minimal_evidence: dict = field(default_factory=dict)
     flags: list = field(default_factory=list)
@@ -40,6 +44,13 @@ class PhiPath:
             raise ValueError("grid, positions and velocities must have matching shapes")
         if np.any(np.diff(self.s) <= 0):
             raise ValueError("parameter grid must be strictly increasing")
+        last = self.s.shape[0] - 1
+        self.pieces = tuple((int(i0), int(i1)) for i0, i1 in self.pieces) or ((0, last),)
+        # consecutive ranges from node 0, strictly increasing to the last node
+        edges = [0, *(i1 for _, i1 in self.pieces)]
+        if self.pieces != tuple(zip(edges, edges[1:])) or edges != sorted({*edges, last}):
+            raise ValueError(f"pieces {self.pieces} do not cover the grid's nodes 0..{last} "
+                             "with consecutive ranges")
 
     @property
     def s_bar(self) -> float:

@@ -36,6 +36,7 @@ from .errors import (
     DegenerateEndpointsError,
     DriftExceededError,
     IllConditionedShootingError,
+    PreconditionError,
     ShootingConvergenceError,
 )
 from .models import (
@@ -57,12 +58,20 @@ from .paths import PhiPath
 
 MAX_IVP_STEP = 1e-2
 DEFAULT_DRIFT_TOL = 1e-6
+# shooting's endpoint tolerance; a path shorter than 1 scales it by s_bar
+DEFAULT_SHOOT_TOL = 1e-10
+# Most RK4 substeps shooting's fine schedule may take: 7 per interval of the
+# largest grid quadrature.audit_grid admits, as an interval of at most 1/16
+# (the default density) takes at the default step. More are refused.
+MAX_SCHEDULE_SUBSTEPS = 7 * quadrature.MAX_GRID_INTERVALS
 # shooting's predictor marches in substeps this many times the audit step
 PREDICTOR_STEP_FACTOR = 8
 # shooting's fine run marches the audit grid in segments of this many intervals
 SEGMENT_INTERVALS = 32
 # each Newton run of shooting takes at most this many iterations
 MAX_NEWTON = 100
+DEFAULT_DESCENT_N = 256  # the discrete minimizer's grid intervals
+DEFAULT_DESCENT_ITERS = 10000  # and its iteration budget
 # the discrete minimizer stops once |grad| <= DESCENT_GRAD_TOL * (1 + |J|)
 DESCENT_GRAD_TOL = 1e-6
 # certify_minimal_candidate: |J_s - J_d| <= CERTIFY_J_RTOL * (1 + |J_s|),
@@ -251,7 +260,7 @@ def _march(dyn: _Dynamics, blocks) -> list:
     return out
 
 
-def _recorded_path(model, params, record: _Record, s_nodes, breaks, step: float,
+def _recorded_path(model, params, record: _Record, s_nodes, pieces, step: float,
                    drift_tol: float) -> PhiPath:
     """``PhiPath`` of a march record; its first integral must hold within ``drift_tol``.
 
@@ -266,7 +275,7 @@ def _recorded_path(model, params, record: _Record, s_nodes, breaks, step: float,
             f"step {step} is too large"
         )
     path = PhiPath(s=s_nodes, pos=record.pos, vel=record.vel, C_value=c_value,
-                   drift=float(drift), breaks=breaks)
+                   drift=float(drift), pieces=pieces)
     path.action_J = action(model, params, path)
     return path
 
@@ -302,7 +311,7 @@ def integrate_ivp(
     vel = project_tangent(model, pos, v0)
     block = (pos[None], vel[None], params.c * model.scalar_R, s_nodes, step)
     ((_, _, record),) = _march(_Dynamics(model), [block])
-    return _recorded_path(model, params, record, s_nodes, (0.0, s_end), step, drift_tol)
+    return _recorded_path(model, params, record, s_nodes, (), step, drift_tol)
 
 
 # ---------------------------------------------------------------------------
@@ -313,7 +322,7 @@ def integrate_ivp(
 def action(model: ModelSpec, params: PhiParams, path: PhiPath) -> float:
     """Composite Simpson quadrature of |S|^2 + 2*phi over the path grid."""
     integrand = path.speed_sq() + 2.0 * phi_value(model, params, path.pos)
-    pieces = [(i0, i1, 1.0) for i0, i1 in quadrature.piece_slices(path.s, path.breaks)]
+    pieces = [(i0, i1, 1.0) for i0, i1 in path.pieces]
     return quadrature.integrate_pieces(path.s, integrand, pieces)[0]
 
 
@@ -334,9 +343,9 @@ def solve_bvp_shooting(
     params: PhiParams,
     x: np.ndarray,
     y: np.ndarray,
-    tol: float = 1e-10,
+    tol: float = DEFAULT_SHOOT_TOL,
     step: float = MAX_IVP_STEP,
-    density: int = 16,
+    density: int = quadrature.DEFAULT_DENSITY,
     drift_tol: float = DEFAULT_DRIFT_TOL,
 ) -> PhiPath:
     """Find the initial velocity whose trajectory lands on y at s = d(x, y).
@@ -354,16 +363,20 @@ def solve_bvp_shooting(
     endpoint map, which takes the conditioning check. With no joints the
     trial is single shooting, bit for bit.
 
-    Newton runs twice (``_newton``), each with up to ``MAX_NEWTON``
-    iterations. The audit grid is cut into segments of ``SEGMENT_INTERVALS``
-    intervals. The predictor has no joints and marches the gaps between the
-    cuts, [0, joints, s_bar], in substeps of ``PREDICTOR_STEP_FACTOR *
-    step``; Newton takes the same number of iterations on a coarse
-    discretization as on a fine one and lands within the discretization gap
-    of the fine root (Allgower, Böhmer, Potra & Rheinboldt, SIAM J. Numer.
-    Anal. 23, 1986), so its rounds are cheap. The fine run marches the audit
-    grid at ``step`` with a joint at every cut, from the predictor's ``a``
-    and states there, and usually needs one Newton step. After a failed
+    The path keeps the pieces of ``quadrature.audit_grid(s_bar, density)``;
+    more than ``MAX_SCHEDULE_SUBSTEPS`` RK4 substeps on it are refused
+    before any march. Newton runs twice (``_newton``), each with up to
+    ``MAX_NEWTON`` iterations, until the residual norm is below ``tol *
+    min(1, s_bar)``, so that a tiny distance still corrects its start. The
+    audit grid is cut into segments of ``SEGMENT_INTERVALS`` intervals. The
+    predictor has no joints and marches the gaps between the cuts, [0,
+    joints, s_bar], in substeps of ``PREDICTOR_STEP_FACTOR * step``; Newton
+    takes the same number of iterations on a coarse discretization as on a
+    fine one and lands within the discretization gap of the fine root
+    (Allgower, Böhmer, Potra & Rheinboldt, SIAM J. Numer. Anal. 23, 1986),
+    so its rounds are cheap. The fine run marches the audit grid at
+    ``step`` with a joint at every cut, from the predictor's ``a`` and
+    states there, and usually needs one Newton step. After a failed
     predictor it starts from the initial guess with no joints, so a failed
     predictor costs its marches and nothing else. Only the fine run can
     fail the solve.
@@ -405,9 +418,9 @@ def solve_bvp_shooting(
 def solve_bvp_shooting_batch(
     model: ModelSpec,
     problems,
-    tol: float = 1e-10,
+    tol: float = DEFAULT_SHOOT_TOL,
     step: float = MAX_IVP_STEP,
-    density: int = 16,
+    density: int = quadrature.DEFAULT_DENSITY,
     drift_tol: float = DEFAULT_DRIFT_TOL,
 ) -> list:
     """Shoot every ``(params, x, y)`` problem on one model in lockstep.
@@ -620,12 +633,14 @@ def _shooting(model, params, x, y, tol, step, density, drift_tol):
     s_bar = float(distance(model, x, y))
     if s_bar <= 0.0:
         raise DegenerateEndpointsError(f"{model}: shooting needs x != y")
-    if s_bar >= 2.0:
-        s_out, breaks = quadrature.audit_grid(s_bar, density)
-    else:
-        n = max(64, 4 * math.ceil(s_bar * density / 4.0))
-        s_out = quadrature.uniform_grid(s_bar, n)
-        breaks = (0.0, s_bar)
+    s_out, pieces = quadrature.audit_grid(s_bar, density)
+    substeps = sum(n_sub for n_sub, _ in _substeps(s_out, step))
+    if substeps > MAX_SCHEDULE_SUBSTEPS:
+        raise PreconditionError(
+            f"{model}: step {step} takes {substeps} RK4 substeps over s_bar = {s_bar:.6g}, "
+            f"more than MAX_SCHEDULE_SUBSTEPS = {MAX_SCHEDULE_SUBSTEPS}"
+        )
+    tol = tol * min(1.0, s_bar)
     bg = background_geodesic(model, x, y, 64)
     if model.scalar_R == 0.0:
         mean_rof = 0.0
@@ -695,7 +710,7 @@ def _shooting(model, params, x, y, tol, step, density, drift_tol):
             f"(best endpoint miss {fine.miss:.3e})",
             best_miss=fine.miss,
         )
-    path = _recorded_path(model, params, fine.record, s_out, breaks, step, drift_tol)
+    path = _recorded_path(model, params, fine.record, s_out, pieces, step, drift_tol)
     path.flags.append("shooting")
     counts = fine.counts((s_out, step))
     segments = len(cuts) - 1
@@ -756,8 +771,8 @@ def minimize_action_discrete(
     params: PhiParams,
     x: np.ndarray,
     y: np.ndarray,
-    N: int = 256,
-    max_iters: int = 10000,
+    N: int = DEFAULT_DESCENT_N,
+    max_iters: int = DEFAULT_DESCENT_ITERS,
 ) -> PhiPath:
     """Minimize the discretized action over interior nodes.
 
@@ -845,7 +860,7 @@ def minimize_action_discrete(
     vel[-1] = -(4.0 * log_map(model, pos[-1], pos[-2]) - log_map(model, pos[-1], pos[-3])) / (
         2.0 * ds
     )
-    path = PhiPath(s=s, pos=pos, vel=vel, breaks=(0.0, s_bar), flags=flags)
+    path = PhiPath(s=s, pos=pos, vel=vel, flags=flags)
     path.C_value, path.drift = conserved_quantity(model, params, path)
     path.action_J = action(model, params, path)
     path.minimal_evidence["descent"] = {

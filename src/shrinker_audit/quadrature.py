@@ -1,11 +1,12 @@
-"""Piecewise composite Simpson quadrature on break-aligned grids.
+"""Piecewise composite Simpson quadrature on kink-aligned path grids.
 
 The trapezoid cutoff used by the audits is piecewise polynomial with kinks
 at s = 1 and s = s_bar - 1. Integrating it with a quadrature whose nodes
-straddle a kink would degrade the order, so paths meant for auditing are
-sampled on grids that contain every kink as a node and are uniform between
-consecutive breakpoints. Simpson's rule is exact for cubics, which makes the
-cutoff factors integrate exactly piece by piece.
+straddle a kink would degrade the order, so ``audit_grid``, the one
+path-grid builder, puts a node at every kink and is uniform between them.
+It hands back those uniform pieces as node index ranges, which a
+``PhiPath`` carries as its ``pieces``. Simpson's rule is exact for cubics,
+which makes the cutoff factors integrate exactly piece by piece.
 
 ``integrate_pieces`` is the package's one quadrature-with-error routine:
 the path audits, the scan window and the action all integrate through it.
@@ -19,18 +20,11 @@ import numpy as np
 
 from .errors import CutoffUndefinedError, PreconditionError
 
-# Most intervals a path grid may have. At the default density of 16 this
-# admits s_bar up to 4 096; larger grids are refused before anything
-# is allocated.
+# Intervals per unit length of a path grid, at the least.
+DEFAULT_DENSITY = 16
+# Most intervals a path grid may have. At the default density this admits
+# s_bar up to 4 096; larger grids are refused before anything is allocated.
 MAX_GRID_INTERVALS = 2**16
-
-
-def _refuse_oversized(intervals) -> None:
-    if not intervals <= MAX_GRID_INTERVALS:
-        raise PreconditionError(
-            f"a path grid of {intervals:.6g} intervals exceeds "
-            f"MAX_GRID_INTERVALS = {MAX_GRID_INTERVALS}"
-        )
 
 
 def simpson_uniform(s: np.ndarray, y: np.ndarray) -> float:
@@ -56,29 +50,10 @@ def simpson_uniform(s: np.ndarray, y: np.ndarray) -> float:
     return head + tail
 
 
-def piece_slices(s: np.ndarray, breaks) -> list:
-    """Index ranges [(i0, i1), ...] of the grid pieces between breakpoints.
-
-    Every breakpoint must coincide with a grid node. An empty ``breaks``
-    means the whole grid is one piece.
-    """
-    s = np.asarray(s, dtype=float)
-    if breaks is None or len(breaks) == 0:
-        return [(0, len(s) - 1)]
-    idx = []
-    for b in breaks:
-        j = int(np.argmin(np.abs(s - b)))
-        if abs(s[j] - b) > 1e-9 * (1.0 + abs(b)):
-            raise ValueError(f"breakpoint {b} is not a grid node")
-        idx.append(j)
-    idx = sorted(set(idx) | {0, len(s) - 1})
-    return [(idx[i], idx[i + 1]) for i in range(len(idx) - 1)]
-
-
 def integrate_pieces(s: np.ndarray, y: np.ndarray, pieces):
     """Weighted sum of per-piece Simpson integrals, with an error estimate.
 
-    ``pieces`` holds ``(i0, i1, weight)`` index ranges from ``piece_slices``;
+    ``pieces`` holds ``(i0, i1, weight)`` node ranges, such as a path's pieces;
     the result is ``(sum of weight * integral, sum of piece errors)``, summed
     in piece order. A piece's error compares its Simpson value against the
     rule on the 2x-coarsened piece when the interval count is even, else
@@ -97,31 +72,31 @@ def integrate_pieces(s: np.ndarray, y: np.ndarray, pieces):
     return total, err
 
 
-def uniform_grid(s_bar: float, n_intervals: int) -> np.ndarray:
-    if n_intervals < 2:
-        raise ValueError("need at least 2 intervals")
-    _refuse_oversized(n_intervals)
-    return np.linspace(0.0, s_bar, n_intervals + 1)
+def audit_grid(s_bar: float, density: int = DEFAULT_DENSITY):
+    """The one path grid over [0, s_bar]: ``(s, pieces)``.
 
-
-def audit_grid(s_bar: float, density: int = 16):
-    """Grid over [0, s_bar] aligned to the cutoff kinks at 1 and s_bar - 1.
-
-    Returns ``(s, breaks)``. Each piece between consecutive breakpoints is
-    uniform with an interval count that is a multiple of 4, so the grid can
-    be coarsened once for Richardson error estimates; so can any run of
-    nodes inside a piece with an even interval count (the scan's window).
-    A grid of more than ``MAX_GRID_INTERVALS`` intervals is refused.
+    ``pieces`` holds the ``(i0, i1)`` node ranges of the uniform pieces, in
+    order. When s_bar >= 2 the pieces end at the cutoff kinks 1 and
+    s_bar - 1, each with an interval count that is a multiple of 4, so the
+    grid can be coarsened once for Richardson error estimates; so can any
+    run of nodes inside a piece with an even interval count (the scan's
+    window). A shorter path has no cutoff and gets one uniform piece of
+    max(64, 4 * ceil(s_bar * density / 4)) intervals. A grid of more than
+    ``MAX_GRID_INTERVALS`` intervals is refused.
     """
     if not math.isfinite(s_bar):
         raise CutoffUndefinedError(f"trapezoid cutoff needs a finite s_bar (got {s_bar!r})")
     if s_bar < 2.0:
-        raise CutoffUndefinedError(f"trapezoid cutoff needs s_bar >= 2 (got {s_bar!r})")
-    breaks = sorted({0.0, 1.0, s_bar - 1.0, s_bar})
-    spans = [(a, b) for a, b in zip(breaks[:-1], breaks[1:]) if b - a >= 1e-12]
+        spans, least = [(0.0, s_bar)], 64.0
+    else:
+        ends = sorted({0.0, 1.0, s_bar - 1.0, s_bar})
+        spans, least = [(a, b) for a, b in zip(ends[:-1], ends[1:]) if b - a >= 1e-12], 4.0
     # float counts, so that an overflowing s_bar * density is refused too
-    counts = [max(4.0, 4.0 * np.ceil((b - a) * density / 4.0)) for a, b in spans]
-    _refuse_oversized(sum(counts))
-    pieces = [np.linspace(a, b, int(count) + 1) for (a, b), count in zip(spans, counts)]
-    s = np.concatenate([p if i == 0 else p[1:] for i, p in enumerate(pieces)])
-    return s, tuple(breaks)
+    counts = [max(least, 4.0 * np.ceil((b - a) * density / 4.0)) for a, b in spans]
+    if not sum(counts) <= MAX_GRID_INTERVALS:
+        raise PreconditionError(f"a path grid of {sum(counts):.6g} intervals exceeds "
+                                f"MAX_GRID_INTERVALS = {MAX_GRID_INTERVALS}")
+    nodes = [np.linspace(a, b, int(count) + 1) for (a, b), count in zip(spans, counts)]
+    s = np.concatenate([p if i == 0 else p[1:] for i, p in enumerate(nodes)])
+    edges = np.cumsum([0, *counts]).astype(int).tolist()
+    return s, tuple(zip(edges[:-1], edges[1:]))

@@ -41,15 +41,15 @@ def cylinder_path(c=0.1, ry=10.0, model=None):
 # ---------------------------------------------------------------------------
 
 
-def _grid_path(s, breaks=()):
+def _grid_path(s, pieces=()):
     """A path that only carries a grid: the cutoff reads nothing else."""
     zero = np.zeros((len(s), 1))
-    return PhiPath(s, zero, zero, breaks=breaks)
+    return PhiPath(s, zero, zero, pieces=pieces)
 
 
 def test_cutoff_shape():
-    s, breaks = quadrature.audit_grid(6.0, density=2)
-    zeta, whole, ramps = _cutoff(_grid_path(s, breaks))
+    s, pieces = quadrature.audit_grid(6.0, density=2)
+    zeta, whole, ramps = _cutoff(_grid_path(s, pieces))
     nodes = np.searchsorted(s, [0.0, 0.5, 1.0, 3.0, 5.0, 5.5, 6.0])
     assert np.allclose(zeta[nodes], [0.0, 0.5, 1.0, 1.0, 1.0, 0.5, 0.0])
     # slope +1 on [0, 1], 0 on the plateau [1, 5], -1 on [5, 6]: the kink
@@ -58,9 +58,16 @@ def test_cutoff_shape():
     assert whole == [(0, i_up, 1.0), (i_up, i_down, 1.0), (i_down, len(s) - 1, 1.0)]
     assert ramps == [(0, i_up, 1.0), (i_down, len(s) - 1, -1.0)]
     assert zeta[0] == 0.0
-    fine, fine_breaks = quadrature.audit_grid(6.0, density=100)
-    vals = _cutoff(_grid_path(fine, fine_breaks))[0]
+    fine, fine_pieces = quadrature.audit_grid(6.0, density=100)
+    vals = _cutoff(_grid_path(fine, fine_pieces))[0]
     assert np.all(vals >= 0.0) and np.all(vals <= 1.0)
+
+
+@pytest.mark.parametrize("pieces", [(), ((0, 4), (4, 7))], ids=["one-piece", "off-kink"])
+def test_cutoff_refuses_a_grid_without_kink_nodes(pieces):
+    # nodes every 6/7: none at s = 1 or s = 5
+    with pytest.raises(ValueError, match="not aligned to the cutoff kinks"):
+        _cutoff(_grid_path(np.linspace(0.0, 6.0, 8), pieces))
 
 
 def test_cutoff_requires_long_interval():
@@ -70,8 +77,8 @@ def test_cutoff_requires_long_interval():
 
 def test_cutoff_analytic_integrals_via_quadrature():
     for s_bar in [2.0, 3.0, 10.0, 25.5]:
-        s, breaks = quadrature.audit_grid(s_bar, density=8)
-        zeta, whole, ramps = _cutoff(_grid_path(s, breaks))
+        s, pieces = quadrature.audit_grid(s_bar, density=8)
+        zeta, whole, ramps = _cutoff(_grid_path(s, pieces))
         val = quadrature.integrate_pieces(s, zeta**2, whole)[0]
         assert abs(val - (s_bar - 4.0 / 3.0)) <= 1e-10
         slope_sq_total = sum(slope**2 * (s[i1] - s[i0]) for i0, i1, slope in ramps)

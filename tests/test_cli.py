@@ -6,6 +6,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from dataclasses import fields
 from pathlib import Path
 
@@ -119,15 +120,20 @@ def test_geodesic_sphere_quarter_arc(tmp_path):
     assert abs(payload["shooting"]["C_value"] - 0.9) <= 1e-9
 
 
-def test_geodesic_sphere_tiny_radius_solvers_agree(tmp_path):
-    # the discrete solver's background start must end at y and hold unit speed
+@pytest.mark.parametrize("ry", ["1e-7", "1e-9", "1e-11", "1e-12", "1e-13", "1e-14"])
+def test_geodesic_sphere_tiny_radius_solvers_agree(tmp_path, ry):
+    # the discrete solver's background start must end at y and hold unit
+    # speed, and shooting's tolerance, scaled to s_bar, must make it correct
+    # its start: C = 1 - c from both solvers
     code = main([
-        "geodesic", "--model", "sphere:n=3", "--c", "0.2", "--ry", "1e-7",
+        "geodesic", "--model", "sphere:n=3", "--c", "0.2", "--ry", ry,
         "--out", str(tmp_path),
     ])
     assert code == EXIT_OK
     payload = read_json(tmp_path / "geodesic_summary.json")
     assert payload["evidence"]["J_agree"] and payload["evidence"]["C_agree"]
+    assert payload["shooting"]["C_value"] == pytest.approx(0.8, abs=1e-6)
+    assert payload["shooting"]["minimal_evidence"]["shooting"]["final_miss"] < 1e-10 * float(ry)
 
 
 @pytest.mark.parametrize(
@@ -148,6 +154,32 @@ def test_oversized_path_grid_refused_before_allocation(tmp_path, capsys, argv, c
     assert len(err) == 1 and err[0].startswith("refused:")
     assert "MAX_GRID_INTERVALS" in err[0]
     assert not out.exists() or not any(out.iterdir())
+
+
+@pytest.mark.parametrize("command", ["scan", "geodesic"])
+def test_tiny_step_refused_before_marching(tmp_path, capsys, monkeypatch, command):
+    # step 1e-7 over r_y = 10 is 1e8 RK4 substeps; a march would fail the test at once
+    def no_march(*args):
+        raise AssertionError("marched a schedule beyond MAX_SCHEDULE_SUBSTEPS")
+
+    monkeypatch.setattr(phigeo, "_march", no_march)
+    cfg_path = tmp_path / "step.json"
+    cfg_path.write_text(json.dumps({"step": 1e-7}))
+    out = tmp_path / "out"
+    assert main([command, "--ry", "10", "--config", str(cfg_path), "--out", str(out)]) \
+        == EXIT_REFUSED
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("refused:")
+    assert "MAX_SCHEDULE_SUBSTEPS" in err[0]
+    assert not out.exists()
+
+
+def test_substep_bound_admits_every_default_grid():
+    # the largest grid audit_grid admits at the default density, at the default step
+    s, _ = quadrature.audit_grid(4096.0)
+    assert len(s) - 1 == quadrature.MAX_GRID_INTERVALS
+    substeps = sum(n_sub for n_sub, _ in phigeo._substeps(s, phigeo.MAX_IVP_STEP))
+    assert substeps == 7 * quadrature.MAX_GRID_INTERVALS <= phigeo.MAX_SCHEDULE_SUBSTEPS
 
 
 @pytest.mark.parametrize("N", [quadrature.MAX_GRID_INTERVALS + 1, 10**8])
@@ -510,9 +542,13 @@ def test_grid_errors_come_in_grid_order(tmp_path, capsys, argv, drift_tol, code,
 
 @pytest.mark.parametrize("command", ["geodesic", "audit-chain", "scan"])
 def test_overflowing_target_radius_is_refused(tmp_path, capsys, command):
-    # r(y) = 1e200 overflows the distance to inf, which no cutoff grid covers
+    # r(y) = 1e200 overflows the distance to inf, which no cutoff grid covers;
+    # the refusal is all that reaches stderr, with no numpy warning before it
     out = tmp_path / "out"
-    assert main([command, "--ry", "1e200", "--out", str(out)]) == EXIT_REFUSED
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main([command, "--ry", "1e200", "--out", str(out)]) == EXIT_REFUSED
+    assert [str(w.message) for w in caught] == []
     captured = capsys.readouterr()
     assert captured.err == "refused: trapezoid cutoff needs a finite s_bar (got inf)\n"
     assert captured.out == "" and not out.exists()

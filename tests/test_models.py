@@ -236,7 +236,7 @@ def test_background_geodesic_endpoint_and_length_by_quadrature(rng):
     q = models.random_point(m, rng)
     path = models.background_geodesic(m, p, q, 128)
     assert float(models.distance(m, path.pos[-1], q)) < 1e-10
-    pieces = [(i0, i1, 1.0) for i0, i1 in quadrature.piece_slices(path.s, path.breaks)]
+    pieces = [(i0, i1, 1.0) for i0, i1 in path.pieces]
     length = quadrature.integrate_pieces(path.s, np.sqrt(path.speed_sq()), pieces)[0]
     assert length == pytest.approx(path.s_bar, abs=1e-10)
 

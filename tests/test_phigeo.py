@@ -372,7 +372,7 @@ def _assert_same_path(got, alone):
     for name in ("s", "pos", "vel"):
         assert np.array_equal(getattr(got, name), getattr(alone, name))
         assert getattr(got, name).tobytes() == getattr(alone, name).tobytes()
-    for name in ("C_value", "drift", "action_J", "minimal_evidence", "breaks", "flags"):
+    for name in ("C_value", "drift", "action_J", "minimal_evidence", "pieces", "flags"):
         assert getattr(got, name) == getattr(alone, name)
 
 

@@ -24,8 +24,8 @@ def _cubic(coeffs, a, b, s):
     data=st.data(),
 )
 def test_integrate_pieces_exact_on_cubics_over_audit_grid(s_bar, density, coeffs, data):
-    s, breaks = quadrature.audit_grid(s_bar, density)
-    pieces = [(i0, i1, 1.0) for i0, i1 in quadrature.piece_slices(s, breaks)]
+    s, grid_pieces = quadrature.audit_grid(s_bar, density)
+    pieces = [(i0, i1, 1.0) for i0, i1 in grid_pieces]
     # split one piece at a node an even interval count from its end, the
     # shape of the scan's window; both parts keep >= 4 intervals, so their
     # 2x-coarsened rules stay exact on cubics
@@ -39,6 +39,20 @@ def test_integrate_pieces_exact_on_cubics_over_audit_grid(s_bar, density, coeffs
     total, err = quadrature.integrate_pieces(s, y, pieces)
     assert abs(total - exact) <= 1e-9 * max(1.0, abs(exact))
     assert err <= 1e-9
+
+
+@pytest.mark.parametrize("s_bar, density, intervals",
+                         [(1.5, 16, 64), (1.9, 200, 380), (1e-12, 16, 64)])
+def test_short_path_grid_is_one_uniform_piece(s_bar, density, intervals):
+    s, pieces = quadrature.audit_grid(s_bar, density)
+    assert s.tobytes() == np.linspace(0.0, s_bar, intervals + 1).tobytes()
+    assert pieces == ((0, intervals),)
+
+
+def test_integrate_pieces_refuses_a_non_uniform_piece():
+    s = np.array([0.0, 1.0, 3.0])
+    with pytest.raises(ValueError, match="uniform grid"):
+        quadrature.integrate_pieces(s, np.ones(3), [(0, 2, 1.0)])
 
 
 @settings(max_examples=50, deadline=None)
