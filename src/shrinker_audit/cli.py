@@ -108,6 +108,10 @@ class RunConfig:
             raise ConfigError(f"fd_h must be below {CHART_RADIUS / 10.0} (got {self.fd_h})")
         if self.density < 4:
             raise ConfigError(f"density must be >= 4 (got {self.density})")
+        if self.density > quadrature.MAX_DENSITY:
+            raise ConfigError(f"density must be at most quadrature.MAX_DENSITY = "
+                              f"{quadrature.MAX_DENSITY:.6g} "
+                              f"(got an integer of {len(str(self.density))} digits)")
         if self.max_iters < 1:
             raise ConfigError(f"max_iters must be >= 1 (got {self.max_iters})")
         if not self.c:
@@ -167,8 +171,9 @@ def _config_from_args(args) -> RunConfig:
                 data = json.load(handle)
         except OSError as exc:
             raise ConfigError(f"config file {args.config!r}: {exc}") from exc
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"config file {args.config!r} is not valid JSON: {exc}") from exc
+        except ValueError as exc:  # malformed, or an integer of more digits than Python reads
+            raise ConfigError(
+                f"config file {args.config!r} cannot be read as JSON: {exc}") from exc
         if not isinstance(data, dict):
             raise ConfigError("config file must contain a JSON object")
         for key, value in data.items():

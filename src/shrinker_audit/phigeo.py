@@ -242,21 +242,23 @@ def _march(dyn: _Dynamics, blocks) -> list:
     trace = np.empty((len(h_cols) + 1, len(blocks), state.shape[1]))
     trace[0] = state[heads]
     live = len(blocks)
-    for k in range(len(h_cols)):
-        while len(sizes[order[live - 1]]) == k:
-            live -= 1
-        n = ends[live - 1]
-        state[:n] = dyn.rk4_step(state[:n], h_cols[k, :n], cR[:n])
-        trace[k + 1, :live] = state[heads[:live]]
     a = dyn.ambient
     out = [None] * len(blocks)
-    for slot, (b, head, end) in enumerate(zip(order, heads, ends)):
-        rows = trace[: len(sizes[b]) + 1, slot]
-        nodes = np.cumsum([0] + [n_sub for n_sub, _ in schedules[b]])
-        energies = dyn.energy(rows, blocks[b][2])
-        record = _Record(rows[nodes, :a], rows[nodes, a:], energies[nodes],
-                         energies.min(), energies.max())
-        out[b] = (state[head:end, :a], state[head:end, a:], record)
+    # a row that overflows turns inf or NaN quietly; the caller rejects it
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(len(h_cols)):
+            while len(sizes[order[live - 1]]) == k:
+                live -= 1
+            n = ends[live - 1]
+            state[:n] = dyn.rk4_step(state[:n], h_cols[k, :n], cR[:n])
+            trace[k + 1, :live] = state[heads[:live]]
+        for slot, (b, head, end) in enumerate(zip(order, heads, ends)):
+            rows = trace[: len(sizes[b]) + 1, slot]
+            nodes = np.cumsum([0] + [n_sub for n_sub, _ in schedules[b]])
+            energies = dyn.energy(rows, blocks[b][2])
+            record = _Record(rows[nodes, :a], rows[nodes, a:], energies[nodes],
+                             energies.min(), energies.max())
+            out[b] = (state[head:end, :a], state[head:end, a:], record)
     return out
 
 
@@ -265,8 +267,14 @@ def _recorded_path(model, params, record: _Record, s_nodes, pieces, step: float,
     """``PhiPath`` of a march record; its first integral must hold within ``drift_tol``.
 
     C is the median node energy, and the drift bounds the deviation from it
-    over every substep.
+    over every substep. A march that overflowed has a non-finite energy
+    and is refused before its median is taken.
     """
+    for energy in (record.e_min, record.e_max):
+        if not math.isfinite(energy):
+            raise DriftExceededError(
+                f"conserved-quantity energy {energy} is not finite; the march overflowed"
+            )
     c_value = float(np.median(record.energies))
     drift = max(record.e_max - c_value, c_value - record.e_min)
     if drift > drift_tol:
@@ -365,21 +373,26 @@ def solve_bvp_shooting(
 
     The path keeps the pieces of ``quadrature.audit_grid(s_bar, density)``;
     more than ``MAX_SCHEDULE_SUBSTEPS`` RK4 substeps on it are refused
-    before any march. Newton runs twice (``_newton``), each with up to
-    ``MAX_NEWTON`` iterations, until the residual norm is below ``tol *
-    min(1, s_bar)``, so that a tiny distance still corrects its start. The
-    audit grid is cut into segments of ``SEGMENT_INTERVALS`` intervals. The
-    predictor has no joints and marches the gaps between the cuts, [0,
-    joints, s_bar], in substeps of ``PREDICTOR_STEP_FACTOR * step``; Newton
-    takes the same number of iterations on a coarse discretization as on a
-    fine one and lands within the discretization gap of the fine root
-    (Allgower, Böhmer, Potra & Rheinboldt, SIAM J. Numer. Anal. 23, 1986),
-    so its rounds are cheap. The fine run marches the audit grid at
-    ``step`` with a joint at every cut, from the predictor's ``a`` and
-    states there, and usually needs one Newton step. After a failed
-    predictor it starts from the initial guess with no joints, so a failed
-    predictor costs its marches and nothing else. Only the fine run can
-    fail the solve.
+    before any march. Newton runs two or three times (``_newton``), each
+    with up to ``MAX_NEWTON`` iterations, until the residual norm is below
+    ``tol * min(1, s_bar)``, so that a tiny distance still corrects its
+    start. The audit grid is cut into segments of ``SEGMENT_INTERVALS``
+    intervals. The predictor marches the coarse nodes [0, cuts, s_bar] in
+    substeps of ``PREDICTOR_STEP_FACTOR * step``, with a joint at every
+    inner one, started at the background geodesic's state there: position
+    exp_x((s / s_bar) log_x y), velocity log_p(y) / (s_bar - s) scaled like
+    the initial guess. Newton takes the same number of iterations on a
+    coarse discretization as on a fine one and lands within the
+    discretization gap of the fine root (Allgower, Böhmer, Potra &
+    Rheinboldt, SIAM J. Numer. Anal. 23, 1986), and a segmented round costs
+    one gap's steps, so its rounds are cheap. If it does not converge, the
+    fallback, single shooting over the same coarse nodes from the initial
+    guess, runs in its place. The fine run marches the audit grid at
+    ``step`` with a joint at every cut, from the converged coarse run's
+    ``a`` and states there, and usually needs one Newton step. When neither
+    coarse run converged it starts from the initial guess with no joints,
+    so a failed predictor costs its marches and nothing else. Only the fine
+    run can fail the solve.
 
     A trial marches segment 0 from x with ``a`` and its n perturbations
     ``a + delta e_j``, and every other segment from its joint's state with
@@ -396,13 +409,16 @@ def solve_bvp_shooting(
     counts: Newton iterations, rejected line-search trials (backtracks),
     marches and the rows they carried, RK4 steps, the final endpoint miss
     and the stop reason; ``predictor`` holds the same counts (rows aside)
-    for the predictor, whose stop reason is ``converged``, ``stalled``,
-    ``budget-exhausted`` or ``ill-conditioned``. The counts are the
-    problem's own: a march counts its own rows, and its own substeps over
-    every segment as RK4 steps, whatever else shared the batch. A fine run
-    with joints adds ``segments``, ``max_joint_defect`` (the largest joint
-    defect's norm) and ``march_steps`` (the longest segment's substeps: the
-    RK4 step calls one of its marches costs in lockstep).
+    for the segmented predictor, whose stop reason is ``converged``,
+    ``stalled``, ``budget-exhausted`` or ``ill-conditioned``, with its
+    ``segments`` and a ``fallback`` entry: the same counts for the
+    single-shooting predictor, or None when it did not run. The counts are
+    the problem's own: a march counts its own rows, and its own substeps
+    over every segment as RK4 steps, whatever else shared the batch, and
+    every march is counted once. A fine run with joints adds ``segments``,
+    ``max_joint_defect`` (the largest joint defect's norm) and
+    ``march_steps`` (the longest segment's substeps: the RK4 step calls one
+    of its marches costs in lockstep).
 
     This is the one-problem case of ``solve_bvp_shooting_batch``; a batch
     returns bitwise the same path for each problem.
@@ -616,17 +632,21 @@ def _joined(records) -> _Record:
 
 
 def _shooting(model, params, x, y, tol, step, density, drift_tol):
-    """The predictor and fine Newton runs of one shooting problem, as a generator.
+    """The predictor, fallback and fine Newton runs of one shooting problem, as a generator.
 
     It yields each trial's list of ``_march`` blocks ``(starts, v0, cR,
     s_nodes, step)`` and receives their ``(p_end, v_end, record)`` triples;
     it returns the ``PhiPath`` of the converged fine trial.
 
-    Both runs use the one trial below: segments between the node indices
+    Every run uses the one trial below: segments between the node indices
     ``cuts`` with a ``_Joints`` at every inner cut, unknowns z = [a, each
     joint's coordinates], and the joint defects, then the endpoint miss, as
-    residual. A run with joints that fails reports its residual norm, joint
-    defects included, as its miss.
+    residual. The predictor takes every coarse node as a cut, with joints
+    at the background geodesic's states; the fallback takes none, and runs
+    only when the predictor fails and has joints (with none it already was
+    single shooting). A run with joints reports its residual norm, joint
+    defects included, as its miss. A trial that overflowed has a non-finite
+    residual, which the Armijo test rejects.
     """
     validate_point(model, x)
     validate_point(model, y)
@@ -646,7 +666,8 @@ def _shooting(model, params, x, y, tol, step, density, drift_tol):
         mean_rof = 0.0
     else:
         mean_rof = float(np.mean(model.scalar_R / potential_f(model, bg.pos)))
-    v_guess = bg.vel[0] * math.sqrt(1.0 + params.c * mean_rof)
+    speed = math.sqrt(1.0 + params.c * mean_rof)
+    v_guess = bg.vel[0] * speed
     basis_x = tangent_basis(model, x)
     basis_y = tangent_basis(model, y)
     dim = basis_x.shape[0]
@@ -685,11 +706,25 @@ def _shooting(model, params, x, y, tol, step, density, drift_tol):
     cuts = [*range(0, len(s_out) - 1, SEGMENT_INTERVALS), len(s_out) - 1]
     a_guess = basis_x @ v_guess
     coarse = (np.array([0.0, *s_out[cuts[1:-1]], s_bar]), PREDICTOR_STEP_FACTOR * step)
-    predictor = yield from _newton(partial(trial, [0, len(cuts) - 1], no_joints), a_guess,
+    # the predictor's joints start at the background geodesic's states
+    # there, exp_x((s / s_bar) log_x y); log_x y is undefined for an antipodal
+    # pair, but log_x of the background geodesic's midpoint never is
+    s_joint = coarse[0][1:-1, None]
+    mid = len(bg.s) // 2
+    bg_pos = exp_map(model, x, (s_joint / bg.s[mid]) * log_map(model, x, bg.pos[mid]))
+    bg_joints = _Joints(model, bg_pos, log_map(model, bg_pos, y) / (s_bar - s_joint) * speed)
+    predictor = yield from _newton(partial(trial, range(len(coarse[0])), bg_joints),
+                                   np.concatenate([a_guess, bg_joints.start.ravel()]),
                                    coarse, tol, MAX_NEWTON)
-    if predictor.stop_reason == "converged":
-        joints = _Joints(model, predictor.record.pos[1:-1], predictor.record.vel[1:-1])
-        z = np.concatenate([predictor.a, joints.start.ravel()])
+    coarse_run, fallback = predictor, None
+    if predictor.stop_reason != "converged" and len(cuts) > 2:
+        # single shooting over the coarse nodes, which a segmented run with
+        # no inner node already was
+        coarse_run = fallback = yield from _newton(partial(trial, [0, len(cuts) - 1], no_joints),
+                                                   a_guess, coarse, tol, MAX_NEWTON)
+    if coarse_run.stop_reason == "converged":
+        joints = _Joints(model, coarse_run.record.pos[1:-1], coarse_run.record.vel[1:-1])
+        z = np.concatenate([coarse_run.a[:dim], joints.start.ravel()])
     else:
         cuts, joints, z = [0, len(s_out) - 1], no_joints, a_guess
     fine = yield from _newton(partial(trial, cuts, joints), z, (s_out, step), tol, MAX_NEWTON)
@@ -725,6 +760,8 @@ def _shooting(model, params, x, y, tol, step, density, drift_tol):
                             for lo, hi in zip(cuts, cuts[1:])),
         )
     counts["predictor"] = predictor.counts(coarse)
+    counts["predictor"].update(segments=len(coarse[0]) - 1,
+                               fallback=None if fallback is None else fallback.counts(coarse))
     path.minimal_evidence["shooting"] = counts
     return path
 

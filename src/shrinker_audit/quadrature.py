@@ -15,6 +15,7 @@ the path audits, the scan window and the action all integrate through it.
 from __future__ import annotations
 
 import math
+import sys
 
 import numpy as np
 
@@ -25,6 +26,11 @@ DEFAULT_DENSITY = 16
 # Most intervals a path grid may have. At the default density this admits
 # s_bar up to 4 096; larger grids are refused before anything is allocated.
 MAX_GRID_INTERVALS = 2**16
+# Most intervals per unit length a path grid may ask for. MAX_GRID_INTERVALS
+# over the shortest positive s_bar, the least subnormal 2**-1074, is 2**1090,
+# beyond every float; audit_grid takes the density as a float, so the bound
+# is the largest float. Above it a density never gives a grid.
+MAX_DENSITY = int(sys.float_info.max)
 
 
 def simpson_uniform(s: np.ndarray, y: np.ndarray) -> float:

@@ -156,6 +156,27 @@ def test_oversized_path_grid_refused_before_allocation(tmp_path, capsys, argv, c
     assert not out.exists() or not any(out.iterdir())
 
 
+@pytest.mark.parametrize(
+    "text, field",
+    [(json.dumps({"density": 10**400}), "density"),
+     (json.dumps({"density": quadrature.MAX_DENSITY + 1}), "density"),
+     # more digits than Python converts: the file cannot be read at all
+     ('{"density": 1' + "0" * 4400 + "}", "JSON")],
+    ids=["1e400", "max-plus-one", "4401-digits"],
+)
+def test_density_beyond_any_float_exits_2(tmp_path, capsys, text, field):
+    cfg_path = tmp_path / "dense.json"
+    cfg_path.write_text(text)
+    out = tmp_path / "out"
+    code = main(["geodesic", "--ry", "5", "--config", str(cfg_path), "--out", str(out)])
+    assert code == EXIT_CONFIG
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error:") and field in err[0]
+    assert not out.exists()
+    # the largest density a float holds is still a valid config
+    RunConfig(density=quadrature.MAX_DENSITY).validate()
+
+
 @pytest.mark.parametrize("command", ["scan", "geodesic"])
 def test_tiny_step_refused_before_marching(tmp_path, capsys, monkeypatch, command):
     # step 1e-7 over r_y = 10 is 1e8 RK4 substeps; a march would fail the test at once
@@ -499,7 +520,7 @@ def test_fuzzed_verify_identities_exits_with_a_documented_code(tmp_path_factory,
         # cell 0 is refused after its solve, cell 1 before any solve
         (["scan", "--c", "0.1", "--ry", "3,1.5"], None, EXIT_REFUSED,
          "refused: cylinder:k=2,m=2: scan precondition r(y) >= max(sqrt(2n), 3A) = "
-         "3.0518582978101687 fails at r(y) = 3.0"),
+         "3.0518582978101767 fails at r(y) = 3.0"),
         # cell 0 passes; cell 1 is refused before any solve; cell 2 fails its solve
         (["scan", "--c", "0.1,0.9", "--ry", "5,1.5"], 1e-12, EXIT_REFUSED,
          "refused: cylinder:k=2,m=2: scan needs r(y) >= 2 for the cutoff (got 1.5)"),
@@ -518,7 +539,7 @@ def test_fuzzed_verify_identities_exits_with_a_documented_code(tmp_path_factory,
          "refused: sphere:n=3: scan needs r(y) >= 2 for the cutoff (got 1.9999999999999998)"),
         (["scan", "--model", "sphere:n=3", "--c", "0.5", "--ry", "3"], None, EXIT_REFUSED,
          "refused: sphere:n=3: scan precondition r(y) >= max(sqrt(2n), 3A) = "
-         "3.0000000000099343 fails at r(y) = 3.0"),
+         "3.000000000009929 fails at r(y) = 3.0"),
     ],
     ids=["scan-precondition-then-cutoff", "scan-pass-cutoff-drift", "audit-chain-pass-drift",
          "audit-chain-cutoff-then-drift", "audit-chain-cutoff-digits", "scan-cutoff-digits",

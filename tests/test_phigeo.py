@@ -1,5 +1,6 @@
 import hashlib
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -130,6 +131,18 @@ def test_integrate_drift_abort_diagnostic():
     v0[3] = 0.8
     with pytest.raises(DriftExceededError, match="too large"):
         integrate_ivp(m, PhiParams(0.9), p0, v0, 20.0, step=1e-2, drift_tol=1e-15)
+
+
+def test_overflowing_march_is_refused_without_a_warning():
+    # a speed of 1e200 overflows |S|^2 at once; the march stays silent, and
+    # a record with a non-finite energy is refused before its median is taken
+    m = models.sphere_cylinder(2, 2)
+    v0 = np.zeros(5)
+    v0[3] = 1e200
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(DriftExceededError, match="energy inf is not finite"):
+            integrate_ivp(m, PhiParams(0.1), models.base_point(m), v0, 1.0)
 
 
 def test_conservation_drift_under_tolerance_at_fine_step():
@@ -333,6 +346,22 @@ def _assert_phase_counts(counts, s_nodes, step):
     assert counts["final_miss"] < 1e-10
 
 
+def _assert_failed_segmented_predictor(path):
+    """From a poor guess the segmented predictor fails and single shooting stands in.
+
+    Each march is counted once: the initial trial, one per iteration and
+    one per rejected trial, less the iteration of a stall, which accepts none.
+    """
+    predictor = path.minimal_evidence["shooting"]["predictor"]
+    assert predictor["segments"] == len(_predictor_nodes(path)) - 1 > 1
+    assert predictor["stop_reason"] != "converged"
+    assert predictor["marches"] == (1 + predictor["newton_iterations"] + predictor["backtracks"]
+                                    - (predictor["stop_reason"] == "stalled"))
+    assert predictor["fallback"] is not None
+    _assert_phase_counts(predictor["fallback"], _predictor_nodes(path),
+                         phigeo.PREDICTOR_STEP_FACTOR * phigeo.MAX_IVP_STEP)
+
+
 @pytest.mark.parametrize("predictor", ["kept", "starved"])
 def test_shooting_backtracks_from_a_poor_initial_guess(monkeypatch, predictor):
     # A random initial velocity instead of the background-geodesic one makes
@@ -361,8 +390,7 @@ def test_shooting_backtracks_from_a_poor_initial_guess(monkeypatch, predictor):
     assert counts["rows_marched"] == counts["marches"] * _rows_per_trial(m, counts)
     if predictor == "kept":
         assert counts["predictor"]["backtracks"] >= 1
-        _assert_phase_counts(counts["predictor"], _predictor_nodes(path),
-                             phigeo.PREDICTOR_STEP_FACTOR * phigeo.MAX_IVP_STEP)
+        _assert_failed_segmented_predictor(path)
     else:
         assert counts["predictor"]["stop_reason"] == "budget-exhausted"
         assert counts["backtracks"] >= 1
@@ -419,15 +447,51 @@ def test_shooting_batch_backtracking_beside_a_plain_cell(monkeypatch):
     plain, poor = solve_bvp_shooting_batch(m, problems)
     plain_counts = plain.minimal_evidence["shooting"]
     assert plain_counts["backtracks"] == plain_counts["predictor"]["backtracks"] == 0
+    assert plain_counts["predictor"]["fallback"] is None
     assert poor.minimal_evidence["shooting"]["predictor"]["backtracks"] >= 1
+    _assert_failed_segmented_predictor(poor)
     for path, (params, x_i, y_i) in zip((plain, poor), problems):
         _assert_same_path(path, solve_bvp_shooting(m, params, x_i, y_i))
 
 
+def test_segmented_predictor_starts_on_the_exact_geodesic():
+    # R = 0 on gaussian:n=3, so the background geodesic solves the problem:
+    # its joint states and the start guess need no Newton step, coarse or fine
+    m = models.gaussian(3)
+    path = solve_bvp_shooting(m, PhiParams(0.1), models.base_point(m),
+                              models.canonical_target(m, 20.0))
+    counts = path.minimal_evidence["shooting"]
+    predictor = counts["predictor"]
+    assert predictor["segments"] == counts["segments"] > 1
+    assert predictor["fallback"] is None
+    for run in (predictor, counts):
+        assert run["stop_reason"] == "converged"
+        assert (run["newton_iterations"], run["backtracks"], run["marches"]) == (0, 0, 1)
+    _assert_phase_counts(predictor, _predictor_nodes(path),
+                         phigeo.PREDICTOR_STEP_FACTOR * phigeo.MAX_IVP_STEP)
+
+
+@pytest.mark.parametrize("label", ["sphere:n=3", "cylinder:k=2,m=2"])
+def test_segmented_predictor_starts_an_antipodal_pair_on_the_tie_break(label):
+    # log_x y is undefined here; the predictor's joints follow the background
+    # geodesic's tie-broken great circle instead
+    m = models.parse_model(label)
+    x = models.base_point(m)
+    f = m.sphere_factors[0]
+    y = x.copy()
+    y[f.start : f.stop] *= -1.0
+    path = solve_bvp_shooting(m, PhiParams(0.1), x, y)
+    counts = path.minimal_evidence["shooting"]
+    assert counts["predictor"]["segments"] > 1 and counts["predictor"]["fallback"] is None
+    _assert_phase_counts(counts["predictor"], _predictor_nodes(path),
+                         phigeo.PREDICTOR_STEP_FACTOR * phigeo.MAX_IVP_STEP)
+    _assert_phase_counts(counts, path.s, phigeo.MAX_IVP_STEP)
+
+
 def test_shooting_batch_keeps_each_failure_in_its_slot():
     # x == y fails before any march; at drift_tol 5e-12 the c = 0.9 cell fails
-    # its drift check after its fifth march (3 predictor, 2 fine), while the
-    # c = 0.5, r_y = 7 cell goes on to a sixth (4 predictor, 2 fine)
+    # its drift check after its sixth march (4 predictor, 2 fine), in the
+    # round where the c = 0.5, r_y = 7 cell ends too (4 predictor, 2 fine)
     m = models.sphere_cylinder(2, 2)
     x = models.base_point(m)
     problems = [(PhiParams(0.1), x, models.canonical_target(m, 4.0)),
@@ -444,7 +508,7 @@ def test_shooting_batch_keeps_each_failure_in_its_slot():
         counts = path.minimal_evidence["shooting"]
         return counts["predictor"]["marches"] + counts["marches"]
 
-    assert rounds(solve_bvp_shooting(m, *problems[2])) == 5
+    assert rounds(solve_bvp_shooting(m, *problems[2])) == 6
     assert rounds(results[3]) == 6
 
 
