@@ -262,12 +262,14 @@ def validate_tangent(model: ModelSpec, pos: np.ndarray, vec: np.ndarray) -> None
     for f in model.sphere_factors:
         u = pos[..., f.start : f.stop]
         v = vec[..., f.start : f.stop]
-        inner = np.abs(np.sum(u * v, axis=-1)) / f.radius
-        scale = 1.0 + np.linalg.norm(v, axis=-1)
-        if np.max(inner / scale) > TANGENT_ORTHO_TOL:
+        # |u.v| / (r (1 + |v|)), with |v| from hypot and v scaled before the
+        # product, so that a huge but finite v overflows neither
+        scale = 1.0 + np.hypot.reduce(v, axis=-1)
+        residual = np.abs(np.sum(u * (v / scale[..., None]), axis=-1)) / f.radius
+        if np.max(residual) > TANGENT_ORTHO_TOL:
             raise InvalidPointError(
                 f"{model}: tangent not orthogonal to sphere position "
-                f"(residual {np.max(inner / scale):.3e})"
+                f"(residual {np.max(residual):.3e})"
             )
 
 

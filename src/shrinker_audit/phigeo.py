@@ -67,7 +67,7 @@ MAX_SCHEDULE_SUBSTEPS = 7 * quadrature.MAX_GRID_INTERVALS
 # shooting's predictor marches in substeps this many times the audit step
 PREDICTOR_STEP_FACTOR = 8
 # shooting's fine run marches the audit grid in segments of this many intervals
-SEGMENT_INTERVALS = 32
+SEGMENT_INTERVALS = 16
 # each Newton run of shooting takes at most this many iterations
 MAX_NEWTON = 100
 DEFAULT_DESCENT_N = 256  # the discrete minimizer's grid intervals
@@ -117,24 +117,28 @@ def grad_phi(model: ModelSpec, params: PhiParams, pos: np.ndarray) -> np.ndarray
 
 
 class _Dynamics:
-    """Equations of motion of one model on a batch of phase states.
+    """Equations of motion of one model on a batch of phase states, component-major.
 
-    Rows of a ``(batch, 2 * ambient)`` state are ``[position | velocity]``.
-    Only the geometry lives here: the potential strength cR = c * R and the
-    step size come in as ``(batch, 1)`` columns, so rows of different c and
-    of different schedules share one step. Every operation is row-wise
-    (elementwise ufuncs, and ``np.vecdot`` over one factor's columns, the
-    dot kernel of a 1-D ``np.dot``), so a row's trajectory is bitwise the
-    same in any batch.
+    A state is a ``(2 * ambient, batch)`` array: row i holds coordinate i of
+    every column, positions first, then velocities, and each column is one
+    phase state. Only the geometry lives here: the potential strength
+    cR = c * R and the step size come in as ``(1, batch)`` rows, so columns
+    of different c and of different schedules share one step. Every
+    operation is elementwise along the batch, and a factor's dot product is
+    x[0] * y[0] + x[1] * y[1] + ... over its contiguous coordinate rows,
+    summed in coordinate order (``_dot``). So a column's trajectory is
+    bitwise the same in any batch and at any position, and no BLAS kernel
+    decides its bits. Further trailing axes broadcast the same way, so
+    ``energy`` takes a march's whole trace of states at once.
     """
 
     def __init__(self, model: ModelSpec):
         a = model.ambient_dim
         self.ambient = a
-        # c > 0, so cR vanishes on every row exactly when R does
+        # c > 0, so cR vanishes on every column exactly when R does
         self.forced = model.scalar_R != 0.0
         self.f_offset = sum(f.dim / 2.0 for f in model.sphere_factors)
-        # (position columns, velocity columns) of each factor
+        # (position rows, velocity rows) of each factor
         self.euclid = [(slice(f.start, f.stop), slice(a + f.start, a + f.stop))
                        for f in model.euclid_factors]
         self.sphere = [(slice(f.start, f.stop), slice(a + f.start, a + f.stop), f.radius**2)
@@ -143,43 +147,43 @@ class _Dynamics:
     def potential_f(self, state: np.ndarray):
         f = self.f_offset
         for p, _ in self.euclid:
-            x = state[:, p]
-            f = f + np.vecdot(x, x) / 4.0
+            x = state[p]
+            f = f + _dot(x, x) / 4.0
         return f
 
-    def energy(self, state: np.ndarray, cR: float) -> np.ndarray:
-        """|S|^2 - 2*phi of each row, all rows at one cR."""
-        vel = state[:, self.ambient:]
-        e = np.vecdot(vel, vel)
+    def energy(self, state: np.ndarray, cR) -> np.ndarray:
+        """|S|^2 - 2*phi of each column, with cR broadcast along the batch."""
+        vel = state[self.ambient:]
+        e = _dot(vel, vel)
         if self.forced:
             e = e - cR / self.potential_f(state)
         return e
 
     def deriv(self, state: np.ndarray, cR: np.ndarray) -> np.ndarray:
-        """Phase velocity ``[velocity | acceleration]`` of each row."""
+        """Phase velocity ``[velocity | acceleration]`` of each column."""
         out = np.zeros(state.shape)
-        out[:, : self.ambient] = state[:, self.ambient :]
+        out[: self.ambient] = state[self.ambient :]
         if self.forced and self.euclid:
             f = self.potential_f(state)
-            coef = -cR / (4.0 * f * f)[:, None]
+            coef = -cR / (4.0 * f * f)
             for p, v in self.euclid:
-                out[:, v] = coef * state[:, p]
+                np.multiply(coef, state[p], out=out[v])
         for p, v, r_sq in self.sphere:
-            w = state[:, v]
+            w = state[v]
             # dividing by -r_sq equals negating the quotient, bit for bit
-            out[:, v] = (np.vecdot(w, w) / -r_sq)[:, None] * state[:, p]
+            np.multiply(_dot(w, w) / -r_sq, state[p], out=out[v])
         return out
 
     def renormalize(self, state: np.ndarray) -> None:
         """Put sphere blocks back on their sphere and tangent to it, in place."""
         for p, v, r_sq in self.sphere:
-            u = state[:, p]
-            u *= (math.sqrt(r_sq) / np.sqrt(np.vecdot(u, u)))[:, None]
-            w = state[:, v]
-            w -= (np.vecdot(u, w) / r_sq)[:, None] * u
+            u = state[p]
+            u *= math.sqrt(r_sq) / np.sqrt(_dot(u, u))
+            w = state[v]
+            w -= (_dot(u, w) / r_sq) * u
 
     def rk4_step(self, state: np.ndarray, h: np.ndarray, cR: np.ndarray) -> np.ndarray:
-        """One RK4 step of every row, with ``(batch, 1)`` step sizes and cR."""
+        """One RK4 step of every column, with ``(1, batch)`` step sizes and cR."""
         k1 = self.deriv(state, cR)
         k2 = self.deriv(state + (0.5 * h) * k1, cR)
         k3 = self.deriv(state + (0.5 * h) * k2, cR)
@@ -189,14 +193,29 @@ class _Dynamics:
         return new
 
 
+def _dot(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """x[0] * y[0] + x[1] * y[1] + ... over the leading axis, summed in that order."""
+    total = x[0] * y[0]
+    for i in range(1, len(x)):
+        total += x[i] * y[i]
+    return total
+
+
+def _starts(counts: np.ndarray) -> np.ndarray:
+    """Where each run starts when runs of ``counts`` items are laid end to end."""
+    return np.cumsum(counts) - counts
+
+
+def _substep_counts(gaps, step):
+    """How many equal substeps no larger than ``step`` split each gap."""
+    return np.maximum(1, np.ceil(gaps / step - 1e-12)).astype(int)
+
+
 def _substeps(s_nodes, step: float) -> list:
     """(count, size) of the equal substeps no larger than ``step`` in each gap."""
-    out = []
-    for i in range(1, len(s_nodes)):
-        gap = s_nodes[i] - s_nodes[i - 1]
-        n_sub = max(1, math.ceil(gap / step - 1e-12))
-        out.append((n_sub, gap / n_sub))
-    return out
+    gaps = np.diff(s_nodes)
+    n_sub = _substep_counts(gaps, step)
+    return list(zip(n_sub.tolist(), (gaps / n_sub).tolist()))
 
 
 class _Record(NamedTuple):
@@ -215,50 +234,71 @@ def _march(dyn: _Dynamics, blocks) -> list:
     A block is ``(starts, v0, cR, s_nodes, step)``. Each gap of a block's
     ``s_nodes`` is split into equal substeps no larger than the block's own
     ``step``, and one batched RK4 step advances every row of every block
-    that still has substeps left, so blocks of different step sizes (a
-    shooting predictor's coarse trial beside fine ones) share the rounds.
-    Blocks run longest schedule first, so the live rows are a prefix that
-    shrinks as schedules end; a finished row is never stepped again. Every
-    row comes out bitwise as if marched alone.
+    that still has substeps left, so blocks of different step sizes and
+    lengths share the rounds. The rows are stacked once into the columns of one component-major
+    ``_Dynamics`` state, with their step sizes and cR as ``(1, batch)``
+    rows. Blocks run longest schedule first, so the live columns are a
+    prefix that shrinks as schedules end; a finished column is never stepped
+    again. Every row comes out bitwise as if
+    marched alone.
 
     Returns, per block in the given order, its rows' final positions and
     velocities and the ``_Record`` of its row 0, whose state is kept after
-    every substep; its energies are evaluated row-wise in one call at the
-    end, bitwise the per-substep values. The one-row integrator and the
-    shooting trials of every cell of a grid (each trial, or each segment of
-    one, a block with its forward-difference rows) share this routine.
+    every substep. The schedules of all blocks are formed together, and the
+    energies of every kept state are evaluated in one call at the end,
+    bitwise the per-substep values. The one-row integrator and the shooting
+    trials of every cell of a grid (each trial, or each segment of one, a
+    block with its forward-difference rows) share this routine.
     """
-    schedules = [_substeps(s_nodes, step) for *_, s_nodes, step in blocks]
-    sizes = [[h for n_sub, h in sched for _ in range(n_sub)] for sched in schedules]
-    order = sorted(range(len(blocks)), key=lambda b: -len(sizes[b]))
-    counts = [len(blocks[b][0]) for b in order]
-    ends = np.cumsum(counts)
-    heads = ends - counts
-    state = np.concatenate([np.concatenate(blocks[b][:2], axis=1, dtype=float) for b in order])
-    cR = np.repeat([blocks[b][2] for b in order], counts)[:, None]
-    h_cols = np.zeros((len(sizes[order[0]]), len(state), 1))
-    for b, head, end in zip(order, heads, ends):
-        h_cols[: len(sizes[b]), head:end] = np.array(sizes[b])[:, None, None]
-    trace = np.empty((len(h_cols) + 1, len(blocks), state.shape[1]))
-    trace[0] = state[heads]
+    # every gap of every block, block after block, and its substeps
+    n_gaps = np.array([len(s_nodes) - 1 for *_, s_nodes, _ in blocks])
+    gaps = np.concatenate([np.diff(s_nodes) for *_, s_nodes, _ in blocks])
+    n_sub = _substep_counts(gaps, np.repeat([step for *_, step in blocks], n_gaps))
+    lengths = np.add.reduceat(n_sub, _starts(n_gaps))  # each block's substeps
+    # blocks take slots longest schedule first; slot k marches the columns
+    # heads[k]:ends[k], and takes its substep j at size h[j, 0, column]
+    order = np.argsort(-lengths, kind="stable")
+    slot = np.argsort(order)
+    counts = np.array([len(blocks[b][0]) for b in order])
+    heads = _starts(counts)
+    ends = heads + counts
+    h_slots = np.zeros((lengths.max(), len(blocks)))
+    h_slots[np.arange(lengths.sum()) - np.repeat(_starts(lengths), lengths),
+            np.repeat(slot, lengths)] = np.repeat(gaps / n_sub, n_sub)
+    h = h_slots[:, None, np.repeat(np.arange(len(blocks)), counts)]
+    cR = np.array([blocks[b][2] for b in order], dtype=float)
+    cR_cols = np.repeat(cR, counts)[None]
+    state = np.concatenate([np.concatenate(blocks[b][:2], axis=1, dtype=float)
+                            for b in order]).T.copy()
+    # each slot's row 0 after every substep; an ended slot's states stay 0
+    trace = np.zeros((len(state), len(h) + 1, len(blocks)))
+    trace[:, 0] = state[:, heads]
     live = len(blocks)
-    a = dyn.ambient
-    out = [None] * len(blocks)
     # a row that overflows turns inf or NaN quietly; the caller rejects it
     with np.errstate(over="ignore", invalid="ignore"):
-        for k in range(len(h_cols)):
-            while len(sizes[order[live - 1]]) == k:
+        for k in range(len(h)):
+            while lengths[order[live - 1]] == k:
                 live -= 1
             n = ends[live - 1]
-            state[:n] = dyn.rk4_step(state[:n], h_cols[k, :n], cR[:n])
-            trace[k + 1, :live] = state[heads[:live]]
-        for slot, (b, head, end) in enumerate(zip(order, heads, ends)):
-            rows = trace[: len(sizes[b]) + 1, slot]
-            nodes = np.cumsum([0] + [n_sub for n_sub, _ in schedules[b]])
-            energies = dyn.energy(rows, blocks[b][2])
-            record = _Record(rows[nodes, :a], rows[nodes, a:], energies[nodes],
-                             energies.min(), energies.max())
-            out[b] = (state[head:end, :a], state[head:end, a:], record)
+            state[:, :n] = dyn.rk4_step(state[:, :n], h[k, :, :n], cR_cols[:, :n])
+            trace[:, k + 1, :live] = state[:, heads[:live]]
+        energies = dyn.energy(trace, cR)
+        kept = np.arange(len(h) + 1)[:, None] <= lengths[order]
+        e_min = np.where(kept, energies, np.inf).min(axis=0)
+        e_max = np.where(kept, energies, -np.inf).max(axis=0)
+    # each block's nodes: substep 0, then the last substep of each gap
+    nodes = np.insert(np.cumsum(n_sub) - np.repeat(_starts(lengths), n_gaps), _starts(n_gaps), 0)
+    node_slots = np.repeat(slot, n_gaps + 1)
+    a = dyn.ambient
+    pos = trace[:a, nodes, node_slots].T
+    vel = trace[a:, nodes, node_slots].T
+    node_energies = energies[nodes, node_slots]
+    final = state.T.copy()
+    out = []
+    for k, lo, hi in zip(slot, _starts(n_gaps + 1), np.cumsum(n_gaps + 1)):
+        record = _Record(pos[lo:hi].copy(), vel[lo:hi].copy(), node_energies[lo:hi],
+                         e_min[k], e_max[k])
+        out.append((final[heads[k] : ends[k], :a], final[heads[k] : ends[k], a:], record))
     return out
 
 
@@ -442,14 +482,19 @@ def solve_bvp_shooting_batch(
     """Shoot every ``(params, x, y)`` problem on one model in lockstep.
 
     Each problem runs its own Newton/Armijo iterations (``_shooting``). A
-    round collects the march blocks of every live problem's pending trial
-    (one per segment) and marches them all in one ``_march``, whatever their
-    c, their grids and their step sizes (one problem's predictor trials
-    march beside another's segments); rows never mix, so every path, and
-    every count in its ``minimal_evidence``, is bitwise that of a
-    ``solve_bvp_shooting`` call on the problem alone. Returns, in the given
-    order, each problem's ``PhiPath``, or the exception it raised; a failed
-    problem stops marching and the others carry on.
+    round collects the march blocks of the pending trials (one block per
+    segment) and marches them all in one ``_march``, whatever their c and
+    their grids; it costs the RK4 steps of its longest block. Rounds are
+    phase-aligned: while any problem still has a coarse trial pending (its
+    predictor or fallback, marched at ``PREDICTOR_STEP_FACTOR * step``),
+    only coarse trials march, and the fine trials wait. So a problem whose
+    predictor converged early does not turn a round that the others spend
+    on their predictors into one that costs a fine segment's steps. Rows
+    never mix, so every path, and every count in its ``minimal_evidence``,
+    is bitwise that of a ``solve_bvp_shooting`` call on the problem alone.
+    Returns, in the given order, each problem's ``PhiPath``, or the
+    exception it raised; a failed problem stops marching and the others
+    carry on.
     """
     dyn = _Dynamics(model)
     results = [None] * len(problems)
@@ -466,7 +511,11 @@ def solve_bvp_shooting_batch(
     for i, (params, x, y) in enumerate(problems):
         advance(i, _shooting(model, params, x, y, tol, step, density, drift_tol), None)
     while pending:
-        batch, pending = pending, []
+        # a trial is coarse when it marches at more than ``step``: the phase
+        # of every problem's predictor and fallback, which comes first
+        phase = max(blocks[0][4] > step for *_, blocks in pending)
+        batch = [entry for entry in pending if (entry[2][0][4] > step) == phase]
+        pending = [entry for entry in pending if (entry[2][0][4] > step) != phase]
         ends = iter(_march(dyn, [block for *_, blocks in batch for block in blocks]))
         for i, solver, blocks in batch:
             advance(i, solver, [next(ends) for _ in blocks])

@@ -11,6 +11,7 @@ from shrinker_audit.errors import (
     ConfigError,
     DegenerateEndpointsError,
     DriftExceededError,
+    InvalidPointError,
 )
 from shrinker_audit.numgeom import Chart, gradient_fd, scalar_field
 from shrinker_audit.phigeo import (
@@ -145,6 +146,25 @@ def test_overflowing_march_is_refused_without_a_warning():
             integrate_ivp(m, PhiParams(0.1), models.base_point(m), v0, 1.0)
 
 
+@pytest.mark.parametrize("index, error, match", [
+    # the sphere block's march turns NaN, which the record refuses
+    (1, DriftExceededError, "energy nan is not finite"),
+    (2, DriftExceededError, "energy nan is not finite"),
+    # normal to the sphere at the base point: not a tangent, however large
+    (0, InvalidPointError, "not orthogonal"),
+])
+def test_huge_sphere_velocity_is_checked_without_a_warning(index, error, match):
+    # |v|^2 overflows at 1e200, but the tangent check measures |v| by hypot
+    # and scales v before its product with the position
+    m = models.sphere_cylinder(2, 2)
+    v0 = np.zeros(5)
+    v0[index] = 1e200
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(error, match=match):
+            integrate_ivp(m, PhiParams(0.1), models.base_point(m), v0, 1.0)
+
+
 def test_conservation_drift_under_tolerance_at_fine_step():
     m = models.sphere_cylinder(2, 2)
     p0 = models.base_point(m)
@@ -173,9 +193,18 @@ def test_conservation_fourth_order_drift_reduction():
     assert drift_h / drift_h2 >= 8.0
 
 
+def _coordinate_dot(x, y):
+    """x[0] * y[0] + x[1] * y[1] + ..., summed in coordinate order."""
+    total = x[0] * y[0]
+    for x_i, y_i in zip(x[1:], y[1:]):
+        total += x_i * y_i
+    return total
+
+
 def _reference_rk4_step(model, params, pos, vel, h):
-    """One RK4 step of a single 1-D state, factor by factor with ``np.dot``:
-    the scalar arithmetic the batched kernel must reproduce bit for bit."""
+    """One RK4 step of a single 1-D state, factor by factor, each dot product
+    summed in coordinate order: the scalar arithmetic the batched kernel must
+    reproduce bit for bit."""
     cR = params.c * model.scalar_R
 
     def accel(p, v):
@@ -184,12 +213,13 @@ def _reference_rk4_step(model, params, pos, vel, h):
             f = sum(f.dim / 2.0 for f in model.sphere_factors)
             for fac in model.euclid_factors:
                 x = p[fac.start:fac.stop]
-                f += np.dot(x, x) / 4.0
+                f += _coordinate_dot(x, x) / 4.0
             for fac in model.euclid_factors:
                 acc[fac.start:fac.stop] = -cR / (4.0 * f * f) * p[fac.start:fac.stop]
         for fac in model.sphere_factors:
             w = v[fac.start:fac.stop]
-            acc[fac.start:fac.stop] = -(np.dot(w, w) / fac.radius**2) * p[fac.start:fac.stop]
+            acc[fac.start:fac.stop] = (-(_coordinate_dot(w, w) / fac.radius**2)
+                                       * p[fac.start:fac.stop])
         return acc
 
     a1 = accel(pos, vel)
@@ -203,9 +233,9 @@ def _reference_rk4_step(model, params, pos, vel, h):
     vel = vel + (h / 6.0) * (a1 + 2.0 * a2 + 2.0 * a3 + a4)
     for fac in model.sphere_factors:
         u = pos[fac.start:fac.stop]
-        u *= math.sqrt(fac.radius**2) / np.linalg.norm(u)
+        u *= math.sqrt(fac.radius**2) / math.sqrt(_coordinate_dot(u, u))
         w = vel[fac.start:fac.stop]
-        w -= (np.dot(u, w) / fac.radius**2) * u
+        w -= (_coordinate_dot(u, w) / fac.radius**2) * u
     return pos, vel
 
 
@@ -221,14 +251,15 @@ def test_rk4_step_matches_scalar_reference(model, rng):
     dyn = phigeo._Dynamics(model)
     pos, vel = _random_states(model, rng, 4)
     ref = [(p.copy(), v.copy()) for p, v in zip(pos, vel)]
-    state = np.hstack([pos, vel])
-    h = np.full((4, 1), 1e-2)
-    cR = np.full((4, 1), params.c * model.scalar_R)
+    # component-major: one column per state, step size and cR as rows
+    state = np.hstack([pos, vel]).T.copy()
+    h = np.full((1, 4), 1e-2)
+    cR = np.full((1, 4), params.c * model.scalar_R)
     for _ in range(50):
         state = dyn.rk4_step(state, h, cR)
         ref = [_reference_rk4_step(model, params, p, v, 1e-2) for p, v in ref]
     expected = np.array([np.concatenate(pv) for pv in ref])
-    assert state.tobytes() == expected.tobytes()
+    assert state.T.tobytes() == expected.tobytes()
 
 
 @pytest.mark.parametrize("rows", ["1", "3", "n+1", "blocks", "mixed-steps"])
@@ -488,28 +519,46 @@ def test_segmented_predictor_starts_an_antipodal_pair_on_the_tie_break(label):
     _assert_phase_counts(counts, path.s, phigeo.MAX_IVP_STEP)
 
 
-def test_shooting_batch_keeps_each_failure_in_its_slot():
-    # x == y fails before any march; at drift_tol 5e-12 the c = 0.9 cell fails
-    # its drift check after its sixth march (4 predictor, 2 fine), in the
-    # round where the c = 0.5, r_y = 7 cell ends too (4 predictor, 2 fine)
+def test_shooting_batch_keeps_each_failure_in_its_slot(monkeypatch):
+    # x == y fails before any march; at drift_tol 5e-12 the c = 0.9 cell
+    # fails its drift check after its last fine march. Every fine run starts
+    # once the last coarse trial has marched, so a cell is stepped after that
+    # failure only if its fine run takes more marches. With every predictor
+    # starved, each fine run starts from its initial guess, and the c = 0.5
+    # cells, the longer r_y = 20.21 one among them, need one march more.
+    _starve_predictor(monkeypatch)
     m = models.sphere_cylinder(2, 2)
     x = models.base_point(m)
     problems = [(PhiParams(0.1), x, models.canonical_target(m, 4.0)),
                 (PhiParams(0.1), x, x.copy()),
                 (PhiParams(0.9), x, models.canonical_target(m, 5.0)),
-                (PhiParams(0.5), x, models.canonical_target(m, 7.0))]
+                (PhiParams(0.5), x, models.canonical_target(m, 7.0)),
+                (PhiParams(0.5), x, models.canonical_target(m, 20.21))]
+    rounds = _spy_rounds(monkeypatch)
     results = solve_bvp_shooting_batch(m, problems, drift_tol=5e-12)
+    batch_rounds = rounds[:]
     assert isinstance(results[1], DegenerateEndpointsError)
     assert isinstance(results[2], DriftExceededError)
-    for i in (0, 3):
+    # the failed cell marched as it does at the default drift_tol
+    failed = solve_bvp_shooting(m, *problems[2])
+    for i in (0, 3, 4):
         _assert_same_path(results[i], solve_bvp_shooting(m, *problems[i], drift_tol=5e-12))
 
-    def rounds(path):
-        counts = path.minimal_evidence["shooting"]
-        return counts["predictor"]["marches"] + counts["marches"]
+    def coarse(path):
+        predictor = path.minimal_evidence["shooting"]["predictor"]
+        return predictor["marches"] + predictor["fallback"]["marches"]
 
-    assert rounds(solve_bvp_shooting(m, *problems[2])) == 6
-    assert rounds(results[3]) == 6
+    def fine(path):
+        return path.minimal_evidence["shooting"]["marches"]
+
+    cells = [results[0], failed, results[3], results[4]]
+    first_fine = max(coarse(path) for path in cells)
+    assert [fine(path) for path in cells] == [3, 3, 4, 4]
+    # the failure comes after round first_fine + 3, and the c = 0.5 cells march on
+    assert len(batch_rounds) == first_fine + 4 > first_fine + fine(failed)
+    last_blocks, _ = batch_rounds[-1]
+    assert {cR for _, _, cR, _, _ in last_blocks} == {0.5 * m.scalar_R}
+    _assert_coarse_rounds_first(batch_rounds)
 
 
 # cells of the shape perfbench's chain (c in {0.1, 0.5}, r_y near 10 and 20)
@@ -749,7 +798,7 @@ def test_drift_inside_an_interior_segment_fails_the_solve(monkeypatch):
     m = models.sphere_cylinder(2, 2)
     x, y = models.base_point(m), models.canonical_target(m, 10.0)
     s_out, _ = quadrature.audit_grid(float(models.distance(m, x, y)))
-    interior = s_out[2 * phigeo.SEGMENT_INTERVALS]  # where the third of five segments starts
+    interior = s_out[2 * phigeo.SEGMENT_INTERVALS]  # where the third of ten segments starts
     march = phigeo._march
 
     def drifting(dyn, blocks):
@@ -761,29 +810,69 @@ def test_drift_inside_an_interior_segment_fails_the_solve(monkeypatch):
         return out
 
     assert solve_bvp_shooting(m, PhiParams(0.1), x, y).minimal_evidence["shooting"][
-        "segments"] == 5
+        "segments"] == 10
     monkeypatch.setattr(phigeo, "_march", drifting)
     with pytest.raises(DriftExceededError):
         solve_bvp_shooting(m, PhiParams(0.1), x, y)
 
 
+def _assert_coarse_rounds_first(rounds):
+    """No round marches a fine block while any problem has a coarse trial pending.
+
+    Every round is of one phase, and the coarse rounds (predictors and
+    fallbacks) all come before the fine ones.
+    """
+    coarse = phigeo.PREDICTOR_STEP_FACTOR * phigeo.MAX_IVP_STEP
+    phases = [{block[4] == coarse for block in blocks} for blocks, _ in rounds]
+    assert all(len(phase) == 1 for phase in phases)
+    in_order = [phase.pop() for phase in phases]
+    assert in_order == sorted(in_order, reverse=True)
+
+
 def test_shooting_batch_mixing_predictor_and_segment_trials_matches_solo_solves(monkeypatch):
-    # different s_bar (one of them a single segment) and c, so the cells'
-    # predictors take different numbers of rounds
+    # different s_bar and c, so the cells' predictors take different numbers
+    # of rounds, and the fine trials of the cells that finish first wait
     m = models.sphere_cylinder(2, 2)
     x = models.base_point(m)
     problems = [(PhiParams(c), x, models.canonical_target(m, ry))
                 for c, ry in [(0.9, 2.0), (0.1, 5.0), (0.9, 12.0), (0.5, 30.0), (0.1, 30.0)]]
     rounds = _spy_rounds(monkeypatch)
     paths = solve_bvp_shooting_batch(m, problems)
-    coarse = phigeo.PREDICTOR_STEP_FACTOR * phigeo.MAX_IVP_STEP
-    assert any(any(b[4] == coarse for b in blocks)
-               and any(b[4] == phigeo.MAX_IVP_STEP and b[3][0] > 0.0 for b in blocks)
-               for blocks, _ in rounds)
-    assert [p.minimal_evidence["shooting"].get("segments", 1) for p in paths] == [1, 3, 6, 15, 15]
+    _assert_coarse_rounds_first(rounds)
+    assert [p.minimal_evidence["shooting"]["predictor"]["marches"] for p in paths] == [4, 3, 4, 4, 3]
+    assert [p.minimal_evidence["shooting"]["segments"] for p in paths] == [2, 5, 12, 30, 30]
     monkeypatch.undo()
     for path, (params, x_i, y_i) in zip(paths, problems):
         _assert_same_path(path, solve_bvp_shooting(m, params, x_i, y_i))
+
+
+def test_shooting_rounds_of_the_chain_cells(monkeypatch):
+    # perfbench's chain workload shoots these four cells in one batch: the
+    # c = 0.5 predictors take four marches and the c = 0.1 ones three, and
+    # every fine run two, so the batch marches 4 coarse rounds, then 2 fine
+    m = models.sphere_cylinder(2, 2)
+    x = models.base_point(m)
+    problems = [(PhiParams(c), x, models.canonical_target(m, ry))
+                for c in (0.1, 0.5) for ry in (10.12, 20.21)]
+    steps = []
+    rk4_step = phigeo._Dynamics.rk4_step
+
+    def counted(self, state, h, cR):
+        steps.append(state.shape[1])
+        return rk4_step(self, state, h, cR)
+
+    monkeypatch.setattr(phigeo._Dynamics, "rk4_step", counted)
+    rounds = _spy_rounds(monkeypatch)
+    paths = solve_bvp_shooting_batch(m, problems)
+    _assert_coarse_rounds_first(rounds)
+    counts = [p.minimal_evidence["shooting"] for p in paths]
+    assert [k["predictor"]["marches"] for k in counts] == [3, 3, 4, 4]
+    assert [k["marches"] for k in counts] == [2, 2, 2, 2]
+    assert len(rounds) == 4 + 2
+    # a round costs the substeps of its longest block
+    assert len(steps) == sum(
+        max(sum(n_sub for n_sub, _ in phigeo._substeps(block[3], block[4])) for block in blocks)
+        for blocks, _ in rounds) == 276
 
 
 @pytest.mark.parametrize("label, ry", [("cylinder:k=2,m=2", 40.3), ("sphere:n=3", 5.5)])
@@ -825,22 +914,23 @@ def _digest(path):
 
 @pytest.mark.parametrize("case", ["one-segment", "starved-predictor"])
 def test_single_shooting_cases_keep_their_bits(monkeypatch, case):
-    # the counts, C, J and path bytes single shooting gave before the fine
-    # run was segmented: s_bar = 2 spans 32 intervals, one segment; with the
-    # predictor starved, the fine run is single shooting from the guess
+    # the counts, C, J and path bytes of single shooting: at density 8,
+    # s_bar = 2 spans 16 intervals, one segment (every grid of the default
+    # density has at least 32); with the predictor starved, the fine run is
+    # single shooting from the guess
     m = models.sphere_cylinder(2, 2)
-    c, ry = (0.1, 2.0) if case == "one-segment" else (0.5, 20.21)
+    c, ry, density = (0.1, 2.0, 8) if case == "one-segment" else (0.5, 20.21, 16)
     if case == "starved-predictor":
         _starve_predictor(monkeypatch)
     path = solve_bvp_shooting(m, PhiParams(c), models.base_point(m),
-                              models.canonical_target(m, ry))
+                              models.canonical_target(m, ry), density=density)
     counts = path.minimal_evidence["shooting"]
     predictor = counts.pop("predictor")
     expected = {
-        "one-segment": ({"newton_iterations": 1, "backtracks": 0, "marches": 2, "rk4_steps": 448,
-                         "final_miss": 8.881784197001252e-16, "stop_reason": "converged",
+        "one-segment": ({"newton_iterations": 1, "backtracks": 0, "marches": 2, "rk4_steps": 416,
+                         "final_miss": 2.4424906541753444e-15, "stop_reason": "converged",
                          "rows_marched": 10},
-                        0.9216545781978147, 2.1569501765699597, "8888ba2f451344cc"),
+                        0.9216545781977923, 2.1569501747746114, "dfa4b1a5fae4da23"),
         "starved-predictor": ({"newton_iterations": 3, "backtracks": 0, "marches": 4,
                                "rk4_steps": 9072, "final_miss": 3.170796958329447e-11,
                                "stop_reason": "converged", "rows_marched": 20},
