@@ -256,18 +256,17 @@ def _march(dyn: _Dynamics, blocks) -> list:
     n_sub = _substep_counts(gaps, np.repeat([step for *_, step in blocks], n_gaps))
     lengths = np.add.reduceat(n_sub, _starts(n_gaps))  # each block's substeps
     # blocks take slots longest schedule first; slot k marches the columns
-    # heads[k]:ends[k], and takes its substep j at size h[j, 0, column]
+    # heads[k]:ends[k], and takes its substep j at size h[j, k]
     order = np.argsort(-lengths, kind="stable")
     slot = np.argsort(order)
     counts = np.array([len(blocks[b][0]) for b in order])
     heads = _starts(counts)
     ends = heads + counts
-    h_slots = np.zeros((lengths.max(), len(blocks)))
-    h_slots[np.arange(lengths.sum()) - np.repeat(_starts(lengths), lengths),
-            np.repeat(slot, lengths)] = np.repeat(gaps / n_sub, n_sub)
-    h = h_slots[:, None, np.repeat(np.arange(len(blocks)), counts)]
+    h = np.zeros((lengths.max(), len(blocks)))
+    h[np.arange(lengths.sum()) - np.repeat(_starts(lengths), lengths),
+      np.repeat(slot, lengths)] = np.repeat(gaps / n_sub, n_sub)
+    columns = np.repeat(np.arange(len(blocks)), counts)  # the slot of each column
     cR = np.array([blocks[b][2] for b in order], dtype=float)
-    cR_cols = np.repeat(cR, counts)[None]
     state = np.concatenate([np.concatenate(blocks[b][:2], axis=1, dtype=float)
                             for b in order]).T.copy()
     # each slot's row 0 after every substep; an ended slot's states stay 0
@@ -280,7 +279,8 @@ def _march(dyn: _Dynamics, blocks) -> list:
             while lengths[order[live - 1]] == k:
                 live -= 1
             n = ends[live - 1]
-            state[:, :n] = dyn.rk4_step(state[:, :n], h[k, :, :n], cR_cols[:, :n])
+            state[:, :n] = dyn.rk4_step(state[:, :n], h[k, columns[:n]][None],
+                                        cR[columns[:n]][None])
             trace[:, k + 1, :live] = state[:, heads[:live]]
         energies = dyn.energy(trace, cR)
         kept = np.arange(len(h) + 1)[:, None] <= lengths[order]
