@@ -235,11 +235,11 @@ def _march(dyn: _Dynamics, blocks) -> list:
     ``s_nodes`` is split into equal substeps no larger than the block's own
     ``step``, and one batched RK4 step advances every row of every block
     that still has substeps left, so blocks of different step sizes and
-    lengths share the rounds. The rows are stacked once into the columns of one component-major
-    ``_Dynamics`` state, with their step sizes and cR as ``(1, batch)``
-    rows. Blocks run longest schedule first, so the live columns are a
-    prefix that shrinks as schedules end; a finished column is never stepped
-    again. Every row comes out bitwise as if
+    lengths share the rounds. The rows are stacked once into the columns
+    of one component-major ``_Dynamics`` state, with their step sizes and
+    cR as ``(1, batch)`` rows. Blocks run longest schedule first, so the
+    live columns are a prefix that shrinks as schedules end; a finished
+    column is never stepped again. Every row comes out bitwise as if
     marched alone.
 
     Returns, per block in the given order, its rows' final positions and

@@ -839,8 +839,9 @@ def test_shooting_batch_mixing_predictor_and_segment_trials_matches_solo_solves(
     rounds = _spy_rounds(monkeypatch)
     paths = solve_bvp_shooting_batch(m, problems)
     _assert_coarse_rounds_first(rounds)
-    assert [p.minimal_evidence["shooting"]["predictor"]["marches"] for p in paths] == [4, 3, 4, 4, 3]
-    assert [p.minimal_evidence["shooting"]["segments"] for p in paths] == [2, 5, 12, 30, 30]
+    counts = [p.minimal_evidence["shooting"] for p in paths]
+    assert [k["predictor"]["marches"] for k in counts] == [4, 3, 4, 4, 3]
+    assert [k["segments"] for k in counts] == [2, 5, 12, 30, 30]
     monkeypatch.undo()
     for path, (params, x_i, y_i) in zip(paths, problems):
         _assert_same_path(path, solve_bvp_shooting(m, params, x_i, y_i))
