@@ -511,11 +511,11 @@ def solve_bvp_shooting_batch(
     for i, (params, x, y) in enumerate(problems):
         advance(i, _shooting(model, params, x, y, tol, step, density, drift_tol), None)
     while pending:
-        # a trial is coarse when it marches at more than ``step``: the phase
-        # of every problem's predictor and fallback, which comes first
-        phase = max(blocks[0][4] > step for *_, blocks in pending)
-        batch = [entry for entry in pending if (entry[2][0][4] > step) == phase]
-        pending = [entry for entry in pending if (entry[2][0][4] > step) != phase]
+        # a predictor's or fallback's trial marches at more than ``step``;
+        # while any such coarse trial is pending, the fine ones wait
+        coarse = [entry for entry in pending if entry[2][0][4] > step]
+        fine = [entry for entry in pending if entry[2][0][4] <= step]
+        batch, pending = (coarse, fine) if coarse else (fine, [])
         ends = iter(_march(dyn, [block for *_, blocks in batch for block in blocks]))
         for i, solver, blocks in batch:
             advance(i, solver, [next(ends) for _ in blocks])
