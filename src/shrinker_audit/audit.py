@@ -53,6 +53,8 @@ from .phigeo import MAX_IVP_STEP, PhiParams, phi_value, solve_bvp_shooting
 DEFAULT_TOL = 1e-6
 # FD residual allowed in both soliton identities
 SOLITON_IDENTITY_TOL = 1e-4
+# FD residual allowed between the drifted Laplacian of R/f and its expansion
+DELTAF_RF_TOL = 1e-4
 # rounding allowed in the gradient bounds; the first is an equality on the flat model
 GRADIENT_BOUND_TOL = 1e-12
 # Charts per finite-difference stack: large enough to amortize the per-call
@@ -208,8 +210,7 @@ def check_soliton_identities(model: ModelSpec, sample_points, cfg: FDConfig = FD
     ]
 
 
-def check_deltaf_Rf(model: ModelSpec, sample_points, tol: float = 1e-4,
-                    cfg: FDConfig = FDConfig()):
+def check_deltaf_Rf(model: ModelSpec, sample_points, cfg: FDConfig = FDConfig()):
     """Drifted Laplacian of R/f: FD value vs the four-term expansion, plus
     the upper bound -|Rc|^2/f + 4(1+sqrt(n))^2/f."""
     n = model.n
@@ -238,8 +239,8 @@ def check_deltaf_Rf(model: ModelSpec, sample_points, tol: float = 1e-4,
     k = int(np.argmin(bound_rhs - expansion))
     ctx = {"model": model.label, "fd_h": cfg.h}
     return [
-        AuditReport("deltaf-Rf:expansion", float(np.max(np.abs(fd_val - expansion))), tol, 0.0,
-                    context=dict(ctx)),
+        AuditReport("deltaf-Rf:expansion", float(np.max(np.abs(fd_val - expansion))),
+                    DELTAF_RF_TOL, 0.0, context=dict(ctx)),
         AuditReport("deltaf-Rf:bound", float(expansion[k]), float(bound_rhs[k]), 0.0,
                     context=dict(ctx)),
     ]

@@ -119,6 +119,7 @@ class Chart:
         return out.reshape(coords.shape[:-1] + (self.model.ambient_dim,))
 
     def from_manifold(self, pos: np.ndarray) -> np.ndarray:
+        """Inverse of ``to_manifold``; no audit calls it: a test reference."""
         pos = np.asarray(pos, dtype=float)
         rows = self._rows(pos, self.model.ambient_dim)
         out = np.empty(rows.shape[:-1] + (self.dim,))
@@ -288,7 +289,7 @@ def _field_derivatives(field, coords: np.ndarray, h: float, n: int):
 
 
 def gradient_fd(chart: Chart, field, coords: np.ndarray, cfg: FDConfig = FDConfig()) -> np.ndarray:
-    """Raised gradient g^{ij} d_j(field) in chart coordinates."""
+    """Raised gradient g^{ij} d_j(field) in chart coordinates; a test reference."""
     coords = _per_chart(chart, coords, cfg)
     dphi, _ = _field_derivatives(field, coords, cfg.h, chart.dim)
     _, ginv = _metric_and_inverse(chart, coords)
@@ -296,7 +297,7 @@ def gradient_fd(chart: Chart, field, coords: np.ndarray, cfg: FDConfig = FDConfi
 
 
 def hessian_fd(chart: Chart, field, coords: np.ndarray, cfg: FDConfig = FDConfig()) -> np.ndarray:
-    """Covariant Hessian (d_j d_k - Gamma^i_jk d_i) of a chart scalar field."""
+    """Covariant Hessian (d_j d_k - Gamma^i_jk d_i) of a chart field; a test reference."""
     coords = _per_chart(chart, coords, cfg)
     dphi, ddphi = _field_derivatives(field, coords, cfg.h, chart.dim)
     gamma, _ = _christoffels(chart, coords, cfg.h)

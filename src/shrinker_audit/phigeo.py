@@ -211,13 +211,6 @@ def _substep_counts(gaps, step):
     return np.maximum(1, np.ceil(gaps / step - 1e-12)).astype(int)
 
 
-def _substeps(s_nodes, step: float) -> list:
-    """(count, size) of the equal substeps no larger than ``step`` in each gap."""
-    gaps = np.diff(s_nodes)
-    n_sub = _substep_counts(gaps, step)
-    return list(zip(n_sub.tolist(), (gaps / n_sub).tolist()))
-
-
 class _Record(NamedTuple):
     """Row 0 of a march: node states and energies, and energy bounds over every substep."""
 
@@ -534,13 +527,13 @@ class _Newton(NamedTuple):
     marches: int
     stop_reason: str
 
-    def counts(self, schedule) -> dict:
+    def counts(self, s_nodes, step) -> dict:
         """The run's report counts; a miss that is not finite reads None."""
         return {
             "newton_iterations": self.iterations,
             "backtracks": self.backtracks,
             "marches": self.marches,
-            "rk4_steps": self.marches * sum(n_sub for n_sub, _ in _substeps(*schedule)),
+            "rk4_steps": self.marches * int(_substep_counts(np.diff(s_nodes), step).sum()),
             "final_miss": self.miss if math.isfinite(self.miss) else None,
             "stop_reason": self.stop_reason,
         }
@@ -703,10 +696,10 @@ def _shooting(model, params, x, y, tol, step, density, drift_tol):
     if s_bar <= 0.0:
         raise DegenerateEndpointsError(f"{model}: shooting needs x != y")
     s_out, pieces = quadrature.audit_grid(s_bar, density)
-    substeps = sum(n_sub for n_sub, _ in _substeps(s_out, step))
-    if substeps > MAX_SCHEDULE_SUBSTEPS:
+    n_sub = _substep_counts(np.diff(s_out), step)
+    if n_sub.sum() > MAX_SCHEDULE_SUBSTEPS:
         raise PreconditionError(
-            f"{model}: step {step} takes {substeps} RK4 substeps over s_bar = {s_bar:.6g}, "
+            f"{model}: step {step} takes {n_sub.sum()} RK4 substeps over s_bar = {s_bar:.6g}, "
             f"more than MAX_SCHEDULE_SUBSTEPS = {MAX_SCHEDULE_SUBSTEPS}"
         )
     tol = tol * min(1.0, s_bar)
@@ -731,7 +724,8 @@ def _shooting(model, params, x, y, tol, step, density, drift_tol):
         head = np.vstack([z[:dim], z[:dim] + deltas[0] * np.eye(dim)])
         rows = np.concatenate(
             [coords[:, None], coords[:, None] + deltas[1:, None, None] * np.eye(2 * dim)], axis=1)
-        segment_starts = [(starts, np.array([row @ basis_x for row in head])),
+        # a (1, dim) @ (dim, ambient) product per row: bitwise ``row @ basis_x``
+        segment_starts = [(starts, (head[:, None] @ basis_x)[:, 0]),
                           *zip(*joints.states(rows, np.arange(len(coords))[:, None]))]
         ends = yield [(p, v, cR, s_nodes[lo : hi + 1], h)
                       for (p, v), lo, hi in zip(segment_starts, cuts, cuts[1:])]
@@ -745,7 +739,7 @@ def _shooting(model, params, x, y, tol, step, density, drift_tol):
         defects = landed[firsts[:-1]] - coords
         flows = [(landed[lo + 1 : hi] - landed[lo]).T / d
                  for lo, hi, d in zip(firsts, firsts[1:], deltas)]
-        misses = np.array([basis_y @ log_map(model, y, p) for p in p_ends[-1]])
+        misses = (basis_y @ log_map(model, y, p_ends[-1])[..., None])[..., 0]
         miss, end_jac = misses[0], (misses[1:] - misses[0]).T / deltas[-1]
         return (np.concatenate([defects.ravel(), miss]),
                 _condense(flows, end_jac, defects, miss), _joined(records))
@@ -796,7 +790,7 @@ def _shooting(model, params, x, y, tol, step, density, drift_tol):
         )
     path = _recorded_path(model, params, fine.record, s_out, pieces, step, drift_tol)
     path.flags.append("shooting")
-    counts = fine.counts((s_out, step))
+    counts = fine.counts(s_out, step)
     segments = len(cuts) - 1
     counts["rows_marched"] = fine.marches * (dim + 1 + (segments - 1) * (2 * dim + 1))
     if segments > 1:
@@ -805,12 +799,11 @@ def _shooting(model, params, x, y, tol, step, density, drift_tol):
             final_miss=float(np.linalg.norm(fine.residual[-dim:])),
             segments=segments,
             max_joint_defect=float(np.linalg.norm(defects, axis=1).max()),
-            march_steps=max(sum(n_sub for n_sub, _ in _substeps(s_out[lo : hi + 1], step))
-                            for lo, hi in zip(cuts, cuts[1:])),
+            march_steps=int(max(n_sub[lo:hi].sum() for lo, hi in zip(cuts, cuts[1:]))),
         )
-    counts["predictor"] = predictor.counts(coarse)
+    counts["predictor"] = predictor.counts(*coarse)
     counts["predictor"].update(segments=len(coarse[0]) - 1,
-                               fallback=None if fallback is None else fallback.counts(coarse))
+                               fallback=None if fallback is None else fallback.counts(*coarse))
     path.minimal_evidence["shooting"] = counts
     return path
 
@@ -874,7 +867,8 @@ def minimize_action_discrete(
     the last iterate is returned with a ``stalled`` flag. Convergence is
     judged on the Euclidean norm of the Riemannian gradient. Velocities are
     reconstructed by central differences of log maps (second-order one-sided
-    at endpoints).
+    at endpoints). A grid whose spacing s_bar / N leaves two neighbouring
+    nodes of the start path equal is below float resolution and refused.
     """
     if N < 16:
         raise ValueError("N must be >= 16")
@@ -882,6 +876,9 @@ def minimize_action_discrete(
     s = bg.s
     s_bar = bg.s_bar
     ds = s_bar / N
+    if np.any(np.all(bg.pos[1:] == bg.pos[:-1], axis=-1)):  # the descent would collapse
+        raise PreconditionError(f"{model}: the discrete grid's spacing s_bar / N = {ds:.3g} "
+                                "is below the float resolution of the coordinates")
     weights = np.ones(N + 1)
     weights[0] = weights[-1] = 0.5
     pos = bg.pos.copy()

@@ -33,15 +33,12 @@ MAX_GRID_INTERVALS = 2**16
 MAX_DENSITY = int(sys.float_info.max)
 
 
-def simpson_uniform(s: np.ndarray, y: np.ndarray) -> float:
-    """Composite Simpson on a uniform grid; 3/8 tail for odd interval counts."""
+def _simpson_uniform(s: np.ndarray, y: np.ndarray) -> float:
+    """Composite Simpson on a grid its caller checked uniform; 3/8 tail for odd counts."""
     n = len(s) - 1
     if n < 1:
         return 0.0
     h = (s[-1] - s[0]) / n
-    steps = np.diff(s)
-    if not np.allclose(steps, h, rtol=1e-8, atol=1e-12 * (1.0 + abs(h))):
-        raise ValueError("simpson_uniform requires a uniform grid")
     if n == 1:
         return float(0.5 * h * (y[0] + y[1]))
     if n % 2 == 0:
@@ -51,7 +48,7 @@ def simpson_uniform(s: np.ndarray, y: np.ndarray) -> float:
         return float(h / 3.0 * np.dot(w, y))
     if n == 3:
         return float(3.0 * h / 8.0 * (y[0] + 3.0 * y[1] + 3.0 * y[2] + y[3]))
-    head = simpson_uniform(s[: n - 2], y[: n - 2])
+    head = _simpson_uniform(s[: n - 2], y[: n - 2])
     tail = float(3.0 * h / 8.0 * (y[n - 3] + 3.0 * y[n - 2] + 3.0 * y[n - 1] + y[n]))
     return head + tail
 
@@ -63,14 +60,17 @@ def integrate_pieces(s: np.ndarray, y: np.ndarray, pieces):
     the result is ``(sum of weight * integral, sum of piece errors)``, summed
     in piece order. A piece's error compares its Simpson value against the
     rule on the 2x-coarsened piece when the interval count is even, else
-    against the (much cruder) trapezoid rule.
+    against the (much cruder) trapezoid rule. Each piece must be uniform.
     """
     total = 0.0
     err = 0.0
     for i0, i1, weight in pieces:
-        fine = simpson_uniform(s[i0 : i1 + 1], y[i0 : i1 + 1])
+        h = (s[i1] - s[i0]) / max(1, i1 - i0)
+        if not np.allclose(np.diff(s[i0 : i1 + 1]), h, rtol=1e-8, atol=1e-12 * (1.0 + abs(h))):
+            raise ValueError(f"piece ({i0}, {i1}) is not a uniform grid")
+        fine = _simpson_uniform(s[i0 : i1 + 1], y[i0 : i1 + 1])
         if (i1 - i0) % 2 == 0:
-            coarse = simpson_uniform(s[i0 : i1 + 1 : 2], y[i0 : i1 + 1 : 2])
+            coarse = _simpson_uniform(s[i0 : i1 + 1 : 2], y[i0 : i1 + 1 : 2])
         else:
             coarse = float(np.trapezoid(y[i0 : i1 + 1], s[i0 : i1 + 1]))
         total += weight * fine

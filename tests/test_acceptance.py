@@ -151,7 +151,8 @@ def test_criterion_3_deltaf_ratio_audit():
         if model.degenerate:
             continue
         points = [models.random_point(model, rng) for _ in range(50)]
-        expansion_report, bound_report = check_deltaf_Rf(model, points, tol=1e-4)
+        expansion_report, bound_report = check_deltaf_Rf(model, points)
+        assert expansion_report.rhs == 1e-4
         worst_match = max(worst_match, expansion_report.lhs)
         worst_margin = min(worst_margin, bound_report.margin)
         ok = ok and expansion_report.passed and bound_report.margin >= 0.0

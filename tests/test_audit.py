@@ -116,7 +116,7 @@ def test_deltaf_rf_cylinder_expansion_value():
     m = models.sphere_cylinder(2, 2)
     p = models.base_point(m)
     p[3] = 2.0
-    expansion_report, bound_report = check_deltaf_Rf(m, [p], tol=1e-4)
+    expansion_report, bound_report = check_deltaf_Rf(m, [p])
     # hand value at f=2: (1/4)(4-2) - 2(1/2)/2 - 0 + 2*1*1/8 = 1/4, and the
     # FD drifted Laplacian of R/f must reproduce it within 1e-4
     geom = models.eval_geometry(m, p)

@@ -136,6 +136,19 @@ def test_geodesic_sphere_tiny_radius_solvers_agree(tmp_path, ry):
     assert payload["shooting"]["minimal_evidence"]["shooting"]["final_miss"] < 1e-10 * float(ry)
 
 
+@pytest.mark.parametrize("ry", ["1e-15", "1e-16"])
+def test_geodesic_discrete_grid_below_float_resolution_exit_4(tmp_path, capsys, ry):
+    # s_bar / N no longer moves the sphere coordinates: the descent would
+    # collapse its path to x, so the grid is refused before it starts
+    code = main([
+        "geodesic", "--model", "sphere:n=3", "--c", "0.2", "--ry", ry,
+        "--out", str(tmp_path),
+    ])
+    assert code == EXIT_REFUSED
+    assert "below the float resolution" in capsys.readouterr().err
+    assert not (tmp_path / "geodesic_summary.json").exists()
+
+
 @pytest.mark.parametrize(
     "argv, config",
     [(["scan", "--ry", "1e12"], {}), (["scan", "--ry", "1e6"], {}),
@@ -199,7 +212,7 @@ def test_substep_bound_admits_every_default_grid():
     # the largest grid audit_grid admits at the default density, at the default step
     s, _ = quadrature.audit_grid(4096.0)
     assert len(s) - 1 == quadrature.MAX_GRID_INTERVALS
-    substeps = sum(n_sub for n_sub, _ in phigeo._substeps(s, phigeo.MAX_IVP_STEP))
+    substeps = phigeo._substep_counts(np.diff(s), phigeo.MAX_IVP_STEP).sum()
     assert substeps == 7 * quadrature.MAX_GRID_INTERVALS <= phigeo.MAX_SCHEDULE_SUBSTEPS
 
 
@@ -250,7 +263,7 @@ def test_audit_chain_small_grid(tmp_path):
     counts = cell["minimal_evidence"]["shooting"]
     cfg = RunConfig()
     s_out, _ = quadrature.audit_grid(5.0, cfg.density)
-    steps_per_march = sum(n_sub for n_sub, _ in phigeo._substeps(s_out, cfg.step))
+    steps_per_march = phigeo._substep_counts(np.diff(s_out), cfg.step).sum()
     assert counts["marches"] == 1 + counts["newton_iterations"] + counts["backtracks"]
     # n + 1 rows in the first segment, 2n + 1 in each of the others
     n = models.parse_model("cylinder:k=2,m=2").n

@@ -339,9 +339,13 @@ def test_shooting_counts_cylinder():
     # 2n of each other segment; the path is the trial's row-0 records joined
     assert counts["segments"] == math.ceil((len(path.s) - 1) / phigeo.SEGMENT_INTERVALS) > 1
     assert counts["rows_marched"] == counts["marches"] * _rows_per_trial(m, counts)
-    assert counts["rk4_steps"] == counts["marches"] * sum(
-        n_sub for n_sub, _ in phigeo._substeps(path.s, phigeo.MAX_IVP_STEP))
+    assert counts["rk4_steps"] == counts["marches"] * _steps(path.s, phigeo.MAX_IVP_STEP)
     assert counts["final_miss"] < 1e-10
+
+
+def _steps(s_nodes, step):
+    """RK4 substeps of a march over ``s_nodes`` at ``step``."""
+    return phigeo._substep_counts(np.diff(s_nodes), step).sum()
 
 
 def _rows_per_trial(m, counts):
@@ -371,8 +375,7 @@ def _starve_predictor(monkeypatch):
 def _assert_phase_counts(counts, s_nodes, step):
     # the initial guess, one accepted trial per iteration, and each rejected trial
     assert counts["marches"] == 1 + counts["newton_iterations"] + counts["backtracks"]
-    assert counts["rk4_steps"] == counts["marches"] * sum(
-        n_sub for n_sub, _ in phigeo._substeps(s_nodes, step))
+    assert counts["rk4_steps"] == counts["marches"] * _steps(s_nodes, step)
     assert counts["stop_reason"] == "converged"
     assert counts["final_miss"] < 1e-10
 
@@ -771,8 +774,7 @@ def test_segmented_path_joins_the_converged_segment_records(monkeypatch, label, 
     # the converged trial is the last march: one block per segment
     blocks, out = rounds[-1]
     assert len(blocks) == counts["segments"] > 1
-    assert counts["march_steps"] == max(
-        sum(n_sub for n_sub, _ in phigeo._substeps(block[3], block[4])) for block in blocks)
+    assert counts["march_steps"] == max(_steps(block[3], block[4]) for block in blocks)
     node = 0
     for k, ((starts, v0, _, s_nodes, _), (_, _, record)) in enumerate(zip(blocks, out)):
         stop = len(s_nodes) if k == len(blocks) - 1 else len(s_nodes) - 1
@@ -872,7 +874,7 @@ def test_shooting_rounds_of_the_chain_cells(monkeypatch):
     assert len(rounds) == 4 + 2
     # a round costs the substeps of its longest block
     assert len(steps) == sum(
-        max(sum(n_sub for n_sub, _ in phigeo._substeps(block[3], block[4])) for block in blocks)
+        max(_steps(block[3], block[4]) for block in blocks)
         for blocks, _ in rounds) == 276
 
 
@@ -942,6 +944,24 @@ def test_single_shooting_cases_keep_their_bits(monkeypatch, case):
                                         else "budget-exhausted")
 
 
+@pytest.mark.parametrize("label", ["sphere:n=3", "cylinder:k=2,m=2", "sphereproduct:k=2,m=2"])
+def test_trial_row_products_are_bitwise_the_per_row_loops(label):
+    # shooting's trial forms its start velocities and endpoint misses as
+    # stacked products over all rows; each row must keep the bits of its
+    # own product, as the per-row loops they replace had them
+    rng = np.random.default_rng(19)
+    m = models.parse_model(label)
+    for _ in range(200):
+        x, y = models.random_points(m, rng, 2)
+        basis_x, basis_y = models.tangent_basis(m, x), models.tangent_basis(m, y)
+        head = rng.normal(size=(m.n + 1, m.n))
+        assert ((head[:, None] @ basis_x)[:, 0].tobytes()
+                == np.array([row @ basis_x for row in head]).tobytes())
+        p_ends = models.exp_map(m, y, rng.normal(size=(2 * m.n + 1, m.n)) @ basis_y)
+        assert ((basis_y @ models.log_map(m, y, p_ends)[..., None])[..., 0].tobytes()
+                == np.array([basis_y @ models.log_map(m, y, p) for p in p_ends]).tobytes())
+
+
 def _linear_trial(miss, jacobian):
     """A ``_newton`` trial that marches nothing: the miss of ``a`` is ``miss(a)``.
 
@@ -994,7 +1014,7 @@ def test_newton_stop_reasons(case, reason, iterations, backtracks):
     result = done.value.value
     assert (result.stop_reason, result.iterations, result.backtracks) == (
         reason, iterations, backtracks)
-    counts = result.counts(([0.0, 1.0], 1e-2))
+    counts = result.counts([0.0, 1.0], 1e-2)
     assert counts["stop_reason"] == reason
     assert counts["marches"] == 1 + iterations + backtracks - (reason == "stalled")
     assert counts["rk4_steps"] == 100 * counts["marches"]
