@@ -186,6 +186,24 @@ def _drifted_laplacians(model: ModelSpec, points: np.ndarray, cfg: FDConfig, *fu
     return out
 
 
+def _identity_funcs(model: ModelSpec):
+    """R, f and R/f as functions of manifold points, the order of the FD rows."""
+    return (lambda pos: np.full(pos.shape[:-1], model.scalar_R),
+            lambda pos: potential_f(model, pos),
+            lambda pos: model.scalar_R / potential_f(model, pos))
+
+
+def _positive_f(model: ModelSpec, points: np.ndarray) -> np.ndarray:
+    """f at the points, refused before any FD work unless f > 1e-12 at each."""
+    f = potential_f(model, points)
+    low = np.flatnonzero(f <= 1e-12)
+    if len(low):
+        raise DegenerateModelError(
+            f"{model}: R/f audit needs f > 0 at every sample (got f={float(f[low[0]])})"
+        )
+    return f
+
+
 def check_soliton_identities(model: ModelSpec, sample_points, cfg: FDConfig = FDConfig()):
     """Drifted-Laplacian identities for R and f, evaluated by the FD oracle.
 
@@ -194,11 +212,33 @@ def check_soliton_identities(model: ModelSpec, sample_points, cfg: FDConfig = FD
     evaluated anyway so a broken model cannot slip through.
     """
     points = _sample_stack(model, sample_points)
-    lap_r, lap_f = _drifted_laplacians(
-        model, points, cfg,
-        lambda pos: np.full(pos.shape[:-1], model.scalar_R),
-        lambda pos: potential_f(model, pos),
-    )
+    lap_r, lap_f = _drifted_laplacians(model, points, cfg, *_identity_funcs(model)[:2])
+    return _soliton_reports(model, points, cfg, lap_r, lap_f)
+
+
+def check_deltaf_Rf(model: ModelSpec, sample_points, cfg: FDConfig = FDConfig()):
+    """Drifted Laplacian of R/f: FD value vs the four-term expansion, plus
+    the upper bound -|Rc|^2/f + 4(1+sqrt(n))^2/f."""
+    points = _sample_stack(model, sample_points)
+    f = _positive_f(model, points)
+    (lap_rf,) = _drifted_laplacians(model, points, cfg, _identity_funcs(model)[2])
+    return _deltaf_reports(model, points, cfg, f, lap_rf)
+
+
+def check_pointwise_identities(model: ModelSpec, sample_points, cfg: FDConfig = FDConfig()):
+    """``check_soliton_identities`` then, unless R == 0, ``check_deltaf_Rf``,
+    bitwise, from one FD pass: each block maps its stencil and computes its
+    Christoffels once for R, f and R/f, whose rows are independent."""
+    if model.degenerate:
+        return check_soliton_identities(model, sample_points, cfg)
+    points = _sample_stack(model, sample_points)
+    f = _positive_f(model, points)
+    lap_r, lap_f, lap_rf = _drifted_laplacians(model, points, cfg, *_identity_funcs(model))
+    return (_soliton_reports(model, points, cfg, lap_r, lap_f)
+            + _deltaf_reports(model, points, cfg, f, lap_rf))
+
+
+def _soliton_reports(model: ModelSpec, points: np.ndarray, cfg: FDConfig, lap_r, lap_f):
     resid_r = np.abs(lap_r - (-2.0 * model.ricci_norm_sq + model.scalar_R))
     resid_f = np.abs(lap_f - (model.n / 2.0 - potential_f(model, points)))
     ctx = {"model": model.label, "points": len(points), "fd_h": cfg.h}
@@ -210,19 +250,8 @@ def check_soliton_identities(model: ModelSpec, sample_points, cfg: FDConfig = FD
     ]
 
 
-def check_deltaf_Rf(model: ModelSpec, sample_points, cfg: FDConfig = FDConfig()):
-    """Drifted Laplacian of R/f: FD value vs the four-term expansion, plus
-    the upper bound -|Rc|^2/f + 4(1+sqrt(n))^2/f."""
+def _deltaf_reports(model: ModelSpec, points: np.ndarray, cfg: FDConfig, f, lap_rf):
     n = model.n
-    points = _sample_stack(model, sample_points)
-    f = potential_f(model, points)
-    low = np.flatnonzero(f <= 1e-12)
-    if len(low):
-        raise DegenerateModelError(
-            f"{model}: R/f audit needs f > 0 at every sample (got f={float(f[low[0]])})"
-        )
-    (fd_val,) = _drifted_laplacians(
-        model, points, cfg, lambda pos: model.scalar_R / potential_f(model, pos))
     R = model.scalar_R
     grad_f = grad_potential(model, points)
     rc_grad = 0.0  # Rc(grad f, grad f): half the metric on each sphere block
@@ -239,7 +268,7 @@ def check_deltaf_Rf(model: ModelSpec, sample_points, cfg: FDConfig = FDConfig())
     k = int(np.argmin(bound_rhs - expansion))
     ctx = {"model": model.label, "fd_h": cfg.h}
     return [
-        AuditReport("deltaf-Rf:expansion", float(np.max(np.abs(fd_val - expansion))),
+        AuditReport("deltaf-Rf:expansion", float(np.max(np.abs(lap_rf - expansion))),
                     DELTAF_RF_TOL, 0.0, context=dict(ctx)),
         AuditReport("deltaf-Rf:bound", float(expansion[k]), float(bound_rhs[k]), 0.0,
                     context=dict(ctx)),

@@ -229,12 +229,8 @@ def cmd_verify_identities(config: RunConfig) -> int:
     rng = np.random.default_rng(config.seed)
     fd_cfg = FDConfig(h=config.fd_h)
     points = random_points(model, rng, config.samples)
-    reports = list(audit_mod.check_soliton_identities(model, points, cfg=fd_cfg))
-    notices = []
-    if model.degenerate:
-        notices.append("model has R == 0: curvature-ratio audits skipped")
-    else:
-        reports += audit_mod.check_deltaf_Rf(model, points, cfg=fd_cfg)
+    reports = audit_mod.check_pointwise_identities(model, points, cfg=fd_cfg)
+    notices = ["model has R == 0: curvature-ratio audits skipped"] if model.degenerate else []
     reports += audit_mod.gradient_f_bound_audit(model, points)
     # FD cross-check of the curvature itself at a few of the sampled points.
     chart = Chart(model, points[:10])

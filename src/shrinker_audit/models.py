@@ -548,7 +548,7 @@ def background_geodesic(model: ModelSpec, p: np.ndarray, q: np.ndarray, N: int) 
             continue
         cosang = float(np.clip(np.dot(a, b) / f.radius**2, -1.0, 1.0))
         theta = float(_sphere_angle(f, a, b))
-        if theta < 1e-15:
+        if theta == 0.0:
             pos[:, f.start : f.stop] = a
             vel[:, f.start : f.stop] = 0.0
             continue

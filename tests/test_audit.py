@@ -10,6 +10,7 @@ from shrinker_audit.audit import (
     _cutoff,
     boundary_term_audit,
     check_deltaf_Rf,
+    check_pointwise_identities,
     check_soliton_identities,
     combined_integral_audit,
     find_good_point,
@@ -98,6 +99,26 @@ def test_soliton_identities_across_catalog(model, rng):
         "soliton-identity:curvature",
         "soliton-identity:potential",
     }
+
+
+def _float_bits(value):
+    """``value`` with every float replaced by its hex form, so == compares bits."""
+    if isinstance(value, float):
+        return value.hex()
+    if isinstance(value, dict):
+        return {k: _float_bits(v) for k, v in value.items()}
+    return value
+
+
+def test_one_pass_gives_the_separate_reports(model, rng):
+    points = [models.random_point(model, rng) for _ in range(150)]  # two FD blocks
+    separate = check_soliton_identities(model, points)
+    if not model.degenerate:
+        separate += check_deltaf_Rf(model, points)
+    one_pass = check_pointwise_identities(model, points)
+    assert len(one_pass) == (2 if model.degenerate else 4)
+    assert [_float_bits(r.to_dict()) for r in one_pass] == [
+        _float_bits(r.to_dict()) for r in separate]
 
 
 def test_deltaf_rf_round_sphere_closed_values(rng):
@@ -512,7 +533,7 @@ def test_find_good_point_precondition_refusals():
 
 def test_each_fd_block_maps_its_stencil_once(monkeypatch, rng):
     """One stencil mapping and one Christoffel evaluation per FD_BLOCK block
-    and audit, shared by f and every audited function."""
+    and call, shared by f and every audited function."""
     from shrinker_audit import numgeom
 
     model = models.sphere_product(2, 2)
@@ -534,3 +555,7 @@ def test_each_fd_block_maps_its_stencil_once(monkeypatch, rng):
     reports = check_soliton_identities(model, points) + check_deltaf_Rf(model, points)
     assert all(r.passed for r in reports)
     assert calls == {"to_manifold": 6, "christoffels": 6}
+    # the one-pass entry point shares each block's stencil among R, f and R/f
+    calls.update(to_manifold=0, christoffels=0)
+    assert len(check_pointwise_identities(model, points)) == 4
+    assert calls == {"to_manifold": 3, "christoffels": 3}

@@ -12,6 +12,7 @@ from shrinker_audit.errors import (
     DegenerateEndpointsError,
     DriftExceededError,
     InvalidPointError,
+    PreconditionError,
 )
 from shrinker_audit.numgeom import Chart, gradient_fd, scalar_field
 from shrinker_audit.phigeo import (
@@ -1159,6 +1160,18 @@ def test_minimize_budget_exhausted_stop_reason():
     assert descent["stop_reason"] == "budget-exhausted"
     assert descent["iterations"] == 1
     assert descent["backtracks"] >= 0
+
+
+def test_minimize_refuses_a_grid_below_float_resolution():
+    # one ulp apart at 1e8 on the flat axis: s_bar / N cannot move the
+    # coordinate, so neighbouring nodes of the start path coincide
+    m = models.sphere_cylinder(2, 2)
+    x = models.base_point(m)
+    x[m.euclid_factors[0].start] = 1e8
+    y = x.copy()
+    y[m.euclid_factors[0].start] = np.nextafter(1e8, np.inf)
+    with pytest.raises(PreconditionError, match="below the float resolution"):
+        minimize_action_discrete(m, PhiParams(0.1), x, y, N=64)
 
 
 def test_minimize_requires_enough_nodes():
