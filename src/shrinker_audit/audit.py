@@ -250,6 +250,12 @@ def _soliton_reports(model: ModelSpec, points: np.ndarray, cfg: FDConfig, lap_r,
     ]
 
 
+def _deltaf_rf_constant(n: int) -> float:
+    """4(1+sqrt(n))^2: the paper's constant in the bound on the drifted
+    Laplacian of R/f, which the combined and weighted Ricci integrals carry."""
+    return 4.0 * (1.0 + math.sqrt(n)) ** 2
+
+
 def _deltaf_reports(model: ModelSpec, points: np.ndarray, cfg: FDConfig, f, lap_rf):
     n = model.n
     R = model.scalar_R
@@ -264,7 +270,7 @@ def _deltaf_reports(model: ModelSpec, points: np.ndarray, cfg: FDConfig, f, lap_
         - 4.0 * rc_grad / f**2
         + 2.0 * R * np.vecdot(grad_f, grad_f) / f**3
     )
-    bound_rhs = (-model.ricci_norm_sq + 4.0 * (1.0 + math.sqrt(n)) ** 2) / f
+    bound_rhs = (-model.ricci_norm_sq + _deltaf_rf_constant(n)) / f
     k = int(np.argmin(bound_rhs - expansion))
     ctx = {"model": model.label, "fd_h": cfg.h}
     return [
@@ -341,7 +347,7 @@ def combined_integral_audit(model: ModelSpec, params: PhiParams, path: PhiPath,
     i_invf, err_invf = quadrature.integrate_pieces(path.s, zs * zs * inv_f, whole)
     i_speed, err_speed = quadrature.integrate_pieces(path.s, zs * zs * path.speed_sq(), whole)
     boundary, err_b = _boundary_coupling(model, path, zs, ramps)
-    coeff = 4.0 * (1.0 + math.sqrt(n)) ** 2
+    coeff = _deltaf_rf_constant(n)
     lhs = 0.5 * params.c * (i_rc - coeff * i_invf) + 0.5 * i_speed
     rhs = 2.0 * n - 2.0 * boundary
     qerr = 0.5 * params.c * (err_rc + coeff * err_invf) + 0.5 * err_speed + 2.0 * err_b
@@ -392,7 +398,7 @@ def _weighted_ricci_bound(model: ModelSpec, params: PhiParams, a_bound: float,
     n = model.n
     f_origin = float(potential_f(model, base_point(model)))
     rhs = (
-        4.0 * (1.0 + math.sqrt(n)) ** 2 * d_xy / f_origin
+        _deltaf_rf_constant(n) * d_xy / f_origin
         + 4.0 * (math.sqrt(n) + a_bound) ** 2 / params.c
         + 2.0 * a_bound * (r_x + r_y) / params.c
     )

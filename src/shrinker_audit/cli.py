@@ -474,12 +474,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        config = _config_from_args(args)
-    except (ConfigError, InvalidModelError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    try:
-        return _COMMANDS[args.command](config)
+        return _COMMANDS[args.command](_config_from_args(args))
     except (ConfigError, InvalidModelError, DegenerateEndpointsError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

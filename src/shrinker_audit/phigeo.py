@@ -406,8 +406,8 @@ def solve_bvp_shooting(
 
     The path keeps the pieces of ``quadrature.audit_grid(s_bar, density)``;
     more than ``MAX_SCHEDULE_SUBSTEPS`` RK4 substeps on it are refused
-    before any march. Newton runs two or three times (``_newton``), each
-    with up to ``MAX_NEWTON`` iterations, until the residual norm is below
+    before any march. Newton runs twice (``_newton``), each with up to
+    ``MAX_NEWTON`` iterations, until the residual norm is below
     ``tol * min(1, s_bar)``, so that a tiny distance still corrects its
     start. The audit grid is cut into segments of ``SEGMENT_INTERVALS``
     intervals. The predictor marches the coarse nodes [0, cuts, s_bar] in
@@ -418,14 +418,12 @@ def solve_bvp_shooting(
     coarse discretization as on a fine one and lands within the
     discretization gap of the fine root (Allgower, Böhmer, Potra &
     Rheinboldt, SIAM J. Numer. Anal. 23, 1986), and a segmented round costs
-    one gap's steps, so its rounds are cheap. If it does not converge, the
-    fallback, single shooting over the same coarse nodes from the initial
-    guess, runs in its place. The fine run marches the audit grid at
-    ``step`` with a joint at every cut, from the converged coarse run's
-    ``a`` and states there, and usually needs one Newton step. When neither
-    coarse run converged it starts from the initial guess with no joints,
-    so a failed predictor costs its marches and nothing else. Only the fine
-    run can fail the solve.
+    one gap's steps, so its rounds are cheap. The fine run marches the audit
+    grid at ``step`` with a joint at every cut, from the converged
+    predictor's ``a`` and states there, and usually needs one Newton step.
+    When the predictor did not converge, the fine run is single shooting
+    from the initial guess with no joints, so a failed predictor costs its
+    marches and nothing else. Only the fine run can fail the solve.
 
     A trial marches segment 0 from x with ``a`` and its n perturbations
     ``a + delta e_j``, and every other segment from its joint's state with
@@ -443,15 +441,13 @@ def solve_bvp_shooting(
     marches and the rows they carried, RK4 steps, the final endpoint miss
     and the stop reason; ``predictor`` holds the same counts (rows aside)
     for the segmented predictor, whose stop reason is ``converged``,
-    ``stalled``, ``budget-exhausted`` or ``ill-conditioned``, with its
-    ``segments`` and a ``fallback`` entry: the same counts for the
-    single-shooting predictor, or None when it did not run. The counts are
-    the problem's own: a march counts its own rows, and its own substeps
-    over every segment as RK4 steps, whatever else shared the batch, and
-    every march is counted once. A fine run with joints adds ``segments``,
-    ``max_joint_defect`` (the largest joint defect's norm) and
-    ``march_steps`` (the longest segment's substeps: the RK4 step calls one
-    of its marches costs in lockstep).
+    ``stalled``, ``budget-exhausted`` or ``ill-conditioned``, and its
+    ``segments``. The counts are the problem's own: a march counts its own
+    rows, and its own substeps over every segment as RK4 steps, whatever
+    else shared the batch, and every march is counted once. A fine run with
+    joints adds ``segments``, ``max_joint_defect`` (the largest joint
+    defect's norm) and ``march_steps`` (the longest segment's substeps: the
+    RK4 step calls one of its marches costs in lockstep).
 
     This is the one-problem case of ``solve_bvp_shooting_batch``; a batch
     returns bitwise the same path for each problem.
@@ -478,16 +474,15 @@ def solve_bvp_shooting_batch(
     round collects the march blocks of the pending trials (one block per
     segment) and marches them all in one ``_march``, whatever their c and
     their grids; it costs the RK4 steps of its longest block. Rounds are
-    phase-aligned: while any problem still has a coarse trial pending (its
-    predictor or fallback, marched at ``PREDICTOR_STEP_FACTOR * step``),
-    only coarse trials march, and the fine trials wait. So a problem whose
-    predictor converged early does not turn a round that the others spend
-    on their predictors into one that costs a fine segment's steps. Rows
-    never mix, so every path, and every count in its ``minimal_evidence``,
-    is bitwise that of a ``solve_bvp_shooting`` call on the problem alone.
-    Returns, in the given order, each problem's ``PhiPath``, or the
-    exception it raised; a failed problem stops marching and the others
-    carry on.
+    phase-aligned: while any problem still has a predictor trial pending
+    (marched at ``PREDICTOR_STEP_FACTOR * step``), only those trials march,
+    and the fine trials wait. So a problem whose predictor converged early
+    does not turn a round that the others spend on their predictors into one
+    that costs a fine segment's steps. Rows never mix, so every path, and
+    every count in its ``minimal_evidence``, is bitwise that of a
+    ``solve_bvp_shooting`` call on the problem alone. Returns, in the given
+    order, each problem's ``PhiPath``, or the exception it raised; a failed
+    problem stops marching and the others carry on.
     """
     dyn = _Dynamics(model)
     results = [None] * len(problems)
@@ -504,7 +499,7 @@ def solve_bvp_shooting_batch(
     for i, (params, x, y) in enumerate(problems):
         advance(i, _shooting(model, params, x, y, tol, step, density, drift_tol), None)
     while pending:
-        # a predictor's or fallback's trial marches at more than ``step``;
+        # a predictor's trial marches at more than ``step``;
         # while any such coarse trial is pending, the fine ones wait
         coarse = [entry for entry in pending if entry[2][0][4] > step]
         fine = [entry for entry in pending if entry[2][0][4] <= step]
@@ -674,7 +669,7 @@ def _joined(records) -> _Record:
 
 
 def _shooting(model, params, x, y, tol, step, density, drift_tol):
-    """The predictor, fallback and fine Newton runs of one shooting problem, as a generator.
+    """The predictor and fine Newton runs of one shooting problem, as a generator.
 
     It yields each trial's list of ``_march`` blocks ``(starts, v0, cR,
     s_nodes, step)`` and receives their ``(p_end, v_end, record)`` triples;
@@ -683,12 +678,11 @@ def _shooting(model, params, x, y, tol, step, density, drift_tol):
     Every run uses the one trial below: segments between the node indices
     ``cuts`` with a ``_Joints`` at every inner cut, unknowns z = [a, each
     joint's coordinates], and the joint defects, then the endpoint miss, as
-    residual. The predictor takes every coarse node as a cut, with joints
-    at the background geodesic's states; the fallback takes none, and runs
-    only when the predictor fails and has joints (with none it already was
-    single shooting). A run with joints reports its residual norm, joint
-    defects included, as its miss. A trial that overflowed has a non-finite
-    residual, which the Armijo test rejects.
+    residual. The predictor takes every coarse node as a cut, with joints at
+    the background geodesic's states; the fine run takes the audit grid's
+    cuts, or none when the predictor failed. A run with joints reports its
+    residual norm, joint defects included, as its miss. A trial that
+    overflowed has a non-finite residual, which the Armijo test rejects.
     """
     validate_point(model, x)
     validate_point(model, y)
@@ -744,7 +738,6 @@ def _shooting(model, params, x, y, tol, step, density, drift_tol):
         return (np.concatenate([defects.ravel(), miss]),
                 _condense(flows, end_jac, defects, miss), _joined(records))
 
-    no_joints = _Joints(model, np.empty((0, x.size)), np.empty((0, x.size)))
     # the node where each segment of the fine run starts, then the last node
     cuts = [*range(0, len(s_out) - 1, SEGMENT_INTERVALS), len(s_out) - 1]
     a_guess = basis_x @ v_guess
@@ -759,17 +752,13 @@ def _shooting(model, params, x, y, tol, step, density, drift_tol):
     predictor = yield from _newton(partial(trial, range(len(coarse[0])), bg_joints),
                                    np.concatenate([a_guess, bg_joints.start.ravel()]),
                                    coarse, tol, MAX_NEWTON)
-    coarse_run, fallback = predictor, None
-    if predictor.stop_reason != "converged" and len(cuts) > 2:
-        # single shooting over the coarse nodes, which a segmented run with
-        # no inner node already was
-        coarse_run = fallback = yield from _newton(partial(trial, [0, len(cuts) - 1], no_joints),
-                                                   a_guess, coarse, tol, MAX_NEWTON)
-    if coarse_run.stop_reason == "converged":
-        joints = _Joints(model, coarse_run.record.pos[1:-1], coarse_run.record.vel[1:-1])
-        z = np.concatenate([coarse_run.a[:dim], joints.start.ravel()])
+    if predictor.stop_reason == "converged":
+        joints = _Joints(model, predictor.record.pos[1:-1], predictor.record.vel[1:-1])
+        z = np.concatenate([predictor.a[:dim], joints.start.ravel()])
     else:
-        cuts, joints, z = [0, len(s_out) - 1], no_joints, a_guess
+        # single shooting from the initial guess: no joints
+        cuts, z = [0, len(s_out) - 1], a_guess
+        joints = _Joints(model, np.empty((0, x.size)), np.empty((0, x.size)))
     fine = yield from _newton(partial(trial, cuts, joints), z, (s_out, step), tol, MAX_NEWTON)
     if fine.stop_reason == "ill-conditioned":
         raise IllConditionedShootingError(
@@ -802,8 +791,7 @@ def _shooting(model, params, x, y, tol, step, density, drift_tol):
             march_steps=int(max(n_sub[lo:hi].sum() for lo, hi in zip(cuts, cuts[1:]))),
         )
     counts["predictor"] = predictor.counts(*coarse)
-    counts["predictor"].update(segments=len(coarse[0]) - 1,
-                               fallback=None if fallback is None else fallback.counts(*coarse))
+    counts["predictor"]["segments"] = len(coarse[0]) - 1
     path.minimal_evidence["shooting"] = counts
     return path
 

@@ -119,22 +119,31 @@ def test_geodesic_sphere_quarter_arc(tmp_path):
     assert abs(payload["shooting"]["C_value"] - 0.9) <= 1e-9
 
 
-@pytest.mark.parametrize("ry", ["1e-7", "1e-9", "1e-11", "1e-12", "1e-13", "1e-14",
-                                "1e-15", "1e-16", "1e-17"])
-def test_geodesic_sphere_tiny_radius_solvers_agree(tmp_path, ry):
+@pytest.mark.parametrize(
+    "label, ry",
+    [*(pytest.param("sphere:n=3", ry, id=ry)
+       for ry in ["1e-7", "1e-9", "1e-11", "1e-12", "1e-13", "1e-14", "1e-15", "1e-16", "1e-17"]),
+     # the segmented predictor stalls here, so the fine run starts from the guess
+     *(pytest.param(label, "1e-12", id=f"{label}-1e-12")
+       for label in ["cylinder:k=2,m=2", "sphereproduct:k=2,m=2"])],
+)
+def test_geodesic_sphere_tiny_radius_solvers_agree(tmp_path, label, ry):
     # the discrete solver's background start must end at y and hold unit
     # speed, and shooting's tolerance, scaled to s_bar, must make it correct
-    # its start: C = 1 - c from both solvers. Below 1e-15 the sphere angle is
-    # still nonzero, so the background geodesic still moves toward y.
+    # its start: C = 1 - c from both solvers, as R/f = 1 at O on every R > 0
+    # family. Below 1e-15 the sphere angle is still nonzero, so the
+    # background geodesic still moves toward y.
     code = main([
-        "geodesic", "--model", "sphere:n=3", "--c", "0.2", "--ry", ry,
+        "geodesic", "--model", label, "--c", "0.2", "--ry", ry,
         "--out", str(tmp_path),
     ])
     assert code == EXIT_OK
     payload = read_json(tmp_path / "geodesic_summary.json")
     assert payload["evidence"]["J_agree"] and payload["evidence"]["C_agree"]
     assert payload["shooting"]["C_value"] == pytest.approx(0.8, abs=1e-6)
-    assert payload["shooting"]["minimal_evidence"]["shooting"]["final_miss"] < 1e-10 * float(ry)
+    counts = payload["shooting"]["minimal_evidence"]["shooting"]
+    assert counts["stop_reason"] == "converged"
+    assert counts["final_miss"] < 1e-10 * float(ry)
 
 
 @pytest.mark.parametrize(

@@ -382,27 +382,28 @@ def _assert_phase_counts(counts, s_nodes, step):
 
 
 def _assert_failed_segmented_predictor(path):
-    """From a poor guess the segmented predictor fails and single shooting stands in.
+    """From a poor guess the segmented predictor fails, and the fine run is single shooting.
 
-    Each march is counted once: the initial trial, one per iteration and
-    one per rejected trial, less the iteration of a stall, which accepts none.
+    Each predictor march is counted once: the initial trial, one per
+    iteration and one per rejected trial, less the iteration of a stall,
+    which accepts none.
     """
-    predictor = path.minimal_evidence["shooting"]["predictor"]
+    counts = path.minimal_evidence["shooting"]
+    predictor = counts["predictor"]
     assert predictor["segments"] == len(_predictor_nodes(path)) - 1 > 1
     assert predictor["stop_reason"] != "converged"
     assert predictor["marches"] == (1 + predictor["newton_iterations"] + predictor["backtracks"]
                                     - (predictor["stop_reason"] == "stalled"))
-    assert predictor["fallback"] is not None
-    _assert_phase_counts(predictor["fallback"], _predictor_nodes(path),
-                         phigeo.PREDICTOR_STEP_FACTOR * phigeo.MAX_IVP_STEP)
+    assert "segments" not in counts
+    _assert_phase_counts(counts, path.s, phigeo.MAX_IVP_STEP)
 
 
 @pytest.mark.parametrize("predictor", ["kept", "starved"])
 def test_shooting_backtracks_from_a_poor_initial_guess(monkeypatch, predictor):
     # A random initial velocity instead of the background-geodesic one makes
     # the full Newton step overshoot, so the Armijo halving has to act: in
-    # the predictor, which starts from that guess, or, when the predictor
-    # fails, in the fine run, which then starts from it.
+    # the predictor, which starts from that guess, and, once the predictor
+    # has failed, in the fine run, which then starts from it too.
     m = models.round_sphere(2)
     x = models.base_point(m)
     rng = np.random.default_rng(2)
@@ -423,12 +424,12 @@ def test_shooting_backtracks_from_a_poor_initial_guess(monkeypatch, predictor):
     counts = path.minimal_evidence["shooting"]
     _assert_phase_counts(counts, path.s, phigeo.MAX_IVP_STEP)
     assert counts["rows_marched"] == counts["marches"] * _rows_per_trial(m, counts)
+    assert counts["backtracks"] >= 1
     if predictor == "kept":
         assert counts["predictor"]["backtracks"] >= 1
         _assert_failed_segmented_predictor(path)
     else:
         assert counts["predictor"]["stop_reason"] == "budget-exhausted"
-        assert counts["backtracks"] >= 1
 
 
 def _assert_same_path(got, alone):
@@ -482,7 +483,7 @@ def test_shooting_batch_backtracking_beside_a_plain_cell(monkeypatch):
     plain, poor = solve_bvp_shooting_batch(m, problems)
     plain_counts = plain.minimal_evidence["shooting"]
     assert plain_counts["backtracks"] == plain_counts["predictor"]["backtracks"] == 0
-    assert plain_counts["predictor"]["fallback"] is None
+    assert plain_counts["predictor"]["stop_reason"] == "converged"
     assert poor.minimal_evidence["shooting"]["predictor"]["backtracks"] >= 1
     _assert_failed_segmented_predictor(poor)
     for path, (params, x_i, y_i) in zip((plain, poor), problems):
@@ -498,7 +499,6 @@ def test_segmented_predictor_starts_on_the_exact_geodesic():
     counts = path.minimal_evidence["shooting"]
     predictor = counts["predictor"]
     assert predictor["segments"] == counts["segments"] > 1
-    assert predictor["fallback"] is None
     for run in (predictor, counts):
         assert run["stop_reason"] == "converged"
         assert (run["newton_iterations"], run["backtracks"], run["marches"]) == (0, 0, 1)
@@ -517,7 +517,7 @@ def test_segmented_predictor_starts_an_antipodal_pair_on_the_tie_break(label):
     y[f.start : f.stop] *= -1.0
     path = solve_bvp_shooting(m, PhiParams(0.1), x, y)
     counts = path.minimal_evidence["shooting"]
-    assert counts["predictor"]["segments"] > 1 and counts["predictor"]["fallback"] is None
+    assert counts["predictor"]["segments"] > 1
     _assert_phase_counts(counts["predictor"], _predictor_nodes(path),
                          phigeo.PREDICTOR_STEP_FACTOR * phigeo.MAX_IVP_STEP)
     _assert_phase_counts(counts, path.s, phigeo.MAX_IVP_STEP)
@@ -528,8 +528,9 @@ def test_shooting_batch_keeps_each_failure_in_its_slot(monkeypatch):
     # fails its drift check after its last fine march. Every fine run starts
     # once the last coarse trial has marched, so a cell is stepped after that
     # failure only if its fine run takes more marches. With every predictor
-    # starved, each fine run starts from its initial guess, and the c = 0.5
-    # cells, the longer r_y = 20.21 one among them, need one march more.
+    # starved, it stops after two marches, each fine run starts from its
+    # initial guess, and the c = 0.5 cells, the longer r_y = 20.21 one among
+    # them, need one march more.
     _starve_predictor(monkeypatch)
     m = models.sphere_cylinder(2, 2)
     x = models.base_point(m)
@@ -548,18 +549,12 @@ def test_shooting_batch_keeps_each_failure_in_its_slot(monkeypatch):
     for i in (0, 3, 4):
         _assert_same_path(results[i], solve_bvp_shooting(m, *problems[i], drift_tol=5e-12))
 
-    def coarse(path):
-        predictor = path.minimal_evidence["shooting"]["predictor"]
-        return predictor["marches"] + predictor["fallback"]["marches"]
-
-    def fine(path):
-        return path.minimal_evidence["shooting"]["marches"]
-
     cells = [results[0], failed, results[3], results[4]]
-    first_fine = max(coarse(path) for path in cells)
-    assert [fine(path) for path in cells] == [3, 3, 4, 4]
-    # the failure comes after round first_fine + 3, and the c = 0.5 cells march on
-    assert len(batch_rounds) == first_fine + 4 > first_fine + fine(failed)
+    counts = [path.minimal_evidence["shooting"] for path in cells]
+    assert [k["predictor"]["marches"] for k in counts] == [2, 2, 2, 2]
+    assert [k["marches"] for k in counts] == [3, 3, 4, 4]
+    # the failure comes after round 2 + 3, and the c = 0.5 cells march on
+    assert len(batch_rounds) == 2 + 4
     last_blocks, _ = batch_rounds[-1]
     assert {cR for _, _, cR, _, _ in last_blocks} == {0.5 * m.scalar_R}
     _assert_coarse_rounds_first(batch_rounds)
@@ -822,8 +817,8 @@ def test_drift_inside_an_interior_segment_fails_the_solve(monkeypatch):
 def _assert_coarse_rounds_first(rounds):
     """No round marches a fine block while any problem has a coarse trial pending.
 
-    Every round is of one phase, and the coarse rounds (predictors and
-    fallbacks) all come before the fine ones.
+    Every round is of one phase, and the coarse (predictor) rounds all come
+    before the fine ones.
     """
     coarse = phigeo.PREDICTOR_STEP_FACTOR * phigeo.MAX_IVP_STEP
     phases = [{block[4] == coarse for block in blocks} for blocks, _ in rounds]

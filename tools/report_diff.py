@@ -128,7 +128,7 @@ def compare_dirs(old: Path, new: Path, rtol: float, atol: float, exclude=(),
     return ok
 
 
-def main(argv=None) -> int:
+def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("old", type=Path)
     parser.add_argument("new", type=Path)
@@ -136,7 +136,11 @@ def main(argv=None) -> int:
     parser.add_argument("--atol", type=float, default=1e-12)
     parser.add_argument("--exclude", action="append", default=[],
                         help="dotted key path to skip in JSON reports (repeatable)")
-    args = parser.parse_args(argv)
+    return parser
+
+
+def main(argv=None) -> int:
+    args = build_parser().parse_args(argv)
     return 0 if compare_dirs(args.old, args.new, args.rtol, args.atol, args.exclude) else 1
 
 
