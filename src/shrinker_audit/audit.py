@@ -85,6 +85,11 @@ class AuditReport:
     def conclusive(self) -> bool:
         return self.quadrature_error <= 0.01 * abs(self.margin)
 
+    @property
+    def ok(self) -> bool:
+        """The verdict: pass, or inconclusive with a strictly positive margin."""
+        return self.passed if self.conclusive else self.margin > 0.0
+
     def to_dict(self) -> dict:
         return {
             "name": self.name,

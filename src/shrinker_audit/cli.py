@@ -48,7 +48,6 @@ from .phigeo import (
     certify_minimal_candidate,
     minimize_action_discrete,
     path_json_dict,
-    solve_bvp_shooting,
     write_path_csv,
 )
 
@@ -56,6 +55,10 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_SOLVER = 3
 EXIT_REFUSED = 4
+
+# verify-identities on 10**6 samples of sphereproduct:k=2,m=2 takes about 15 s
+# and 240 MB peak RSS on 2 cores; memory grows linearly with the samples
+MAX_SAMPLES = 10**6
 
 
 @dataclass
@@ -92,8 +95,8 @@ class RunConfig:
                 ok = isinstance(value, kind) and not isinstance(value, bool)
             if not ok:
                 raise ConfigError(f"{f.name} must be {_KIND_NAMES[kind]} (got {value!r})")
-        if self.samples < 1:
-            raise ConfigError(f"samples must be >= 1 (got {self.samples})")
+        if not 1 <= self.samples <= MAX_SAMPLES:
+            raise ConfigError(f"samples must lie in [1, {MAX_SAMPLES}] (got {self.samples})")
         if self.seed < 0:
             raise ConfigError(f"seed must be >= 0 (got {self.seed})")
         if not 16 <= self.N <= quadrature.MAX_GRID_INTERVALS:
@@ -114,16 +117,12 @@ class RunConfig:
                               f"(got an integer of {len(str(self.density))} digits)")
         if self.max_iters < 1:
             raise ConfigError(f"max_iters must be >= 1 (got {self.max_iters})")
-        if not self.c:
-            raise ConfigError("c grid must not be empty")
-        for value in self.c:
-            if not value > 0.0:
-                raise ConfigError(f"c must be positive (got {value})")
-        if not self.ry:
-            raise ConfigError("ry grid must not be empty")
-        for value in self.ry:
-            if not value > 0.0:
-                raise ConfigError(f"ry must be positive (got {value})")
+        for name in ("c", "ry"):
+            if not getattr(self, name):
+                raise ConfigError(f"{name} grid must not be empty")
+            for value in getattr(self, name):
+                if not value > 0.0:
+                    raise ConfigError(f"{name} must be positive (got {value})")
 
     def to_dict(self) -> dict:
         out = asdict(self)
@@ -203,20 +202,69 @@ def _float_list(text: str) -> tuple:
         raise argparse.ArgumentTypeError(f"expected comma-separated floats, got {text!r}") from exc
 
 
-def _write_json(out_dir: Path, name: str, payload: dict) -> Path:
+def _report(config: RunConfig, command: str, filename: str, ok: bool, **fields) -> int:
+    """Write a subcommand's JSON report into ``config.out`` and print its path.
+
+    The report holds ``command``, the config and ``fields``. Returns the exit
+    code: 0 when ``ok``, 1 when an audit failed.
+    """
+    out_dir = Path(config.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    dest = out_dir / name
+    dest = out_dir / filename
     with open(dest, "w", encoding="utf-8") as handle:
-        json.dump(payload, handle, indent=2, sort_keys=True)
+        json.dump({"command": command, "config": config.to_dict(), **fields}, handle,
+                  indent=2, sort_keys=True)
         handle.write("\n")
-    return dest
+    print(f"report: {dest}")
+    return EXIT_OK if ok else 1
 
 
-def _report_ok(report: audit_mod.AuditReport) -> bool:
-    """Pass, or inconclusive with a strictly positive margin."""
-    if report.conclusive:
-        return report.passed
-    return report.margin > 0.0
+def _solved_cells(config: RunConfig, model, check=None):
+    """Shoot every (c, r_y) cell of the config's grid in one lockstep
+    ``solve_bvp_shooting_batch``, with the config's solver fields.
+
+    A cell's problem is ``(PhiParams(c), base_point, canonical_target(ry))``;
+    ``check(model, y)``, when given, runs on its target first. On the first
+    pull every cell is set up and shot; then each cell's ``(c, ry, params,
+    x, y, path)`` is yielded in grid order. The error a cell's setup or
+    solve raised is raised when the loop reaches that cell, so errors come
+    in grid order, as if the cells ran one after another.
+    """
+    staged = []
+    for c_val in config.c:
+        for ry in config.ry:
+            try:
+                y = canonical_target(model, ry)
+                if check is not None:
+                    check(model, y)
+                staged.append((c_val, ry, PhiParams(c_val), base_point(model), y))
+            except ShrinkerAuditError as exc:
+                staged.append(exc)
+    paths = iter(phigeo.solve_bvp_shooting_batch(
+        model, [cell[2:] for cell in staged if not isinstance(cell, Exception)],
+        tol=config.shoot_tol, step=config.step, density=config.density,
+        drift_tol=config.drift_tol,
+    ))
+    for cell in staged:
+        path = cell if isinstance(cell, Exception) else next(paths)
+        if isinstance(path, Exception):
+            raise path
+        yield (*cell, path)
+
+
+def _grid_model(config: RunConfig, task: str):
+    """Parse the model of a grid the audits read; they need every c < 1."""
+    model = parse_model(config.model)
+    for c_val in config.c:
+        if not c_val < 1.0:
+            raise ConfigError(f"c must be < 1 for {task} (got {c_val})")
+    return model
+
+
+def _discrete(config: RunConfig, model, params, x, y, shoot):
+    """The discrete minimizer's path and the evidence certifying ``shoot``."""
+    disc = minimize_action_discrete(model, params, x, y, N=config.N, max_iters=config.max_iters)
+    return disc, certify_minimal_candidate(model, params, shoot, disc)
 
 
 # ---------------------------------------------------------------------------
@@ -237,25 +285,15 @@ def cmd_verify_identities(config: RunConfig) -> int:
     origin = np.zeros(chart.shape + (model.n,))
     closed = chart_ricci(model, chart.metric_at(origin))
     worst = float(np.max(np.abs(ricci_fd(chart, origin, fd_cfg) - closed)))
-    reports.append(
-        audit_mod.AuditReport(
-            "ricci-fd-vs-closed", worst, 1e-4, 0.0, context={"model": model.label}
-        )
-    )
+    reports.append(audit_mod.AuditReport("ricci-fd-vs-closed", worst, 1e-4, 0.0,
+                                         context={"model": model.label}))
     for report in reports:
         print(report.summary_line())
     for notice in notices:
         print(f"NOTE  {notice}")
-    payload = {
-        "command": "verify-identities",
-        "config": config.to_dict(),
-        "notices": notices,
-        "reports": [r.to_dict() for r in reports],
-        "all_pass": all(r.passed for r in reports),
-    }
-    dest = _write_json(Path(config.out), "verify_identities.json", payload)
-    print(f"report: {dest}")
-    return EXIT_OK if payload["all_pass"] else 1
+    all_pass = all(r.ok for r in reports)
+    return _report(config, "verify-identities", "verify_identities.json", all_pass,
+                   notices=notices, reports=[r.to_dict() for r in reports], all_pass=all_pass)
 
 
 def cmd_geodesic(config: RunConfig) -> int:
@@ -263,125 +301,45 @@ def cmd_geodesic(config: RunConfig) -> int:
         raise ConfigError(f"geodesic solves one (c, ry) case; got c={list(config.c)}, "
                           f"ry={list(config.ry)}")
     model = parse_model(config.model)
-    params = PhiParams(config.c[0])
-    x = base_point(model)
-    y = canonical_target(model, config.ry[0])
-    shoot = solve_bvp_shooting(
-        model, params, x, y, tol=config.shoot_tol, step=config.step, density=config.density,
-        drift_tol=config.drift_tol,
-    )
-    disc = minimize_action_discrete(model, params, x, y, N=config.N, max_iters=config.max_iters)
-    evidence = certify_minimal_candidate(model, params, shoot, disc)
+    ((_, _, params, x, y, shoot),) = _solved_cells(config, model)
+    disc, evidence = _discrete(config, model, params, x, y, shoot)
     out_dir = Path(config.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     write_path_csv(out_dir / "geodesic_shooting.csv", model, params, shoot)
     write_path_csv(out_dir / "geodesic_discrete.csv", model, params, disc)
-    payload = {
-        "command": "geodesic",
-        "config": config.to_dict(),
-        "evidence": evidence,
-        "shooting": path_json_dict(model, params, shoot),
-        "discrete": path_json_dict(model, params, disc),
-    }
-    dest = _write_json(out_dir, "geodesic_summary.json", payload)
+    print(f"J shooting={shoot.action_J:.9g} discrete={disc.action_J:.9g} "
+          f"C shooting={shoot.C_value:.9g} discrete={disc.C_value:.9g}")
     equivalent = evidence["J_agree"] and evidence["C_agree"]
-    print(
-        f"J shooting={shoot.action_J:.9g} discrete={disc.action_J:.9g} "
-        f"C shooting={shoot.C_value:.9g} discrete={disc.C_value:.9g}"
-    )
     print(f"cross-solver equivalence: {'PASS' if equivalent else 'FAIL'}")
-    print(f"report: {dest}")
-    return EXIT_OK if equivalent else 1
-
-
-def _shot_cells(model, cells, prepare, **solver):
-    """Shoot every cell of a grid in one lockstep ``solve_bvp_shooting_batch``.
-
-    ``prepare(c, ry)`` runs a cell's checks that need no path and returns its
-    problem ``(params, x, y)``. On the first pull every cell is prepared and
-    shot; then each cell's ``(params, x, y, path)`` is yielded in grid order.
-    The error a cell's preparation or solve raised is raised when the loop
-    reaches that cell, so errors come in grid order, as if the cells ran
-    one after another.
-    """
-    staged = []
-    for cell in cells:
-        try:
-            staged.append(prepare(*cell))
-        except ShrinkerAuditError as exc:
-            staged.append(exc)
-    problems = [p for p in staged if not isinstance(p, Exception)]
-    paths = iter(phigeo.solve_bvp_shooting_batch(model, problems, **solver))
-    for problem in staged:
-        path = problem if isinstance(problem, Exception) else next(paths)
-        if isinstance(path, Exception):
-            raise path
-        yield (*problem, path)
-
-
-def _audit_cell(model, config, cell, params, x, y, shoot):
-    c_val, ry = cell
-    disc = minimize_action_discrete(model, params, x, y, N=config.N, max_iters=config.max_iters)
-    certify_minimal_candidate(model, params, shoot, disc)
-    reports = audit_mod.run_audit_chain(
-        model, params, shoot, tol=config.audit_tol, cfg=FDConfig(h=config.fd_h)
-    )
-    return {
-        "c": c_val,
-        "ry": ry,
-        "minimal_evidence": shoot.minimal_evidence,
-        "reports": [r.to_dict() for r in reports],
-        "ok": all(_report_ok(r) for r in reports),
-        "lines": [r.summary_line() for r in reports],
-    }
+    return _report(config, "geodesic", "geodesic_summary.json", equivalent,
+                   evidence=evidence, shooting=path_json_dict(model, params, shoot),
+                   discrete=path_json_dict(model, params, disc))
 
 
 def cmd_audit_chain(config: RunConfig) -> int:
-    model = parse_model(config.model)
-    for c_val in config.c:
-        if not c_val < 1.0:
-            raise ConfigError(f"c must be < 1 for the audit chain (got {c_val})")
-    cells = [(c_val, ry) for c_val in config.c for ry in config.ry]
-    solved = _shot_cells(
-        model, cells,
-        lambda c_val, ry: (PhiParams(c_val), base_point(model), canonical_target(model, ry)),
-        tol=config.shoot_tol, step=config.step, density=config.density,
-        drift_tol=config.drift_tol,
-    )
-    results = [_audit_cell(model, config, cell, *shot) for cell, shot in zip(cells, solved)]
-    all_ok = all(cell["ok"] for cell in results)
-    for cell in results:
-        print(f"cell c={cell['c']} ry={cell['ry']}:")
-        for line in cell.pop("lines"):
-            print(f"  {line}")
-    payload = {
-        "command": "audit-chain",
-        "config": config.to_dict(),
-        "cells": results,
-        "all_ok": all_ok,
-    }
-    dest = _write_json(Path(config.out), "audit_chain.json", payload)
-    print(f"report: {dest}")
-    return EXIT_OK if all_ok else 1
+    model = _grid_model(config, "the audit chain")
+    cells, lines = [], []
+    for c_val, ry, params, x, y, shoot in _solved_cells(config, model):
+        _discrete(config, model, params, x, y, shoot)  # its evidence joins minimal_evidence
+        reports = audit_mod.run_audit_chain(
+            model, params, shoot, tol=config.audit_tol, cfg=FDConfig(h=config.fd_h)
+        )
+        lines += [f"cell c={c_val} ry={ry}:", *(f"  {r.summary_line()}" for r in reports)]
+        cells.append({"c": c_val, "ry": ry, "minimal_evidence": shoot.minimal_evidence,
+                      "reports": [r.to_dict() for r in reports],
+                      "ok": all(r.ok for r in reports)})
+    print("\n".join(lines))
+    all_ok = all(cell["ok"] for cell in cells)
+    return _report(config, "audit-chain", "audit_chain.json", all_ok, cells=cells, all_ok=all_ok)
 
 
 def cmd_scan(config: RunConfig) -> int:
-    model = parse_model(config.model)
-    for c_val in config.c:
-        if not c_val < 1.0:
-            raise ConfigError(f"c must be < 1 for the scan (got {c_val})")
-    cells = [(c_val, ry) for c_val in config.c for ry in config.ry]
-
-    def prepare(c_val, ry):
-        params = PhiParams(c_val)
-        y = canonical_target(model, ry)
-        audit_mod.check_good_point_target(model, y)
-        return params, base_point(model), y
-
-    def run_cell(cell, params, y, path):
-        c_val, ry = cell
+    model = _grid_model(config, "the scan")
+    cells = []
+    for c_val, ry, params, _, y, path in _solved_cells(config, model,
+                                                       audit_mod.check_good_point_target):
         result = audit_mod.good_point_on_path(model, params, y, path, tol=config.audit_tol)
-        return {
+        cells.append({
             "c": c_val,
             "ry": ry,
             "minimal_evidence": path.minimal_evidence,
@@ -392,16 +350,10 @@ def cmd_scan(config: RunConfig) -> int:
             "window": list(result.window),
             "z": [float(v) for v in result.z],
             "report": result.report.to_dict(),
-            "ok": _report_ok(result.report) and result.d_zy <= ry / 2.0 + 1e-9,
-        }
-
-    solved = _shot_cells(model, cells, prepare, step=config.step, density=config.density,
-                         drift_tol=config.drift_tol)
-    results = [run_cell(cell, params, y, path)
-               for cell, (params, _, y, path) in zip(cells, solved)]
-    c_hat_sup = max(cell["c_hat"] for cell in results)
-    all_ok = all(cell["ok"] for cell in results)
-    for cell in results:
+            "ok": result.report.ok and result.d_zy <= ry / 2.0 + 1e-9,
+        })
+    c_hat_sup = max(cell["c_hat"] for cell in cells)
+    for cell in cells:
         status = "PASS" if cell["ok"] else "FAIL"
         print(
             f"{status}  scan c={cell['c']} ry={cell['ry']}: |Rc|(z)={cell['ricci_norm_z']:.6g} "
@@ -411,17 +363,9 @@ def cmd_scan(config: RunConfig) -> int:
     # every catalog model has constant |Rc|, so the scan has nothing to search
     notice = "|Rc| is constant on this model: z is the first node of each scan window"
     print(f"NOTE  {notice}")
-    payload = {
-        "command": "scan",
-        "config": config.to_dict(),
-        "notices": [notice],
-        "cells": results,
-        "c_hat_sup": c_hat_sup,
-        "all_ok": all_ok,
-    }
-    dest = _write_json(Path(config.out), "scan.json", payload)
-    print(f"report: {dest}")
-    return EXIT_OK if all_ok else 1
+    all_ok = all(cell["ok"] for cell in cells)
+    return _report(config, "scan", "scan.json", all_ok, notices=[notice], cells=cells,
+                   c_hat_sup=c_hat_sup, all_ok=all_ok)
 
 
 # ---------------------------------------------------------------------------

@@ -49,10 +49,6 @@ class DriftExceededError(SolverError):
 class ShootingConvergenceError(SolverError):
     """Shooting Newton iteration did not reach the endpoint tolerance."""
 
-    def __init__(self, message, best_miss=None):
-        super().__init__(message)
-        self.best_miss = best_miss
-
 
 class IllConditionedShootingError(SolverError):
     """Endpoint-miss Jacobian is numerically singular (conjugate-point-like)."""

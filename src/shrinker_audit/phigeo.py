@@ -767,15 +767,13 @@ def _shooting(model, params, x, y, tol, step, density, drift_tol):
         )
     if fine.stop_reason == "stalled":
         raise ShootingConvergenceError(
-            f"{model}: shooting stalled with endpoint miss {fine.miss:.3e}",
-            best_miss=fine.miss,
+            f"{model}: shooting stalled with endpoint miss {fine.miss:.3e}"
         )
     if fine.stop_reason == "budget-exhausted":
         # accepted trials only lower the miss, so the last one is the best
         raise ShootingConvergenceError(
             f"{model}: no convergence in {MAX_NEWTON} Newton iterations "
-            f"(best endpoint miss {fine.miss:.3e})",
-            best_miss=fine.miss,
+            f"(best endpoint miss {fine.miss:.3e})"
         )
     path = _recorded_path(model, params, fine.record, s_out, pieces, step, drift_tol)
     path.flags.append("shooting")

@@ -432,6 +432,24 @@ def test_report_serialization_schema():
     assert report.summary_line().startswith("PASS")
 
 
+@pytest.mark.parametrize(
+    "lhs, rhs, quad_err, passed, conclusive, ok",
+    [
+        (1.0, 2.0, 0.0, True, True, True),  # conclusive pass
+        (2.0, 1.0, 0.0, False, True, False),  # conclusive fail
+        (1.0, 2.0, 1.0, True, False, True),  # inconclusive, margin > 0
+        (1.0, 1.0 - 5e-7, 1e-3, True, False, False),  # inconclusive, -tol <= margin <= 0
+        (1.0, 1.0, 1e-3, True, False, False),  # inconclusive, margin exactly 0
+    ],
+    ids=["conclusive-pass", "conclusive-fail", "inconclusive-positive",
+         "inconclusive-within-tol", "inconclusive-zero"],
+)
+def test_report_ok_truth_table(lhs, rhs, quad_err, passed, conclusive, ok):
+    # the verdict: pass, or inconclusive with a strictly positive margin
+    report = AuditReport("demo", lhs, rhs, 1e-6, quad_err)
+    assert (report.passed, report.conclusive, report.ok) == (passed, conclusive, ok)
+
+
 # ---------------------------------------------------------------------------
 # Concluding scan
 # ---------------------------------------------------------------------------

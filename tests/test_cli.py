@@ -16,7 +16,7 @@ from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
 import shrinker_audit
-from shrinker_audit import models, phigeo, quadrature
+from shrinker_audit import cli, models, phigeo, quadrature
 from shrinker_audit.cli import (
     EXIT_CONFIG,
     EXIT_OK,
@@ -270,6 +270,19 @@ def test_audit_chain_small_grid(tmp_path):
     assert counts["rk4_steps"] == counts["marches"] * steps_per_march
 
 
+def test_geodesic_and_one_cell_audit_chain_shoot_the_same_path(tmp_path):
+    # both shoot, solve discretely and certify through the same code, so a
+    # one-cell grid's evidence is the geodesic's, shooting counts included
+    grid = ["--model", "cylinder:k=2,m=2", "--c", "0.1", "--ry", "5"]
+    assert main(["geodesic", *grid, "--out", str(tmp_path / "geo")]) == EXIT_OK
+    assert main(["audit-chain", *grid, "--out", str(tmp_path / "chain")]) == EXIT_OK
+    geo = read_json(tmp_path / "geo" / "geodesic_summary.json")["shooting"]
+    (cell,) = read_json(tmp_path / "chain" / "audit_chain.json")["cells"]
+    assert "shooting" in cell["minimal_evidence"] and "J_agree" in cell["minimal_evidence"]
+    assert json.dumps(cell["minimal_evidence"], sort_keys=True) == json.dumps(
+        geo["minimal_evidence"], sort_keys=True)
+
+
 def test_audit_chain_rejects_c_at_least_one(tmp_path, capsys):
     code = main([
         "audit-chain", "--model", "cylinder:k=2,m=2", "--c", "1.0",
@@ -387,6 +400,26 @@ def test_config_invalid_values_exit_2(tmp_path, capsys):
     ])
     assert code == EXIT_CONFIG
     assert "samples" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("source", ["flag", "config"])
+def test_samples_above_the_bound_exit_2_before_any_draw(tmp_path, capsys, monkeypatch, source):
+    def no_draw(*args, **kwargs):
+        raise AssertionError("random_points was called")
+
+    monkeypatch.setattr(cli, "random_points", no_draw)
+    too_many = str(cli.MAX_SAMPLES + 1)
+    if source == "flag":
+        argv = ["--samples", too_many]
+    else:
+        cfg_path = tmp_path / "run.json"
+        cfg_path.write_text(json.dumps({"samples": cli.MAX_SAMPLES + 1}))
+        argv = ["--config", str(cfg_path)]
+    out = tmp_path / "out"
+    assert main(["verify-identities", *argv, "--out", str(out)]) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.err == f"error: samples must lie in [1, 1000000] (got {too_many})\n"
+    assert captured.out == "" and not out.exists()
 
 
 @pytest.mark.parametrize(
