@@ -38,15 +38,18 @@ from .errors import (
     PreconditionError,
 )
 from .models import (
+    GeometryEval,
     ModelSpec,
     base_point,
+    chart_ricci,
     distance,
+    eval_geometry,
     grad_potential,
     potential_f,
     radial_distance,
     validate_point,
 )
-from .numgeom import Chart, FDConfig, weighted_laplacians_at_centers
+from .numgeom import Chart, FDConfig, ricci_fd, weighted_laplacians_at_centers
 from .paths import PhiPath
 from .phigeo import MAX_IVP_STEP, PhiParams, phi_value, solve_bvp_shooting
 
@@ -55,6 +58,10 @@ DEFAULT_TOL = 1e-6
 SOLITON_IDENTITY_TOL = 1e-4
 # FD residual allowed between the drifted Laplacian of R/f and its expansion
 DELTAF_RF_TOL = 1e-4
+# FD residual allowed between the FD Ricci tensor and its closed form, and
+# the number of leading samples at whose chart centers it is checked
+RICCI_FD_TOL = 1e-4
+RICCI_FD_SAMPLES = 10
 # rounding allowed in the gradient bounds; the first is an equality on the flat model
 GRADIENT_BOUND_TOL = 1e-12
 # Charts per finite-difference stack: large enough to amortize the per-call
@@ -166,15 +173,6 @@ def _path_context(model: ModelSpec, params: PhiParams, path: PhiPath) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def _sample_stack(model: ModelSpec, sample_points) -> np.ndarray:
-    """The sample points as one validated (P, ambient) array, P >= 1."""
-    points = np.asarray(sample_points, dtype=float)
-    if not len(points):
-        raise PreconditionError(f"{model}: pointwise audits need at least one sample point")
-    validate_point(model, points)
-    return points
-
-
 def _drifted_laplacians(model: ModelSpec, points: np.ndarray, cfg: FDConfig, *funcs):
     """FD drifted Laplacian of each function of manifold points ``func(pos)``
     at every point: an array of shape (len(funcs), P).
@@ -191,22 +189,26 @@ def _drifted_laplacians(model: ModelSpec, points: np.ndarray, cfg: FDConfig, *fu
     return out
 
 
-def _identity_funcs(model: ModelSpec):
-    """R, f and R/f as functions of manifold points, the order of the FD rows."""
-    return (lambda pos: np.full(pos.shape[:-1], model.scalar_R),
-            lambda pos: potential_f(model, pos),
-            lambda pos: model.scalar_R / potential_f(model, pos))
-
-
-def _positive_f(model: ModelSpec, points: np.ndarray) -> np.ndarray:
-    """f at the points, refused before any FD work unless f > 1e-12 at each."""
-    f = potential_f(model, points)
-    low = np.flatnonzero(f <= 1e-12)
-    if len(low):
-        raise DegenerateModelError(
-            f"{model}: R/f audit needs f > 0 at every sample (got f={float(f[low[0]])})"
-        )
-    return f
+def _identity_reports(model: ModelSpec, sample_points, cfg: FDConfig, soliton, deltaf):
+    """The soliton pair (FD rows R and f) and/or the deltaf-Rf pair (FD row
+    R/f) from one FD pass and one ``eval_geometry`` of the samples. The
+    rows are independent, so a report's bits do not depend on which others
+    share the pass. The R/f audit is refused before any FD work unless
+    f > 1e-12 at every sample.
+    """
+    geom = eval_geometry(model, sample_points)
+    funcs = [lambda pos: np.full(pos.shape[:-1], model.scalar_R),
+             lambda pos: potential_f(model, pos)] if soliton else []
+    if deltaf:
+        low = np.flatnonzero(geom.f <= 1e-12)
+        if len(low):
+            raise DegenerateModelError(
+                f"{model}: R/f audit needs f > 0 at every sample (got f={float(geom.f[low[0]])})"
+            )
+        funcs.append(lambda pos: model.scalar_R / potential_f(model, pos))
+    laps = _drifted_laplacians(model, geom.point, cfg, *funcs)
+    reports = _soliton_reports(geom, cfg, *laps[:2]) if soliton else []
+    return reports + (_deltaf_reports(geom, cfg, laps[-1]) if deltaf else [])
 
 
 def check_soliton_identities(model: ModelSpec, sample_points, cfg: FDConfig = FDConfig()):
@@ -214,39 +216,33 @@ def check_soliton_identities(model: ModelSpec, sample_points, cfg: FDConfig = FD
 
     For constant-R models the curvature identity reduces to 2|Rc|^2 = R,
     which is itself a consequence of the soliton structure; both sides are
-    evaluated anyway so a broken model cannot slip through.
+    evaluated anyway so a broken model cannot slip through. No CLI path
+    calls it (``check_pointwise_identities`` gives its reports bitwise);
+    perfbench's identities replay and the tests keep it.
     """
-    points = _sample_stack(model, sample_points)
-    lap_r, lap_f = _drifted_laplacians(model, points, cfg, *_identity_funcs(model)[:2])
-    return _soliton_reports(model, points, cfg, lap_r, lap_f)
+    return _identity_reports(model, sample_points, cfg, soliton=True, deltaf=False)
 
 
 def check_deltaf_Rf(model: ModelSpec, sample_points, cfg: FDConfig = FDConfig()):
     """Drifted Laplacian of R/f: FD value vs the four-term expansion, plus
-    the upper bound -|Rc|^2/f + 4(1+sqrt(n))^2/f."""
-    points = _sample_stack(model, sample_points)
-    f = _positive_f(model, points)
-    (lap_rf,) = _drifted_laplacians(model, points, cfg, _identity_funcs(model)[2])
-    return _deltaf_reports(model, points, cfg, f, lap_rf)
+    the upper bound -|Rc|^2/f + 4(1+sqrt(n))^2/f. No CLI path calls it
+    (``check_pointwise_identities`` gives its reports bitwise); perfbench's
+    identities replay and the tests keep it."""
+    return _identity_reports(model, sample_points, cfg, soliton=False, deltaf=True)
 
 
 def check_pointwise_identities(model: ModelSpec, sample_points, cfg: FDConfig = FDConfig()):
     """``check_soliton_identities`` then, unless R == 0, ``check_deltaf_Rf``,
     bitwise, from one FD pass: each block maps its stencil and computes its
-    Christoffels once for R, f and R/f, whose rows are independent."""
-    if model.degenerate:
-        return check_soliton_identities(model, sample_points, cfg)
-    points = _sample_stack(model, sample_points)
-    f = _positive_f(model, points)
-    lap_r, lap_f, lap_rf = _drifted_laplacians(model, points, cfg, *_identity_funcs(model))
-    return (_soliton_reports(model, points, cfg, lap_r, lap_f)
-            + _deltaf_reports(model, points, cfg, f, lap_rf))
+    Christoffels once for R, f and R/f."""
+    return _identity_reports(model, sample_points, cfg, soliton=True,
+                             deltaf=not model.degenerate)
 
 
-def _soliton_reports(model: ModelSpec, points: np.ndarray, cfg: FDConfig, lap_r, lap_f):
-    resid_r = np.abs(lap_r - (-2.0 * model.ricci_norm_sq + model.scalar_R))
-    resid_f = np.abs(lap_f - (model.n / 2.0 - potential_f(model, points)))
-    ctx = {"model": model.label, "points": len(points), "fd_h": cfg.h}
+def _soliton_reports(geom: GeometryEval, cfg: FDConfig, lap_r, lap_f):
+    resid_r = np.abs(lap_r - (-2.0 * geom.ricci_norm_sq + geom.scalar_R))
+    resid_f = np.abs(lap_f - (geom.model.n / 2.0 - geom.f))
+    ctx = {"model": geom.model.label, "points": len(geom.point), "fd_h": cfg.h}
     return [
         AuditReport("soliton-identity:curvature", float(np.max(resid_r)), SOLITON_IDENTITY_TOL,
                     0.0, context=dict(ctx)),
@@ -261,23 +257,17 @@ def _deltaf_rf_constant(n: int) -> float:
     return 4.0 * (1.0 + math.sqrt(n)) ** 2
 
 
-def _deltaf_reports(model: ModelSpec, points: np.ndarray, cfg: FDConfig, f, lap_rf):
-    n = model.n
-    R = model.scalar_R
-    grad_f = grad_potential(model, points)
-    rc_grad = 0.0  # Rc(grad f, grad f): half the metric on each sphere block
-    for factor in model.sphere_factors:
-        g = grad_f[:, factor.start : factor.stop]
-        rc_grad = rc_grad + 0.5 * np.vecdot(g, g)
+def _deltaf_reports(geom: GeometryEval, cfg: FDConfig, lap_rf):
+    n, R, f = geom.model.n, geom.scalar_R, geom.f
     expansion = (
         (R / f**2) * (2.0 * f - n / 2.0)
-        - 2.0 * model.ricci_norm_sq / f
-        - 4.0 * rc_grad / f**2
-        + 2.0 * R * np.vecdot(grad_f, grad_f) / f**3
+        - 2.0 * geom.ricci_norm_sq / f
+        - 4.0 * geom.ricci(geom.grad_f, geom.grad_f) / f**2
+        + 2.0 * R * geom.grad_f_norm_sq() / f**3
     )
-    bound_rhs = (-model.ricci_norm_sq + _deltaf_rf_constant(n)) / f
+    bound_rhs = (-geom.ricci_norm_sq + _deltaf_rf_constant(n)) / f
     k = int(np.argmin(bound_rhs - expansion))
-    ctx = {"model": model.label, "fd_h": cfg.h}
+    ctx = {"model": geom.model.label, "fd_h": cfg.h}
     return [
         AuditReport("deltaf-Rf:expansion", float(np.max(np.abs(lap_rf - expansion))),
                     DELTAF_RF_TOL, 0.0, context=dict(ctx)),
@@ -292,11 +282,10 @@ def gradient_f_bound_audit(model: ModelSpec, sample_points):
     On the flat model the first bound is an equality, so the tolerance
     ``GRADIENT_BOUND_TOL`` absorbs float rounding.
     """
-    points = _sample_stack(model, sample_points)
-    sqrt_f = np.sqrt(potential_f(model, points))
-    grad_f = grad_potential(model, points)
-    grad_norm = np.sqrt(np.vecdot(grad_f, grad_f))
-    radial = math.sqrt(model.n / 2.0) + radial_distance(model, points)
+    geom = eval_geometry(model, sample_points)
+    sqrt_f = np.sqrt(geom.f)
+    grad_norm = np.sqrt(geom.grad_f_norm_sq())
+    radial = math.sqrt(model.n / 2.0) + radial_distance(model, geom.point)
     a = int(np.argmin(sqrt_f - grad_norm))
     b = int(np.argmin(radial - sqrt_f))
     ctx = {"model": model.label}
@@ -306,6 +295,18 @@ def gradient_f_bound_audit(model: ModelSpec, sample_points):
         AuditReport("gradient-f-bound:radial", float(sqrt_f[b]), float(radial[b]),
                     GRADIENT_BOUND_TOL, context=dict(ctx)),
     ]
+
+
+def ricci_fd_audit(model: ModelSpec, sample_points, cfg: FDConfig = FDConfig()) -> AuditReport:
+    """FD Ricci tensor against its closed form ``models.chart_ricci`` at the
+    chart centers of the first ``RICCI_FD_SAMPLES`` samples: lhs is the
+    largest entry of their difference."""
+    chart = Chart(model, sample_points[:RICCI_FD_SAMPLES])
+    origin = np.zeros(chart.shape + (model.n,))
+    closed = chart_ricci(model, chart.metric_at(origin))
+    worst = float(np.max(np.abs(ricci_fd(chart, origin, cfg) - closed)))
+    return AuditReport("ricci-fd-vs-closed", worst, RICCI_FD_TOL, 0.0,
+                       context={"model": model.label})
 
 
 # ---------------------------------------------------------------------------
@@ -484,6 +485,7 @@ def find_good_point(model: ModelSpec, params: PhiParams, y: np.ndarray,
     solve, and ``good_point_on_path`` (the windowed part). The ``scan``
     subcommand runs the same parts with the solves of all its cells in one
     ``solve_bvp_shooting_batch``, which gives each cell bitwise this path.
+    No CLI path calls it; perfbench's scan replay and the tests keep it.
     """
     check_good_point_target(model, y)
     path = solve_bvp_shooting(model, params, base_point(model), y, step=step,

@@ -35,14 +35,8 @@ from .errors import (
     ShrinkerAuditError,
     SolverError,
 )
-from .models import (
-    base_point,
-    canonical_target,
-    chart_ricci,
-    parse_model,
-    random_points,
-)
-from .numgeom import CHART_RADIUS, Chart, FDConfig, ricci_fd
+from .models import base_point, canonical_target, parse_model, random_points
+from .numgeom import CHART_RADIUS, FDConfig
 from .phigeo import (
     PhiParams,
     certify_minimal_candidate,
@@ -280,13 +274,7 @@ def cmd_verify_identities(config: RunConfig) -> int:
     reports = audit_mod.check_pointwise_identities(model, points, cfg=fd_cfg)
     notices = ["model has R == 0: curvature-ratio audits skipped"] if model.degenerate else []
     reports += audit_mod.gradient_f_bound_audit(model, points)
-    # FD cross-check of the curvature itself at a few of the sampled points.
-    chart = Chart(model, points[:10])
-    origin = np.zeros(chart.shape + (model.n,))
-    closed = chart_ricci(model, chart.metric_at(origin))
-    worst = float(np.max(np.abs(ricci_fd(chart, origin, fd_cfg) - closed)))
-    reports.append(audit_mod.AuditReport("ricci-fd-vs-closed", worst, 1e-4, 0.0,
-                                         context={"model": model.label}))
+    reports.append(audit_mod.ricci_fd_audit(model, points, fd_cfg))
     for report in reports:
         print(report.summary_line())
     for notice in notices:
@@ -350,7 +338,7 @@ def cmd_scan(config: RunConfig) -> int:
             "window": list(result.window),
             "z": [float(v) for v in result.z],
             "report": result.report.to_dict(),
-            "ok": result.report.ok and result.d_zy <= ry / 2.0 + 1e-9,
+            "ok": result.report.ok,
         })
     c_hat_sup = max(cell["c_hat"] for cell in cells)
     for cell in cells:

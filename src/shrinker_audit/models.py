@@ -76,7 +76,6 @@ class Factor:
 
 @dataclass(frozen=True)
 class ModelSpec:
-    family: str
     factors: tuple
     label: str
 
@@ -121,7 +120,7 @@ class ModelSpec:
         return self.label
 
 
-def _build(family: str, blocks, label: str) -> ModelSpec:
+def _build(blocks, label: str) -> ModelSpec:
     factors = []
     offset = 0
     for kind, dim in blocks:
@@ -141,36 +140,35 @@ def _build(family: str, blocks, label: str) -> ModelSpec:
             radius = 0.0
         factors.append(Factor(kind, dim, radius, offset, offset + amb))
         offset += amb
-    model = ModelSpec(family, tuple(factors), label)
+    model = ModelSpec(tuple(factors), label)
     if model.n < 2:
         raise InvalidModelError(f"{label}: total dimension must be >= 2 (got {model.n})")
     return model
 
 
 def gaussian(n: int) -> ModelSpec:
-    return _build("gaussian", [("euclidean", n)], f"gaussian:n={n}")
+    return _build([("euclidean", n)], f"gaussian:n={n}")
 
 
 def round_sphere(n: int) -> ModelSpec:
-    return _build("sphere", [("sphere", n)], f"sphere:n={n}")
+    return _build([("sphere", n)], f"sphere:n={n}")
 
 
 def sphere_cylinder(k: int, m: int) -> ModelSpec:
-    return _build("cylinder", [("sphere", k), ("euclidean", m)], f"cylinder:k={k},m={m}")
+    return _build([("sphere", k), ("euclidean", m)], f"cylinder:k={k},m={m}")
 
 
 def sphere_product(k: int, m: int) -> ModelSpec:
-    return _build(
-        "sphereproduct", [("sphere", k), ("sphere", m)], f"sphereproduct:k={k},m={m}"
-    )
+    return _build([("sphere", k), ("sphere", m)], f"sphereproduct:k={k},m={m}")
 
 
 _MODEL_RE = re.compile(r"^\s*([a-z]+)\s*:\s*(.*)$")
-_FAMILY_PARAMS = {
-    "gaussian": ("n",),
-    "sphere": ("n",),
-    "cylinder": ("k", "m"),
-    "sphereproduct": ("k", "m"),
+# each family's parameter names, in the order its constructor takes them
+_FAMILIES = {
+    "gaussian": (("n",), gaussian),
+    "sphere": (("n",), round_sphere),
+    "cylinder": (("k", "m"), sphere_cylinder),
+    "sphereproduct": (("k", "m"), sphere_product),
 }
 
 
@@ -180,8 +178,8 @@ def parse_model(text: str) -> ModelSpec:
     if not match:
         raise InvalidModelError(f"model string {text!r} is not of the form family:params")
     family, body = match.group(1), match.group(2)
-    if family not in _FAMILY_PARAMS:
-        known = ", ".join(sorted(_FAMILY_PARAMS))
+    if family not in _FAMILIES:
+        known = ", ".join(sorted(_FAMILIES))
         raise InvalidModelError(f"unknown model family {family!r} (known: {known})")
     params = {}
     for item in body.split(","):
@@ -196,18 +194,12 @@ def parse_model(text: str) -> ModelSpec:
             params[name] = int(value)
         except ValueError as exc:
             raise InvalidModelError(f"model parameter {name}={value!r} is not an integer") from exc
-    expected = _FAMILY_PARAMS[family]
+    expected, build = _FAMILIES[family]
     if set(params) != set(expected):
         raise InvalidModelError(
             f"model family {family!r} takes parameters {expected}, got {tuple(sorted(params))}"
         )
-    if family == "gaussian":
-        return gaussian(params["n"])
-    if family == "sphere":
-        return round_sphere(params["n"])
-    if family == "cylinder":
-        return sphere_cylinder(params["k"], params["m"])
-    return sphere_product(params["k"], params["m"])
+    return build(*(params[name] for name in expected))
 
 
 # ---------------------------------------------------------------------------
@@ -293,6 +285,8 @@ def random_points(model: ModelSpec, rng: np.random.Generator, count: int) -> np.
 
 
 def random_point(model: ModelSpec, rng: np.random.Generator) -> np.ndarray:
+    """One random point. No CLI path calls it; perfbench's identities replay
+    and the tests draw with it."""
     return random_points(model, rng, 1)[0]
 
 
@@ -324,49 +318,54 @@ def grad_potential(model: ModelSpec, pos: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class GeometryEval:
-    """All pointwise closed-form quantities at a single point.
+    """All pointwise closed-form quantities on a (..., ambient) stack of points.
 
-    The bilinear forms are evaluated on ambient tangent vectors; each form
-    comes from its own derivation (see the module docstring) so that the
-    shrinker equation Rc + Hess f = g/2 is a genuine cross-check rather than
-    being true by construction.
+    The bilinear forms take ambient tangent vectors of the stack's shape and
+    sum a dot product per factor block, so each row is bitwise the one-point
+    call. Each form comes from its own derivation (see the module docstring)
+    so that the shrinker equation Rc + Hess f = g/2 is a genuine cross-check
+    rather than being true by construction.
     """
 
     model: ModelSpec
     point: np.ndarray
-    f: float
+    f: np.ndarray
     grad_f: np.ndarray
     scalar_R: float
     ricci_norm_sq: float
     laplacian_f: float
 
-    def metric(self, v: np.ndarray, w: np.ndarray) -> float:
-        return float(np.dot(v, w))
+    def metric(self, v: np.ndarray, w: np.ndarray) -> np.ndarray:
+        return np.vecdot(v, w)
 
-    def ricci(self, v: np.ndarray, w: np.ndarray) -> float:
+    def _half_metric(self, factors, v: np.ndarray, w: np.ndarray):
+        """Half the metric on each of ``factors``' blocks, summed in factor order."""
         total = 0.0
-        for f in self.model.sphere_factors:
-            total += 0.5 * float(np.dot(v[f.start : f.stop], w[f.start : f.stop]))
+        for f in factors:
+            total = total + 0.5 * np.vecdot(v[..., f.start : f.stop], w[..., f.start : f.stop])
         return total
 
-    def hess_f(self, v: np.ndarray, w: np.ndarray) -> float:
-        total = 0.0
-        for f in self.model.euclid_factors:
-            total += 0.5 * float(np.dot(v[f.start : f.stop], w[f.start : f.stop]))
-        return total
+    def ricci(self, v: np.ndarray, w: np.ndarray):
+        return self._half_metric(self.model.sphere_factors, v, w)
 
-    def grad_f_norm_sq(self) -> float:
-        return float(np.dot(self.grad_f, self.grad_f))
+    def hess_f(self, v: np.ndarray, w: np.ndarray):
+        return self._half_metric(self.model.euclid_factors, v, w)
+
+    def grad_f_norm_sq(self) -> np.ndarray:
+        return np.vecdot(self.grad_f, self.grad_f)
 
 
-def eval_geometry(model: ModelSpec, p: np.ndarray) -> GeometryEval:
-    validate_point(model, p)
-    p = np.asarray(p, dtype=float)
+def eval_geometry(model: ModelSpec, points) -> GeometryEval:
+    """``GeometryEval`` at one point or a (..., ambient) stack: validated, not empty."""
+    points = np.asarray(points, dtype=float)
+    if not points.size:
+        raise PreconditionError(f"{model}: closed-form geometry needs at least one sample point")
+    validate_point(model, points)
     return GeometryEval(
         model=model,
-        point=p,
-        f=float(potential_f(model, p)),
-        grad_f=grad_potential(model, p),
+        point=points,
+        f=potential_f(model, points),
+        grad_f=grad_potential(model, points),
         scalar_R=model.scalar_R,
         ricci_norm_sq=model.ricci_norm_sq,
         laplacian_f=model.laplacian_f,

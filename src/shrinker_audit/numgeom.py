@@ -164,7 +164,8 @@ class Chart:
 
 
 def scalar_field(chart: Chart, func_on_points):
-    """Lift a (batched) function of manifold points to chart coordinates."""
+    """Lift a (batched) function of manifold points to chart coordinates.
+    No CLI path calls it; perfbench's probes and the FD tests keep it."""
 
     def field(coords):
         return func_on_points(chart.to_manifold(coords))
@@ -173,6 +174,7 @@ def scalar_field(chart: Chart, func_on_points):
 
 
 def potential_field(chart: Chart):
+    """f in chart coordinates; only perfbench's probes and the FD tests call it."""
     return scalar_field(chart, lambda pos: potential_f(chart.model, pos))
 
 
@@ -338,6 +340,8 @@ def weighted_laplacian_fd(chart: Chart, field, f_field, coords: np.ndarray,
 
     A float for a single chart, one value per chart for a stack. A value that
     is not finite (an fd_h whose square underflows) raises PreconditionError.
+    No CLI path calls it (the audits use ``weighted_laplacians_at_centers``);
+    perfbench's probes and the FD tests keep it.
     """
     return _weighted_laplacians(
         chart, coords, cfg, lambda stencil: (f_field(stencil), [field(stencil)])

@@ -620,6 +620,19 @@ def _newton(trial, a, schedule, tol, max_newton):
     return _Newton(a, m_norm, m, record, iterations, backtracks, marches, stop)
 
 
+# the typed error and message of each way a fine shooting run can fail;
+# accepted trials only lower the miss, so a run's last miss is its best
+_FINE_FAILURES = {
+    "ill-conditioned": (IllConditionedShootingError,
+                        "endpoint-miss Jacobian is ill-conditioned "
+                        "(conjugate-point-like configuration at s_bar = {s_bar:.4g})"),
+    "stalled": (ShootingConvergenceError, "shooting stalled with endpoint miss {miss:.3e}"),
+    "budget-exhausted": (ShootingConvergenceError,
+                         "no convergence in {max_newton} Newton iterations "
+                         "(best endpoint miss {miss:.3e})"),
+}
+
+
 class _Joints:
     """Tangent coordinates of the phase states at the joints of a shooting trial.
 
@@ -760,21 +773,10 @@ def _shooting(model, params, x, y, tol, step, density, drift_tol):
         cuts, z = [0, len(s_out) - 1], a_guess
         joints = _Joints(model, np.empty((0, x.size)), np.empty((0, x.size)))
     fine = yield from _newton(partial(trial, cuts, joints), z, (s_out, step), tol, MAX_NEWTON)
-    if fine.stop_reason == "ill-conditioned":
-        raise IllConditionedShootingError(
-            f"{model}: endpoint-miss Jacobian is ill-conditioned "
-            f"(conjugate-point-like configuration at s_bar = {s_bar:.4g})"
-        )
-    if fine.stop_reason == "stalled":
-        raise ShootingConvergenceError(
-            f"{model}: shooting stalled with endpoint miss {fine.miss:.3e}"
-        )
-    if fine.stop_reason == "budget-exhausted":
-        # accepted trials only lower the miss, so the last one is the best
-        raise ShootingConvergenceError(
-            f"{model}: no convergence in {MAX_NEWTON} Newton iterations "
-            f"(best endpoint miss {fine.miss:.3e})"
-        )
+    if fine.stop_reason in _FINE_FAILURES:
+        error, message = _FINE_FAILURES[fine.stop_reason]
+        raise error(f"{model}: " + message.format(s_bar=s_bar, miss=fine.miss,
+                                                   max_newton=MAX_NEWTON))
     path = _recorded_path(model, params, fine.record, s_out, pieces, step, drift_tol)
     path.flags.append("shooting")
     counts = fine.counts(s_out, step)

@@ -4,8 +4,10 @@ import math
 import numpy as np
 import pytest
 
-from shrinker_audit import models, quadrature
+from shrinker_audit import audit, models, quadrature
 from shrinker_audit.audit import (
+    RICCI_FD_SAMPLES,
+    RICCI_FD_TOL,
     AuditReport,
     _cutoff,
     boundary_term_audit,
@@ -16,6 +18,7 @@ from shrinker_audit.audit import (
     find_good_point,
     gradient_f_bound_audit,
     radial_envelope_audit,
+    ricci_fd_audit,
     run_audit_chain,
     second_variation_audit,
     weighted_ricci_integral_audit,
@@ -119,6 +122,18 @@ def test_one_pass_gives_the_separate_reports(model, rng):
     assert len(one_pass) == (2 if model.degenerate else 4)
     assert [_float_bits(r.to_dict()) for r in one_pass] == [
         _float_bits(r.to_dict()) for r in separate]
+
+
+def test_ricci_fd_audit_reads_the_leading_samples(model, rng, monkeypatch):
+    points = models.random_points(model, rng, RICCI_FD_SAMPLES + 5)
+    report = ricci_fd_audit(model, points)
+    assert (report.name, report.rhs) == ("ricci-fd-vs-closed", RICCI_FD_TOL)
+    assert report.tolerance == 0.0
+    assert report.ok and report.context == {"model": model.label}
+    assert report.lhs == ricci_fd_audit(model, points[:RICCI_FD_SAMPLES]).lhs
+    # a closed form of Rc = 0 is caught wherever the model is curved
+    monkeypatch.setattr(audit, "chart_ricci", lambda m, g: np.zeros_like(g))
+    assert ricci_fd_audit(model, points).passed == model.degenerate
 
 
 def test_deltaf_rf_round_sphere_closed_values(rng):
@@ -448,6 +463,10 @@ def test_report_ok_truth_table(lhs, rhs, quad_err, passed, conclusive, ok):
     # the verdict: pass, or inconclusive with a strictly positive margin
     report = AuditReport("demo", lhs, rhs, 1e-6, quad_err)
     assert (report.passed, report.conclusive, report.ok) == (passed, conclusive, ok)
+    # an inconclusive verdict is marked with "?"
+    verdict = {(True, True): "PASS ", (False, True): "FAIL ", (True, False): "PASS?"}
+    assert report.summary_line() == (f"{verdict[passed, conclusive]} demo: "
+                                     f"margin={report.margin:.6e}")
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,7 @@ import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -419,6 +420,18 @@ def test_samples_above_the_bound_exit_2_before_any_draw(tmp_path, capsys, monkey
     assert main(["verify-identities", *argv, "--out", str(out)]) == EXIT_CONFIG
     captured = capsys.readouterr()
     assert captured.err == f"error: samples must lie in [1, 1000000] (got {too_many})\n"
+    assert captured.out == "" and not out.exists()
+
+
+def test_geodesic_shooting_failure_exits_3(tmp_path, capsys, monkeypatch):
+    # a Newton budget of 0 leaves the fine run budget-exhausted
+    monkeypatch.setattr(phigeo, "MAX_NEWTON", 0)
+    out = tmp_path / "out"
+    code = main(["geodesic", "--c", "0.1", "--ry", "5", "--out", str(out)])
+    captured = capsys.readouterr()
+    assert code == EXIT_SOLVER
+    assert re.fullmatch(r"solver failure: cylinder:k=2,m=2: no convergence in 0 Newton "
+                        r"iterations \(best endpoint miss \d\.\d{3}e[+-]\d\d\)\n", captured.err)
     assert captured.out == "" and not out.exists()
 
 

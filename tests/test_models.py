@@ -81,6 +81,31 @@ def test_eval_geometry_rejects_off_sphere_point():
         models.eval_geometry(m, p)
 
 
+def test_stacked_eval_geometry_equals_per_point_calls_bitwise(model, rng):
+    # the pointwise audits evaluate one 300-point stack; each row must be
+    # the one-point call on that row, bit for bit
+    points = models.random_points(model, rng, 300)
+    tangents = models.project_tangent(model, points, rng.normal(size=points.shape))
+
+    def values(geom, v):
+        g = geom.grad_f
+        return (geom.f, g, geom.ricci(g, g), geom.hess_f(v, v), geom.hess_f(g, v),
+                geom.grad_f_norm_sq(), geom.metric(v, g))
+
+    stacked = values(models.eval_geometry(model, points), tangents)
+    assert stacked[0].shape == (300,) and stacked[1].shape == points.shape
+    for i, (p, v) in enumerate(zip(points, tangents)):
+        for got, want in zip(stacked, values(models.eval_geometry(model, p), v)):
+            row = got[i] if np.ndim(got) else got
+            assert np.asarray(row).tobytes() == np.asarray(want).tobytes()
+
+
+def test_eval_geometry_refuses_an_empty_stack():
+    m = models.sphere_cylinder(2, 2)
+    with pytest.raises(PreconditionError, match="at least one sample point"):
+        models.eval_geometry(m, np.empty((0, m.ambient_dim)))
+
+
 def test_shrinker_equation_on_random_tangents(model, rng):
     for _ in range(100):
         p = models.random_point(model, rng)

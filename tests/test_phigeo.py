@@ -1,5 +1,6 @@
 import hashlib
 import math
+import re
 import warnings
 
 import numpy as np
@@ -11,8 +12,10 @@ from shrinker_audit.errors import (
     ConfigError,
     DegenerateEndpointsError,
     DriftExceededError,
+    IllConditionedShootingError,
     InvalidPointError,
     PreconditionError,
+    ShootingConvergenceError,
 )
 from shrinker_audit.numgeom import Chart, gradient_fd, scalar_field
 from shrinker_audit.phigeo import (
@@ -430,6 +433,49 @@ def test_shooting_backtracks_from_a_poor_initial_guess(monkeypatch, predictor):
         _assert_failed_segmented_predictor(path)
     else:
         assert counts["predictor"]["stop_reason"] == "budget-exhausted"
+
+
+def _fail_fine_run(monkeypatch, reason):
+    """Drive every shooting Newton run, the fine one included, to ``reason``.
+
+    ``budget-exhausted``: a budget of 0 iterations. ``ill-conditioned``: a
+    singular endpoint Jacobian. ``stalled``: the Newton step reversed, so
+    that every trial raises the miss.
+    """
+    if reason == "budget-exhausted":
+        monkeypatch.setattr(phigeo, "MAX_NEWTON", 0)
+        return
+    condense = phigeo._condense
+
+    def broken(*args):
+        jac = condense(*args)
+        if reason == "ill-conditioned":
+            return jac._replace(endpoint=np.zeros_like(jac.endpoint))
+        return jac._replace(endpoint=-jac.endpoint, offsets=-jac.offsets)
+
+    monkeypatch.setattr(phigeo, "_condense", broken)
+
+
+MISS = r"\d\.\d{3}e[+-]\d\d"
+
+
+@pytest.mark.parametrize("reason, error, message", [
+    ("stalled", ShootingConvergenceError,
+     rf"cylinder:k=2,m=2: shooting stalled with endpoint miss {MISS}"),
+    ("budget-exhausted", ShootingConvergenceError,
+     rf"cylinder:k=2,m=2: no convergence in 0 Newton iterations \(best endpoint miss {MISS}\)"),
+    ("ill-conditioned", IllConditionedShootingError,
+     r"cylinder:k=2,m=2: endpoint-miss Jacobian is ill-conditioned "
+     r"\(conjugate-point-like configuration at s_bar = 5\)"),
+], ids=["stalled", "budget-exhausted", "ill-conditioned"])
+def test_failed_fine_run_raises_its_typed_error(monkeypatch, reason, error, message):
+    m = models.sphere_cylinder(2, 2)
+    _fail_fine_run(monkeypatch, reason)
+    with pytest.raises(error) as failed:
+        solve_bvp_shooting(m, PhiParams(0.1), models.base_point(m),
+                           models.canonical_target(m, 5.0))
+    assert type(failed.value) is error
+    assert re.fullmatch(message, str(failed.value))
 
 
 def _assert_same_path(got, alone):

@@ -51,7 +51,8 @@ def test_readme_dotted_names_resolve():
             assert _resolve(f"{match.group(1)}.{name}") is not None
             checked.add(f"{match.group(1)}.{name}")
     assert {"quadrature.audit_grid", "PhiPath.pieces", "audit.check_pointwise_identities",
-            "phigeo.MAX_SCHEDULE_SUBSTEPS", "shrinker_audit.phigeo.PhiParams"} <= checked
+            "phigeo.MAX_SCHEDULE_SUBSTEPS", "shrinker_audit.phigeo.PhiParams",
+            "models.eval_geometry", "audit.ricci_fd_audit"} <= checked
 
 
 def _options(parser):

@@ -1,4 +1,4 @@
-"""Run the four reference jobs of shrinker-audit into one directory.
+"""Run the reference jobs of shrinker-audit into one directory.
 
     python tools/reference_jobs.py OUT_DIR
 
@@ -10,8 +10,10 @@ reports. Two checkouts' runs then compare in one command:
 
     python tools/report_diff.py OLD_DIR NEW_DIR --rtol 0 --atol 0
 
-OUT_DIR must be absent or empty. Uses the standard library only. Exits 0
-when every job exited 0, 1 otherwise.
+There is one job per subcommand, then one refusal per error exit code,
+so that the comparison covers stderr and the exit codes of the error
+paths too. OUT_DIR must be absent or empty. Uses the standard library
+only. Exits 0 when every job exited with its expected code, 1 otherwise.
 """
 
 from __future__ import annotations
@@ -23,12 +25,20 @@ from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
+# each job's argv and its expected exit code
 JOBS = {
-    "audit-chain": ["audit-chain", "--c", "0.1,0.5", "--ry", "10.12,20.21"],
-    "scan": ["scan", "--c", "0.1", "--ry", "19.87,40.3"],
-    "geodesic": ["geodesic"],
-    "verify-identities": ["verify-identities", "--model", "sphereproduct:k=2,m=2",
-                          "--samples", "500"],
+    "audit-chain": (["audit-chain", "--c", "0.1,0.5", "--ry", "10.12,20.21"], 0),
+    "scan": (["scan", "--c", "0.1", "--ry", "19.87,40.3"], 0),
+    "geodesic": (["geodesic"], 0),
+    "verify-identities": (["verify-identities", "--model", "sphereproduct:k=2,m=2",
+                           "--samples", "500"], 0),
+    # c >= 1: a bad configuration
+    "refused-config": (["audit-chain", "--c", "0.1,1.5"], 2),
+    # shooting stalls: its tolerance, shoot_tol * s_bar = 1e-16, is below the
+    # endpoint miss it can reach; the output changes once that is fixed
+    "refused-solver": (["geodesic", "--model", "sphere:n=2", "--c", "0.2", "--ry", "1e-6"], 3),
+    # the flat model has R == 0, which the scan refuses
+    "refused-model": (["scan", "--model", "gaussian:n=3", "--c", "0.1", "--ry", "5"], 4),
 }
 
 
@@ -53,11 +63,12 @@ def main(argv=None) -> int:
     if out.exists() and any(out.iterdir()):
         print(f"error: {out} is not empty", file=sys.stderr)
         return 2
-    codes = {}
-    for name, job in JOBS.items():
-        codes[name] = run_job(job, out / name)
-        print(f"{name}: exit {codes[name]}")
-    return 0 if all(code == 0 for code in codes.values()) else 1
+    status = 0
+    for name, (job, expected) in JOBS.items():
+        code = run_job(job, out / name)
+        print(f"{name}: exit {code} (expected {expected})")
+        status |= code != expected
+    return status
 
 
 if __name__ == "__main__":
