@@ -220,7 +220,10 @@ def project_point(model: ModelSpec, pos: np.ndarray) -> np.ndarray:
 
 
 def validate_point(model: ModelSpec, pos: np.ndarray) -> None:
+    """Check one point or a (..., ambient) stack of them; an empty stack is refused."""
     pos = np.asarray(pos, dtype=float)
+    if not pos.size:
+        raise PreconditionError(f"{model}: an empty point stack; need at least one sample point")
     if pos.shape[-1] != model.ambient_dim:
         raise InvalidPointError(
             f"{model}: point has ambient dimension {pos.shape[-1]}, expected {model.ambient_dim}"
@@ -358,8 +361,6 @@ class GeometryEval:
 def eval_geometry(model: ModelSpec, points) -> GeometryEval:
     """``GeometryEval`` at one point or a (..., ambient) stack: validated, not empty."""
     points = np.asarray(points, dtype=float)
-    if not points.size:
-        raise PreconditionError(f"{model}: closed-form geometry needs at least one sample point")
     validate_point(model, points)
     return GeometryEval(
         model=model,

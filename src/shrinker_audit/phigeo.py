@@ -67,7 +67,7 @@ MAX_SCHEDULE_SUBSTEPS = 7 * quadrature.MAX_GRID_INTERVALS
 # shooting's predictor marches in substeps this many times the audit step
 PREDICTOR_STEP_FACTOR = 8
 # shooting's fine run marches the audit grid in segments of this many intervals
-SEGMENT_INTERVALS = 16
+SEGMENT_INTERVALS = 8
 # each Newton run of shooting takes at most this many iterations
 MAX_NEWTON = 100
 DEFAULT_DESCENT_N = 256  # the discrete minimizer's grid intervals
@@ -419,10 +419,13 @@ def solve_bvp_shooting(
     discretization gap of the fine root (Allgower, Böhmer, Potra &
     Rheinboldt, SIAM J. Numer. Anal. 23, 1986), and a segmented round costs
     one gap's steps, so its rounds are cheap. The fine run marches the audit
-    grid at ``step`` with a joint at every cut, from the converged
-    predictor's ``a`` and states there, and usually needs one Newton step.
-    When the predictor did not converge, the fine run is single shooting
-    from the initial guess with no joints, so a failed predictor costs its
+    grid at ``step`` with the predictor's joints and from its root, as the
+    chord method: its trials reuse the predictor's last condensed Jacobian,
+    which differs from the fine one by that gap, and it usually needs one
+    Newton step. A kept Jacobian that fails the conditioning check, or
+    whose full step Armijo rejects, is refreshed once (``_newton``). When
+    the predictor did not converge, the fine run is single shooting from
+    the initial guess with no joints, so a failed predictor costs its
     marches and nothing else. Only the fine run can fail the solve.
 
     A trial marches segment 0 from x with ``a`` and its n perturbations
@@ -431,15 +434,19 @@ def solve_bvp_shooting(
     residual, the other rows the Jacobian columns. Rows are independent, so
     both are bitwise those of separate marches, and an accepted line-search
     trial brings the next iteration's Jacobian with it, and its row-0
-    records. The returned path is the converged fine trial's segment
-    records joined end to end on the audit grid, each joint node holding
-    the solved joint state. It must keep the first integral within
-    ``drift_tol`` over every substep of every segment.
+    records. A trial that reuses a Jacobian marches row 0 of each segment
+    alone and condenses its residual with the kept blocks. The returned
+    path is the converged fine trial's segment records joined end to end
+    on the audit grid, each joint node holding the solved joint state. It
+    must keep the first integral within ``drift_tol`` over every substep
+    of every segment.
 
     ``minimal_evidence["shooting"]`` records the fine run's deterministic
     counts: Newton iterations, rejected line-search trials (backtracks),
-    marches and the rows they carried, RK4 steps, the final endpoint miss
-    and the stop reason; ``predictor`` holds the same counts (rows aside)
+    refreshes, marches and the rows they carried, RK4 steps, the final
+    endpoint miss and the stop reason, with ``marches == 1 +
+    newton_iterations + backtracks + refreshes`` for a converged run;
+    ``predictor`` holds the same counts (rows and refreshes aside)
     for the segmented predictor, whose stop reason is ``converged``,
     ``stalled``, ``budget-exhausted`` or ``ill-conditioned``, and its
     ``segments``. The counts are the problem's own: a march counts its own
@@ -511,15 +518,21 @@ def solve_bvp_shooting_batch(
 
 
 class _Newton(NamedTuple):
-    """Where one Newton run stopped, and what it took to get there."""
+    """Where one Newton run stopped, and what it took to get there.
+
+    ``reuses`` counts the marches that reused a kept Jacobian.
+    """
 
     a: np.ndarray
     miss: float
     residual: np.ndarray
     record: _Record
+    jacobian: _Condensed
     iterations: int
     backtracks: int
+    refreshes: int
     marches: int
+    reuses: int
     stop_reason: str
 
     def counts(self, s_nodes, step) -> dict:
@@ -545,13 +558,16 @@ class _Condensed(NamedTuple):
     (Stoer & Bulirsch, *Introduction to Numerical Analysis*, §7.3.5), and
     d_a solves ``endpoint @ d_a = -miss``: ``endpoint`` = H P is the n x n
     Jacobian of the endpoint miss in ``a`` through the linearized segments,
-    the matrix single shooting would see, and ``miss`` = M + H w.
+    the matrix single shooting would see, and ``miss`` = M + H w. The
+    blocks G and H are kept, to condense a later residual with them.
     """
 
     endpoint: np.ndarray
     miss: np.ndarray
     offsets: np.ndarray  # w, with zeros for a
     sweep: np.ndarray  # P, stacked under the identity for a
+    flows: list
+    end_jac: np.ndarray
 
     def step(self) -> np.ndarray:
         return self.offsets + self.sweep @ np.linalg.solve(self.endpoint, -self.miss)
@@ -572,52 +588,74 @@ def _condense(flows, end_jac, defects, miss) -> _Condensed:
         offsets.append(offset)
         sweeps.append(sweep)
     return _Condensed(end_jac @ sweep, miss + end_jac @ offset, np.concatenate(offsets),
-                      np.vstack(sweeps))
+                      np.vstack(sweeps), flows, end_jac)
 
 
-def _newton(trial, a, schedule, tol, max_newton):
+def _newton(trial, a, schedule, tol, max_newton, kept=None):
     """Armijo-damped Newton on a shooting residual from unknowns ``a``, as a generator.
 
-    ``trial(a, *schedule)`` is a generator that yields the list of
+    ``trial(a, *schedule, kept)`` is a generator that yields the list of
     ``_march`` blocks of ``a`` on the schedule ``(s_nodes, step)`` and
     returns the residual, its ``_Condensed`` Jacobian and the row-0 record
     of the trial's path; the condensed endpoint map is what the
-    conditioning check sees. A Newton step is halved until the residual
-    norm falls by the Armijo factor, down to 1/256 of it. The run stops
-    ``converged`` (norm < ``tol``), ``ill-conditioned`` (an endpoint map
-    that is not finite or has condition > 1e10), ``stalled`` (no step
-    accepted) or ``budget-exhausted`` (``max_newton`` iterations); it
-    returns a ``_Newton`` and raises nothing.
+    conditioning check sees. With ``kept`` None the trial forms its own
+    forward-difference Jacobian; given a ``_Condensed``, it marches row 0
+    only and condenses its residual with ``kept``'s flows and end map.
+
+    A run given ``kept`` starts as the chord method (Kelley, *Iterative
+    Methods for Linear and Nonlinear Equations*, SIAM 1995, §5.4): every
+    trial reuses that Jacobian, and its step is tried in full only. When
+    the kept Jacobian fails the conditioning check, or Armijo rejects its
+    full step, the run refreshes: one forward-difference trial at the
+    current ``a``, and plain Newton from there, whose step is halved until
+    the residual norm falls by the Armijo factor, down to 1/256 of it. An
+    iteration is an accepted step or a stall, so ``marches == 1 +
+    iterations + backtracks + refreshes``, less the iteration of a stall.
+    The run stops ``converged`` (norm < ``tol``), ``ill-conditioned`` (an
+    endpoint map of its own that is not finite or has condition > 1e10),
+    ``stalled`` (no step accepted) or ``budget-exhausted`` (``max_newton``
+    iterations); it returns a ``_Newton`` and raises nothing.
     """
-    m, jac, record = yield from trial(a, *schedule)
+    m, jac, record = yield from trial(a, *schedule, kept)
     m_norm = float(np.linalg.norm(m))
-    iterations = backtracks = 0
-    marches = 1
+    iterations = backtracks = refreshes = 0
+    marches, reuses = 1, int(kept is not None)
+    rejected = False  # whether the kept Jacobian's full step was refused
     stop = None
     while stop is None:
         if m_norm < tol:
             stop = "converged"
         elif iterations >= max_newton:
             stop = "budget-exhausted"
-        elif not np.isfinite(jac.endpoint).all() or np.linalg.cond(jac.endpoint) > 1e10:
-            stop = "ill-conditioned"
-        else:
-            iterations += 1
-            step_dir = jac.step()
-            t = 1.0
-            while t >= 1.0 / 256.0:
-                a_try = a + t * step_dir
-                m_try, jac_try, record_try = yield from trial(a_try, *schedule)
+        elif (rejected or not np.isfinite(jac.endpoint).all()
+              or np.linalg.cond(jac.endpoint) > 1e10):
+            if kept is None:
+                stop = "ill-conditioned"
+            else:  # the refresh
+                m, jac, record = yield from trial(a, *schedule, None)
                 marches += 1
+                refreshes += 1
+                kept, rejected = None, False
+        else:
+            step_dir = jac.step()
+            for t in [0.5**k for k in range(1 if kept is not None else 9)]:
+                a_try = a + t * step_dir
+                m_try, jac_try, record_try = yield from trial(a_try, *schedule, kept)
+                marches += 1
+                reuses += kept is not None
                 m_try_norm = float(np.linalg.norm(m_try))
                 if m_try_norm < (1.0 - 1e-4 * t) * m_norm:
                     a, m, jac, m_norm, record = a_try, m_try, jac_try, m_try_norm, record_try
                     break
-                t *= 0.5
                 backtracks += 1
             else:
+                rejected = kept is not None
+                if rejected:
+                    continue  # not an iteration: the refresh comes first
                 stop = "stalled"
-    return _Newton(a, m_norm, m, record, iterations, backtracks, marches, stop)
+            iterations += 1
+    return _Newton(a, m_norm, m, record, jac, iterations, backtracks, refreshes, marches,
+                   reuses, stop)
 
 
 # the typed error and message of each way a fine shooting run can fail;
@@ -691,11 +729,14 @@ def _shooting(model, params, x, y, tol, step, density, drift_tol):
     Every run uses the one trial below: segments between the node indices
     ``cuts`` with a ``_Joints`` at every inner cut, unknowns z = [a, each
     joint's coordinates], and the joint defects, then the endpoint miss, as
-    residual. The predictor takes every coarse node as a cut, with joints at
-    the background geodesic's states; the fine run takes the audit grid's
-    cuts, or none when the predictor failed. A run with joints reports its
-    residual norm, joint defects included, as its miss. A trial that
-    overflowed has a non-finite residual, which the Armijo test rejects.
+    residual. The predictor takes every coarse node as a cut, with joints
+    charted at the background geodesic's states; the fine run takes the
+    audit grid's cuts with the same charts, and starts from the predictor's
+    root and last Jacobian, or takes no cuts when the predictor failed. A
+    trial given a kept ``_Condensed`` marches row 0 only. A run with joints
+    reports its residual norm, joint defects included, as its miss. A trial
+    that overflowed has a non-finite residual, which the Armijo test
+    rejects.
     """
     validate_point(model, x)
     validate_point(model, y)
@@ -723,7 +764,7 @@ def _shooting(model, params, x, y, tol, step, density, drift_tol):
     starts = np.tile(x, (dim + 1, 1))
     cR = params.c * model.scalar_R
 
-    def trial(cuts, joints, z: np.ndarray, s_nodes, h: float):
+    def trial(cuts, joints, z: np.ndarray, s_nodes, h: float, kept):
         coords = z[dim:].reshape(-1, 2 * dim)
         # the forward-difference steps of segment 0, then of each joint
         deltas = 1e-7 * (1.0 + np.array([np.linalg.norm(z[:dim]),
@@ -731,8 +772,10 @@ def _shooting(model, params, x, y, tol, step, density, drift_tol):
         head = np.vstack([z[:dim], z[:dim] + deltas[0] * np.eye(dim)])
         rows = np.concatenate(
             [coords[:, None], coords[:, None] + deltas[1:, None, None] * np.eye(2 * dim)], axis=1)
+        if kept is not None:  # row 0 of each segment only
+            head, rows = head[:1], rows[:, :1]
         # a (1, dim) @ (dim, ambient) product per row: bitwise ``row @ basis_x``
-        segment_starts = [(starts, (head[:, None] @ basis_x)[:, 0]),
+        segment_starts = [(starts[: len(head)], (head[:, None] @ basis_x)[:, 0]),
                           *zip(*joints.states(rows, np.arange(len(coords))[:, None]))]
         ends = yield [(p, v, cR, s_nodes[lo : hi + 1], h)
                       for (p, v), lo, hi in zip(segment_starts, cuts, cuts[1:])]
@@ -744,10 +787,14 @@ def _shooting(model, params, x, y, tol, step, density, drift_tol):
                                np.concatenate(v_ends)[: firsts[-1]],
                                np.repeat(np.arange(len(coords)), np.diff(firsts)))
         defects = landed[firsts[:-1]] - coords
-        flows = [(landed[lo + 1 : hi] - landed[lo]).T / d
-                 for lo, hi, d in zip(firsts, firsts[1:], deltas)]
         misses = (basis_y @ log_map(model, y, p_ends[-1])[..., None])[..., 0]
-        miss, end_jac = misses[0], (misses[1:] - misses[0]).T / deltas[-1]
+        miss = misses[0]
+        if kept is None:
+            flows = [(landed[lo + 1 : hi] - landed[lo]).T / d
+                     for lo, hi, d in zip(firsts, firsts[1:], deltas)]
+            end_jac = (misses[1:] - miss).T / deltas[-1]
+        else:
+            flows, end_jac = kept.flows, kept.end_jac
         return (np.concatenate([defects.ravel(), miss]),
                 _condense(flows, end_jac, defects, miss), _joined(records))
 
@@ -766,13 +813,14 @@ def _shooting(model, params, x, y, tol, step, density, drift_tol):
                                    np.concatenate([a_guess, bg_joints.start.ravel()]),
                                    coarse, tol, MAX_NEWTON)
     if predictor.stop_reason == "converged":
-        joints = _Joints(model, predictor.record.pos[1:-1], predictor.record.vel[1:-1])
-        z = np.concatenate([predictor.a[:dim], joints.start.ravel()])
+        # the chord run: the predictor's joints, root and last Jacobian
+        joints, z, kept = bg_joints, predictor.a, predictor.jacobian
     else:
         # single shooting from the initial guess: no joints
-        cuts, z = [0, len(s_out) - 1], a_guess
+        cuts, z, kept = [0, len(s_out) - 1], a_guess, None
         joints = _Joints(model, np.empty((0, x.size)), np.empty((0, x.size)))
-    fine = yield from _newton(partial(trial, cuts, joints), z, (s_out, step), tol, MAX_NEWTON)
+    fine = yield from _newton(partial(trial, cuts, joints), z, (s_out, step), tol, MAX_NEWTON,
+                              kept)
     if fine.stop_reason in _FINE_FAILURES:
         error, message = _FINE_FAILURES[fine.stop_reason]
         raise error(f"{model}: " + message.format(s_bar=s_bar, miss=fine.miss,
@@ -781,7 +829,10 @@ def _shooting(model, params, x, y, tol, step, density, drift_tol):
     path.flags.append("shooting")
     counts = fine.counts(s_out, step)
     segments = len(cuts) - 1
-    counts["rows_marched"] = fine.marches * (dim + 1 + (segments - 1) * (2 * dim + 1))
+    # a trial that reuses a Jacobian marches row 0 of each segment only
+    counts["rows_marched"] = (fine.reuses * segments + (fine.marches - fine.reuses)
+                              * (dim + 1 + (segments - 1) * (2 * dim + 1)))
+    counts["refreshes"] = fine.refreshes
     if segments > 1:
         defects = fine.residual[:-dim].reshape(-1, 2 * dim)
         counts.update(

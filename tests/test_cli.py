@@ -263,11 +263,11 @@ def test_audit_chain_small_grid(tmp_path):
     s_out, _ = quadrature.audit_grid(5.0, cfg.density)
     steps_per_march = phigeo._substep_counts(np.diff(s_out), cfg.step).sum()
     assert counts["marches"] == 1 + counts["newton_iterations"] + counts["backtracks"]
-    # n + 1 rows in the first segment, 2n + 1 in each of the others
-    n = models.parse_model("cylinder:k=2,m=2").n
+    # every fine trial reuses the predictor's Jacobian: row 0 of each segment
     segments = math.ceil((len(s_out) - 1) / phigeo.SEGMENT_INTERVALS)
     assert counts["segments"] == segments
-    assert counts["rows_marched"] == counts["marches"] * (n + 1 + (segments - 1) * (2 * n + 1))
+    assert counts["refreshes"] == 0
+    assert counts["rows_marched"] == counts["marches"] * segments
     assert counts["rk4_steps"] == counts["marches"] * steps_per_march
 
 
@@ -576,7 +576,7 @@ def test_fuzzed_verify_identities_exits_with_a_documented_code(tmp_path_factory,
         # cell 0 is refused after its solve, cell 1 before any solve
         (["scan", "--c", "0.1", "--ry", "3,1.5"], None, EXIT_REFUSED,
          "refused: cylinder:k=2,m=2: scan precondition r(y) >= max(sqrt(2n), 3A) = "
-         "3.0518582978101714 fails at r(y) = 3.0"),
+         "3.0518582978101723 fails at r(y) = 3.0"),
         # cell 0 passes; cell 1 is refused before any solve; cell 2 fails its solve
         (["scan", "--c", "0.1,0.9", "--ry", "5,1.5"], 1e-12, EXIT_REFUSED,
          "refused: cylinder:k=2,m=2: scan needs r(y) >= 2 for the cutoff (got 1.5)"),
@@ -595,7 +595,7 @@ def test_fuzzed_verify_identities_exits_with_a_documented_code(tmp_path_factory,
          "refused: sphere:n=3: scan needs r(y) >= 2 for the cutoff (got 1.9999999999999998)"),
         (["scan", "--model", "sphere:n=3", "--c", "0.5", "--ry", "3"], None, EXIT_REFUSED,
          "refused: sphere:n=3: scan precondition r(y) >= max(sqrt(2n), 3A) = "
-         "3.000000000009932 fails at r(y) = 3.0"),
+         "3.000000000009927 fails at r(y) = 3.0"),
     ],
     ids=["scan-precondition-then-cutoff", "scan-pass-cutoff-drift", "audit-chain-pass-drift",
          "audit-chain-cutoff-then-drift", "audit-chain-cutoff-digits", "scan-cutoff-digits",

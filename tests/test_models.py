@@ -106,6 +106,15 @@ def test_eval_geometry_refuses_an_empty_stack():
         models.eval_geometry(m, np.empty((0, m.ambient_dim)))
 
 
+@pytest.mark.parametrize("shape", [(0, None), (0,), (2, 0, None)], ids=["rows", "flat", "nested"])
+def test_validate_point_refuses_an_empty_stack(model, shape):
+    # one typed refusal on every family, the flat one and sphere factors alike
+    empty = np.empty([model.ambient_dim if k is None else k for k in shape])
+    with pytest.raises(PreconditionError, match="at least one sample point") as refused:
+        models.validate_point(model, empty)
+    assert type(refused.value) is PreconditionError
+
+
 def test_shrinker_equation_on_random_tangents(model, rng):
     for _ in range(100):
         p = models.random_point(model, rng)

@@ -339,10 +339,11 @@ def test_shooting_counts_cylinder():
     assert counts["newton_iterations"] >= 1
     # the initial guess, one accepted trial per iteration, and each rejected trial
     assert counts["marches"] == 1 + counts["newton_iterations"] + counts["backtracks"]
-    # every trial carries the n forward-difference rows of segment 0 and the
-    # 2n of each other segment; the path is the trial's row-0 records joined
+    # the predictor's Jacobian serves every fine trial, so each carries
+    # row 0 of each segment only; the path is the trial's row-0 records joined
+    assert counts["refreshes"] == 0
     assert counts["segments"] == math.ceil((len(path.s) - 1) / phigeo.SEGMENT_INTERVALS) > 1
-    assert counts["rows_marched"] == counts["marches"] * _rows_per_trial(m, counts)
+    assert counts["rows_marched"] == counts["marches"] * counts["segments"]
     assert counts["rk4_steps"] == counts["marches"] * _steps(path.s, phigeo.MAX_IVP_STEP)
     assert counts["final_miss"] < 1e-10
 
@@ -353,6 +354,7 @@ def _steps(s_nodes, step):
 
 
 def _rows_per_trial(m, counts):
+    """Rows of a trial with forward-difference rows: n in segment 0, 2n in each other."""
     return m.n + 1 + (counts.get("segments", 1) - 1) * (2 * m.n + 1)
 
 
@@ -369,16 +371,19 @@ def _starve_predictor(monkeypatch):
     """
     newton = phigeo._newton
 
-    def starved(trial, a, schedule, tol, max_newton):
+    def starved(trial, a, schedule, tol, max_newton, kept=None):
         _, step = schedule
-        return newton(trial, a, schedule, tol, 1 if step > phigeo.MAX_IVP_STEP else max_newton)
+        return newton(trial, a, schedule, tol, 1 if step > phigeo.MAX_IVP_STEP else max_newton,
+                      kept)
 
     monkeypatch.setattr(phigeo, "_newton", starved)
 
 
 def _assert_phase_counts(counts, s_nodes, step):
-    # the initial guess, one accepted trial per iteration, and each rejected trial
-    assert counts["marches"] == 1 + counts["newton_iterations"] + counts["backtracks"]
+    # the initial guess, one accepted trial per iteration, each rejected
+    # trial and each refresh; the predictor reuses no Jacobian
+    assert counts["marches"] == (1 + counts["newton_iterations"] + counts["backtracks"]
+                                 + counts.get("refreshes", 0))
     assert counts["rk4_steps"] == counts["marches"] * _steps(s_nodes, step)
     assert counts["stop_reason"] == "converged"
     assert counts["final_miss"] < 1e-10
@@ -401,6 +406,13 @@ def _assert_failed_segmented_predictor(path):
     _assert_phase_counts(counts, path.s, phigeo.MAX_IVP_STEP)
 
 
+def _poor_guess(m, x):
+    """A random start velocity of 2 to 8 times unit speed on round_sphere(2)."""
+    rng = np.random.default_rng(5)
+    guess = random_tangent(m, x, rng)
+    return guess * rng.uniform(2.0, 8.0) / np.linalg.norm(guess)
+
+
 @pytest.mark.parametrize("predictor", ["kept", "starved"])
 def test_shooting_backtracks_from_a_poor_initial_guess(monkeypatch, predictor):
     # A random initial velocity instead of the background-geodesic one makes
@@ -409,9 +421,7 @@ def test_shooting_backtracks_from_a_poor_initial_guess(monkeypatch, predictor):
     # has failed, in the fine run, which then starts from it too.
     m = models.round_sphere(2)
     x = models.base_point(m)
-    rng = np.random.default_rng(2)
-    guess = random_tangent(m, x, rng)
-    guess *= rng.uniform(0.5, 4.0) / np.linalg.norm(guess)
+    guess = _poor_guess(m, x)
     background = phigeo.background_geodesic
 
     def poor_guess(model, p, q, N):
@@ -511,9 +521,7 @@ def test_shooting_batch_backtracking_beside_a_plain_cell(monkeypatch):
     m = models.round_sphere(2)
     x = models.base_point(m)
     poor_target = models.canonical_target(m, 3.5)
-    rng = np.random.default_rng(2)
-    guess = random_tangent(m, x, rng)
-    guess *= rng.uniform(0.5, 4.0) / np.linalg.norm(guess)
+    guess = _poor_guess(m, x)
     background = phigeo.background_geodesic
 
     def poor_guess(model, p, q, N):
@@ -567,6 +575,11 @@ def test_segmented_predictor_starts_an_antipodal_pair_on_the_tie_break(label):
     _assert_phase_counts(counts["predictor"], _predictor_nodes(path),
                          phigeo.PREDICTOR_STEP_FACTOR * phigeo.MAX_IVP_STEP)
     _assert_phase_counts(counts, path.s, phigeo.MAX_IVP_STEP)
+    # the predictor's last Jacobian fails the conditioning check at its
+    # root, so the fine run refreshes once, right after its first march,
+    # and then takes one Newton step with forward-difference rows
+    assert (counts["refreshes"], counts["newton_iterations"], counts["marches"]) == (1, 1, 3)
+    assert counts["rows_marched"] == counts["segments"] + 2 * _rows_per_trial(m, counts)
 
 
 def test_shooting_batch_keeps_each_failure_in_its_slot(monkeypatch):
@@ -671,7 +684,7 @@ def test_failed_predictor_leaves_the_fine_run_as_it_was(monkeypatch, perfbench_p
     assert predictor["newton_iterations"] == 1 and predictor["final_miss"] >= 1e-10
     assert counts == {"newton_iterations": 2, "backtracks": 0, "marches": 3, "rk4_steps": 3444,
                       "final_miss": 8.881784197001252e-12, "stop_reason": "converged",
-                      "rows_marched": 15}
+                      "rows_marched": 15, "refreshes": 0}
     assert (path.C_value, path.action_J) == (0.9734003114616471, 10.39312938357688)
     assert abs(path.C_value - perfbench_paths[0].C_value) <= 1e-10
     assert abs(path.action_J - perfbench_paths[0].action_J) <= 1e-10
@@ -842,7 +855,7 @@ def test_drift_inside_an_interior_segment_fails_the_solve(monkeypatch):
     m = models.sphere_cylinder(2, 2)
     x, y = models.base_point(m), models.canonical_target(m, 10.0)
     s_out, _ = quadrature.audit_grid(float(models.distance(m, x, y)))
-    interior = s_out[2 * phigeo.SEGMENT_INTERVALS]  # where the third of ten segments starts
+    interior = s_out[2 * phigeo.SEGMENT_INTERVALS]  # where the third of 20 segments starts
     march = phigeo._march
 
     def drifting(dyn, blocks):
@@ -854,7 +867,7 @@ def test_drift_inside_an_interior_segment_fails_the_solve(monkeypatch):
         return out
 
     assert solve_bvp_shooting(m, PhiParams(0.1), x, y).minimal_evidence["shooting"][
-        "segments"] == 10
+        "segments"] == 20
     monkeypatch.setattr(phigeo, "_march", drifting)
     with pytest.raises(DriftExceededError):
         solve_bvp_shooting(m, PhiParams(0.1), x, y)
@@ -885,7 +898,7 @@ def test_shooting_batch_mixing_predictor_and_segment_trials_matches_solo_solves(
     _assert_coarse_rounds_first(rounds)
     counts = [p.minimal_evidence["shooting"] for p in paths]
     assert [k["predictor"]["marches"] for k in counts] == [4, 3, 4, 4, 3]
-    assert [k["segments"] for k in counts] == [2, 5, 12, 30, 30]
+    assert [k["segments"] for k in counts] == [4, 10, 24, 60, 60]
     monkeypatch.undo()
     for path, (params, x_i, y_i) in zip(paths, problems):
         _assert_same_path(path, solve_bvp_shooting(m, params, x_i, y_i))
@@ -894,7 +907,8 @@ def test_shooting_batch_mixing_predictor_and_segment_trials_matches_solo_solves(
 def test_shooting_rounds_of_the_chain_cells(monkeypatch):
     # perfbench's chain workload shoots these four cells in one batch: the
     # c = 0.5 predictors take four marches and the c = 0.1 ones three, and
-    # every fine run two, so the batch marches 4 coarse rounds, then 2 fine
+    # every fine run two, so the batch marches 4 coarse rounds of 7 steps,
+    # then 2 fine ones of 56
     m = models.sphere_cylinder(2, 2)
     x = models.base_point(m)
     problems = [(PhiParams(c), x, models.canonical_target(m, ry))
@@ -917,7 +931,7 @@ def test_shooting_rounds_of_the_chain_cells(monkeypatch):
     # a round costs the substeps of its longest block
     assert len(steps) == sum(
         max(_steps(block[3], block[4]) for block in blocks)
-        for blocks, _ in rounds) == 276
+        for blocks, _ in rounds) == 140
 
 
 @pytest.mark.parametrize("label, ry", [("cylinder:k=2,m=2", 40.3), ("sphere:n=3", 5.5)])
@@ -959,12 +973,13 @@ def _digest(path):
 
 @pytest.mark.parametrize("case", ["one-segment", "starved-predictor"])
 def test_single_shooting_cases_keep_their_bits(monkeypatch, case):
-    # the counts, C, J and path bytes of single shooting: at density 8,
-    # s_bar = 2 spans 16 intervals, one segment (every grid of the default
-    # density has at least 32); with the predictor starved, the fine run is
-    # single shooting from the guess
+    # the counts, C, J and path bytes of single shooting: at density 4,
+    # s_bar = 2 spans 8 intervals, one segment (every grid of the default
+    # density has at least 32), and the fine run reuses the predictor's
+    # Jacobian; with the predictor starved, the fine run is single shooting
+    # from the guess
     m = models.sphere_cylinder(2, 2)
-    c, ry, density = (0.1, 2.0, 8) if case == "one-segment" else (0.5, 20.21, 16)
+    c, ry, density = (0.1, 2.0, 4) if case == "one-segment" else (0.5, 20.21, 16)
     if case == "starved-predictor":
         _starve_predictor(monkeypatch)
     path = solve_bvp_shooting(m, PhiParams(c), models.base_point(m),
@@ -972,13 +987,13 @@ def test_single_shooting_cases_keep_their_bits(monkeypatch, case):
     counts = path.minimal_evidence["shooting"]
     predictor = counts.pop("predictor")
     expected = {
-        "one-segment": ({"newton_iterations": 1, "backtracks": 0, "marches": 2, "rk4_steps": 416,
-                         "final_miss": 2.4424906541753444e-15, "stop_reason": "converged",
-                         "rows_marched": 10},
-                        0.9216545781977923, 2.1569501747746114, "dfa4b1a5fae4da23"),
+        "one-segment": ({"newton_iterations": 1, "backtracks": 0, "marches": 2, "rk4_steps": 400,
+                         "final_miss": 1.7763568394002505e-15, "stop_reason": "converged",
+                         "rows_marched": 2, "refreshes": 0},
+                        0.9216545781977804, 2.1569501351383495, "701a30ddadba299f"),
         "starved-predictor": ({"newton_iterations": 3, "backtracks": 0, "marches": 4,
                                "rk4_steps": 9072, "final_miss": 3.170796958329447e-11,
-                               "stop_reason": "converged", "rows_marched": 20},
+                               "stop_reason": "converged", "rows_marched": 20, "refreshes": 0},
                               0.935833586593772, 21.61903500346927, "29f4a816838fb3b3"),
     }[case]
     assert (counts, path.C_value, path.action_J, _digest(path)) == expected
@@ -1007,11 +1022,13 @@ def test_trial_row_products_are_bitwise_the_per_row_loops(label):
 def _linear_trial(miss, jacobian):
     """A ``_newton`` trial that marches nothing: the miss of ``a`` is ``miss(a)``.
 
-    Its Jacobian is the one-segment ``_Condensed`` of a trial with no joints.
+    Its Jacobian is the one-segment ``_Condensed`` of a trial with no
+    joints: ``jacobian``, or the end map of ``kept`` when it reuses one.
     """
-    def trial(a, *schedule):
+    def trial(a, s_nodes, step, kept):
         m = miss(a)
-        return m, phigeo._condense([], jacobian, np.empty((0, 2 * len(m))), m), None
+        end_jac = jacobian if kept is None else kept.end_jac
+        return m, phigeo._condense([], end_jac, np.empty((0, 2 * len(m))), m), None
         yield  # a generator, like the real trials
 
     return trial
@@ -1062,6 +1079,59 @@ def test_newton_stop_reasons(case, reason, iterations, backtracks):
     assert counts["rk4_steps"] == 100 * counts["marches"]
     # no NaN reaches a report
     assert (counts["final_miss"] is None) == (case == "not-finite")
+
+
+@pytest.mark.parametrize("case, reason, iterations, backtracks, refreshes", [
+    # the right Jacobian: chord steps only
+    ("right", "converged", 1, 0, 0),
+    # of the wrong sign: its full step raises the miss, so the run refreshes
+    # and takes that iteration's step with the miss's own Jacobian
+    ("wrong-sign", "converged", 1, 1, 1),
+    # singular: the run refreshes before its first step
+    ("singular", "converged", 1, 0, 1),
+    # 1000x too large: every step is accepted, and none is refreshed
+    ("too-large", "budget-exhausted", 3, 0, 0),
+])
+def test_newton_refreshes_a_kept_jacobian_that_fails(case, reason, iterations, backtracks,
+                                                    refreshes):
+    kept_jac = {"right": np.eye(2), "wrong-sign": -np.eye(2),
+                "singular": np.array([[1.0, 0.0], [0.0, 0.0]]),
+                "too-large": 1000.0 * np.eye(2)}[case]
+    kept = phigeo._condense([], kept_jac, np.empty((0, 4)), np.zeros(2))
+    trial = _linear_trial(lambda a: a - 1.0, np.eye(2))
+    run = phigeo._newton(trial, np.zeros(2), ([0.0, 1.0], 1e-2), 1e-10, 3, kept)
+    with pytest.raises(StopIteration) as done:
+        next(run)
+    result = done.value.value
+    assert (result.stop_reason, result.iterations, result.backtracks, result.refreshes) == (
+        reason, iterations, backtracks, refreshes)
+    assert result.marches == 1 + iterations + backtracks + refreshes
+    # every march before the refresh reused the kept Jacobian, and none after it
+    assert result.reuses == (1 + backtracks if refreshes else result.marches)
+
+
+def test_chord_fine_run_matches_a_fine_run_that_refreshes_every_trial(monkeypatch,
+                                                                      perfbench_paths):
+    # the chord run lands on the root of its own residual, as a fine run
+    # with forward-difference rows in every trial does
+    newton = phigeo._newton
+
+    def refreshing(trial, a, schedule, tol, max_newton, kept=None):
+        return newton(trial, a, schedule, tol, max_newton)
+
+    monkeypatch.setattr(phigeo, "_newton", refreshing)
+    m = models.sphere_cylinder(2, 2)
+    x = models.base_point(m)
+    problems = [(PhiParams(c), x, models.canonical_target(m, ry)) for c, ry in PERFBENCH_CELLS]
+    for chord, fresh in zip(perfbench_paths, solve_bvp_shooting_batch(m, problems)):
+        chord_counts = chord.minimal_evidence["shooting"]
+        fresh_counts = fresh.minimal_evidence["shooting"]
+        assert chord_counts["rows_marched"] == chord_counts["marches"] * chord_counts["segments"]
+        assert fresh_counts["rows_marched"] == (fresh_counts["marches"]
+                                                * _rows_per_trial(m, fresh_counts))
+        assert abs(chord.action_J - fresh.action_J) <= 1e-10 * abs(fresh.action_J)
+        assert abs(chord.C_value - fresh.C_value) <= 1e-10 * abs(fresh.C_value)
+        assert np.max(np.abs(chord.pos - fresh.pos)) <= 1e-10 * np.max(np.abs(fresh.pos))
 
 
 def test_shooting_gaussian_straight_segment(rng):

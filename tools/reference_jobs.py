@@ -36,7 +36,7 @@ JOBS = {
     "refused-config": (["audit-chain", "--c", "0.1,1.5"], 2),
     # shooting stalls: its tolerance, shoot_tol * s_bar = 1e-16, is below the
     # endpoint miss it can reach; the output changes once that is fixed
-    "refused-solver": (["geodesic", "--model", "sphere:n=2", "--c", "0.2", "--ry", "1e-6"], 3),
+    "refused-solver": (["geodesic", "--model", "sphere:n=3", "--c", "0.5", "--ry", "1e-6"], 3),
     # the flat model has R == 0, which the scan refuses
     "refused-model": (["scan", "--model", "gaussian:n=3", "--c", "0.1", "--ry", "5"], 4),
 }
