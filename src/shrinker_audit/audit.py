@@ -513,10 +513,12 @@ def good_point_on_path(model: ModelSpec, params: PhiParams, y: np.ndarray, path:
     Checks the radius precondition, then snaps the window [w0, s_bar - 1],
     w0 = (1 - 1/(2A)) * s_bar, to the path's audit grid: it starts at the
     first node s[i0] >= w0 whose interval count to s_bar - 1, the first node
-    of the last piece, is even, so the window integral is one Simpson piece with a coarsened-grid
-    error estimate. The lower bound and ``bound`` use the snapped length
-    span = s_bar - 1 - s[i0]. Since s[i0] >= w0, every window node z keeps
-    d(z, y) <= A * (s_bar - s) <= r(y)/2; the distance is checked anyway.
+    of the last piece, is even, so the window integral is one Simpson piece
+    with a coarsened-grid error estimate. A window that is empty, or that
+    starts before the uniform piece ending at s_bar - 1, is refused. The
+    lower bound and ``bound`` use the snapped length span = s_bar - 1 - s[i0].
+    Since s[i0] >= w0, every window node z keeps d(z, y) <= A * (s_bar - s)
+    <= r(y)/2; the distance is checked anyway.
 
     |Rc| is constant on every catalog model, so z is the window's first node.
     """
@@ -535,9 +537,12 @@ def good_point_on_path(model: ModelSpec, params: PhiParams, y: np.ndarray, path:
     i1 = path.pieces[-1][0]  # the cutoff kink s_bar - 1 starts the last piece
     i0 = int(np.searchsorted(path.s, w0))
     i0 += (i1 - i0) % 2
-    if i1 - i0 < 2:
+    # the window must lie in the uniform piece that ends at s_bar - 1
+    lo = path.pieces[-2][0] if len(path.pieces) > 1 else i1
+    if i1 - i0 < 2 or i0 < lo:
         raise PreconditionError(
-            f"{model}: empty scan window [{w0:.4g}, {s_bar - 1.0:.4g}]"
+            f"{model}: scan window [{w0:.4g}, {s_bar - 1.0:.4g}] is empty or starts "
+            "before the grid's piece that ends at s_bar - 1"
         )
     validate_point(model, path.pos)
     z = path.pos[i0]

@@ -22,7 +22,10 @@ class PhiPath:
     from the node data and ``drift`` its maximal deviation across nodes.
     ``pieces`` are the ``(i0, i1)`` node ranges the grid is uniform on, as
     ``quadrature.audit_grid`` returns them; ``()`` means one piece over the
-    whole grid. They must cover the grid with consecutive ranges.
+    whole grid. They must cover the grid with consecutive ranges, and each
+    must be uniform: its gaps all equal its mean gap h within a relative
+    1e-8 and an absolute 1e-12 * (1 + |h|). A path checks this once, when
+    it is made, so that every quadrature on its pieces can rely on it.
     """
 
     s: np.ndarray
@@ -42,7 +45,8 @@ class PhiPath:
         self.vel = np.asarray(self.vel, dtype=float)
         if self.pos.shape != self.vel.shape or self.pos.shape[0] != self.s.shape[0]:
             raise ValueError("grid, positions and velocities must have matching shapes")
-        if np.any(np.diff(self.s) <= 0):
+        gaps = np.diff(self.s)
+        if np.any(gaps <= 0):
             raise ValueError("parameter grid must be strictly increasing")
         last = self.s.shape[0] - 1
         self.pieces = tuple((int(i0), int(i1)) for i0, i1 in self.pieces) or ((0, last),)
@@ -51,6 +55,10 @@ class PhiPath:
         if self.pieces != tuple(zip(edges, edges[1:])) or edges != sorted({*edges, last}):
             raise ValueError(f"pieces {self.pieces} do not cover the grid's nodes 0..{last} "
                              "with consecutive ranges")
+        for i0, i1 in self.pieces:
+            h = (self.s[i1] - self.s[i0]) / (i1 - i0)
+            if not np.allclose(gaps[i0:i1], h, rtol=1e-8, atol=1e-12 * (1.0 + abs(h))):
+                raise ValueError(f"piece ({i0}, {i1}) is not a uniform grid")
 
     @property
     def s_bar(self) -> float:

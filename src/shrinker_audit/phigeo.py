@@ -60,10 +60,6 @@ MAX_IVP_STEP = 1e-2
 DEFAULT_DRIFT_TOL = 1e-6
 # shooting's endpoint tolerance; a path shorter than 1 scales it by s_bar
 DEFAULT_SHOOT_TOL = 1e-10
-# Most RK4 substeps shooting's fine schedule may take: 7 per interval of the
-# largest grid quadrature.audit_grid admits, as an interval of at most 1/16
-# (the default density) takes at the default step. More are refused.
-MAX_SCHEDULE_SUBSTEPS = 7 * quadrature.MAX_GRID_INTERVALS
 # shooting's predictor marches in substeps this many times the audit step
 PREDICTOR_STEP_FACTOR = 8
 # shooting's fine run marches the audit grid in segments of this many intervals
@@ -211,6 +207,13 @@ def _substep_counts(gaps, step):
     return np.maximum(1, np.ceil(gaps / step - 1e-12)).astype(int)
 
 
+# Most RK4 substeps shooting's fine schedule may take: as many per interval of
+# the largest grid quadrature.audit_grid admits as an interval of the default
+# density takes at MAX_IVP_STEP (7 for 1/16 at 1e-2). More are refused.
+MAX_SCHEDULE_SUBSTEPS = (int(_substep_counts(1.0 / quadrature.DEFAULT_DENSITY, MAX_IVP_STEP))
+                         * quadrature.MAX_GRID_INTERVALS)
+
+
 class _Record(NamedTuple):
     """Row 0 of a march: node states and energies, and energy bounds over every substep."""
 
@@ -224,11 +227,12 @@ class _Record(NamedTuple):
 def _march(dyn: _Dynamics, blocks) -> list:
     """March blocks of ``(batch, ambient)`` states in lockstep, each landing on its own nodes.
 
-    A block is ``(starts, v0, cR, s_nodes, step)``. Each gap of a block's
-    ``s_nodes`` is split into equal substeps no larger than the block's own
-    ``step``, and one batched RK4 step advances every row of every block
-    that still has substeps left, so blocks of different step sizes and
-    lengths share the rounds. The rows are stacked once into the columns
+    A block is ``(starts, v0, cR, gaps, n_sub)``: its nodes are 0 and the
+    running sums of ``gaps``, and gap k is split into ``n_sub[k]`` equal
+    substeps. The march takes the schedule as given and decides no step
+    size. One batched RK4 step advances every row of every block that
+    still has substeps left, so blocks of different step sizes and lengths
+    share the rounds. The rows are stacked once into the columns
     of one component-major ``_Dynamics`` state, with their step sizes and
     cR as ``(1, batch)`` rows. Blocks run longest schedule first, so the
     live columns are a prefix that shrinks as schedules end; a finished
@@ -237,16 +241,16 @@ def _march(dyn: _Dynamics, blocks) -> list:
 
     Returns, per block in the given order, its rows' final positions and
     velocities and the ``_Record`` of its row 0, whose state is kept after
-    every substep. The schedules of all blocks are formed together, and the
-    energies of every kept state are evaluated in one call at the end,
+    every substep. The schedules of all blocks are laid out together, and
+    the energies of every kept state are evaluated in one call at the end,
     bitwise the per-substep values. The one-row integrator and the shooting
     trials of every cell of a grid (each trial, or each segment of one, a
     block with its forward-difference rows) share this routine.
     """
     # every gap of every block, block after block, and its substeps
-    n_gaps = np.array([len(s_nodes) - 1 for *_, s_nodes, _ in blocks])
-    gaps = np.concatenate([np.diff(s_nodes) for *_, s_nodes, _ in blocks])
-    n_sub = _substep_counts(gaps, np.repeat([step for *_, step in blocks], n_gaps))
+    n_gaps = np.array([len(block[3]) for block in blocks])
+    gaps = np.concatenate([block[3] for block in blocks])
+    n_sub = np.concatenate([block[4] for block in blocks])
     lengths = np.add.reduceat(n_sub, _starts(n_gaps))  # each block's substeps
     # blocks take slots longest schedule first; slot k marches the columns
     # heads[k]:ends[k], and takes its substep j at size h[j, k]
@@ -350,7 +354,8 @@ def integrate_ivp(
     s_nodes = np.linspace(0.0, s_end, max(1, math.ceil(s_end / step)) + 1)
     pos = project_point(model, p0)
     vel = project_tangent(model, pos, v0)
-    block = (pos[None], vel[None], params.c * model.scalar_R, s_nodes, step)
+    gaps = np.diff(s_nodes)
+    block = (pos[None], vel[None], params.c * model.scalar_R, gaps, _substep_counts(gaps, step))
     ((_, _, record),) = _march(_Dynamics(model), [block])
     return _recorded_path(model, params, record, s_nodes, (), step, drift_tol)
 
@@ -423,10 +428,11 @@ def solve_bvp_shooting(
     chord method: its trials reuse the predictor's last condensed Jacobian,
     which differs from the fine one by that gap, and it usually needs one
     Newton step. A kept Jacobian that fails the conditioning check, or
-    whose full step Armijo rejects, is refreshed once (``_newton``). When
-    the predictor did not converge, the fine run is single shooting from
-    the initial guess with no joints, so a failed predictor costs its
-    marches and nothing else. Only the fine run can fail the solve.
+    whose full step does not halve the residual norm, is refreshed once
+    (``_newton``). When the predictor did not converge, the fine run is
+    single shooting from the initial guess with no joints, so a failed
+    predictor costs its marches and nothing else. Only the fine run can
+    fail the solve.
 
     A trial marches segment 0 from x with ``a`` and its n perturbations
     ``a + delta e_j``, and every other segment from its joint's state with
@@ -435,7 +441,9 @@ def solve_bvp_shooting(
     both are bitwise those of separate marches, and an accepted line-search
     trial brings the next iteration's Jacobian with it, and its row-0
     records. A trial that reuses a Jacobian marches row 0 of each segment
-    alone and condenses its residual with the kept blocks. The returned
+    alone and condenses its residual with the kept blocks. Each run's RK4
+    schedule (the gaps of its nodes and their substep counts) is formed
+    once per solve, and every trial marches slices of it. The returned
     path is the converged fine trial's segment records joined end to end
     on the audit grid, each joint node holding the solved joint state. It
     must keep the first integral within ``drift_tol`` over every substep
@@ -481,11 +489,12 @@ def solve_bvp_shooting_batch(
     round collects the march blocks of the pending trials (one block per
     segment) and marches them all in one ``_march``, whatever their c and
     their grids; it costs the RK4 steps of its longest block. Rounds are
-    phase-aligned: while any problem still has a predictor trial pending
-    (marched at ``PREDICTOR_STEP_FACTOR * step``), only those trials march,
-    and the fine trials wait. So a problem whose predictor converged early
-    does not turn a round that the others spend on their predictors into one
-    that costs a fine segment's steps. Rows never mix, so every path, and
+    phase-aligned: ``_shooting`` yields each trial with a flag that says
+    whether it is a predictor trial (marched at ``PREDICTOR_STEP_FACTOR *
+    step``), and while any problem still has one pending, only those
+    trials march, and the fine trials wait. So a problem whose predictor
+    converged early does not turn a round that the others spend on their
+    predictors into one that costs a fine segment's steps. Rows never mix, so every path, and
     every count in its ``minimal_evidence``, is bitwise that of a
     ``solve_bvp_shooting`` call on the problem alone. Returns, in the given
     order, each problem's ``PhiPath``, or the exception it raised; a failed
@@ -497,7 +506,7 @@ def solve_bvp_shooting_batch(
 
     def advance(i, solver, reply):
         try:
-            pending.append((i, solver, solver.send(reply)))
+            pending.append((i, solver, *solver.send(reply)))
         except StopIteration as done:
             results[i] = done.value
         except Exception as exc:  # the problem's own failure, for the caller to raise
@@ -506,13 +515,12 @@ def solve_bvp_shooting_batch(
     for i, (params, x, y) in enumerate(problems):
         advance(i, _shooting(model, params, x, y, tol, step, density, drift_tol), None)
     while pending:
-        # a predictor's trial marches at more than ``step``;
-        # while any such coarse trial is pending, the fine ones wait
-        coarse = [entry for entry in pending if entry[2][0][4] > step]
-        fine = [entry for entry in pending if entry[2][0][4] <= step]
+        # while any predictor trial is pending, the fine ones wait
+        coarse = [entry for entry in pending if entry[2]]
+        fine = [entry for entry in pending if not entry[2]]
         batch, pending = (coarse, fine) if coarse else (fine, [])
         ends = iter(_march(dyn, [block for *_, blocks in batch for block in blocks]))
-        for i, solver, blocks in batch:
+        for i, solver, _, blocks in batch:
             advance(i, solver, [next(ends) for _ in blocks])
     return results
 
@@ -520,13 +528,14 @@ def solve_bvp_shooting_batch(
 class _Newton(NamedTuple):
     """Where one Newton run stopped, and what it took to get there.
 
-    ``reuses`` counts the marches that reused a kept Jacobian.
+    ``reuses`` counts the marches that reused a kept Jacobian, and
+    ``records`` are the segment records of the last accepted trial.
     """
 
     a: np.ndarray
     miss: float
     residual: np.ndarray
-    record: _Record
+    records: tuple
     jacobian: _Condensed
     iterations: int
     backtracks: int
@@ -535,13 +544,13 @@ class _Newton(NamedTuple):
     reuses: int
     stop_reason: str
 
-    def counts(self, s_nodes, step) -> dict:
-        """The run's report counts; a miss that is not finite reads None."""
+    def counts(self, n_sub) -> dict:
+        """The run's report counts on its substeps ``n_sub``; a non-finite miss reads None."""
         return {
             "newton_iterations": self.iterations,
             "backtracks": self.backtracks,
             "marches": self.marches,
-            "rk4_steps": self.marches * int(_substep_counts(np.diff(s_nodes), step).sum()),
+            "rk4_steps": self.marches * int(n_sub.sum()),
             "final_miss": self.miss if math.isfinite(self.miss) else None,
             "stop_reason": self.stop_reason,
         }
@@ -591,32 +600,34 @@ def _condense(flows, end_jac, defects, miss) -> _Condensed:
                       np.vstack(sweeps), flows, end_jac)
 
 
-def _newton(trial, a, schedule, tol, max_newton, kept=None):
+def _newton(trial, a, tol, max_newton, kept=None):
     """Armijo-damped Newton on a shooting residual from unknowns ``a``, as a generator.
 
-    ``trial(a, *schedule, kept)`` is a generator that yields the list of
-    ``_march`` blocks of ``a`` on the schedule ``(s_nodes, step)`` and
-    returns the residual, its ``_Condensed`` Jacobian and the row-0 record
-    of the trial's path; the condensed endpoint map is what the
+    ``trial(a, kept)`` is a generator that yields what ``_march`` needs for
+    the unknowns ``a`` and returns the residual, its ``_Condensed``
+    Jacobian and the row-0 records of the trial's segments; the trial
+    carries its own schedule, and the condensed endpoint map is what the
     conditioning check sees. With ``kept`` None the trial forms its own
     forward-difference Jacobian; given a ``_Condensed``, it marches row 0
     only and condenses its residual with ``kept``'s flows and end map.
 
     A run given ``kept`` starts as the chord method (Kelley, *Iterative
     Methods for Linear and Nonlinear Equations*, SIAM 1995, §5.4): every
-    trial reuses that Jacobian, and its step is tried in full only. When
-    the kept Jacobian fails the conditioning check, or Armijo rejects its
-    full step, the run refreshes: one forward-difference trial at the
-    current ``a``, and plain Newton from there, whose step is halved until
-    the residual norm falls by the Armijo factor, down to 1/256 of it. An
-    iteration is an accepted step or a stall, so ``marches == 1 +
-    iterations + backtracks + refreshes``, less the iteration of a stall.
+    trial reuses that Jacobian, and its step is tried in full only and
+    accepted only when it halves the residual norm at least, the chord
+    method's contraction safeguard. When the kept Jacobian fails the
+    conditioning check, or its full step is refused, the run refreshes:
+    one forward-difference trial at the current ``a``, and plain Newton
+    from there, whose step is halved until the residual norm falls by the
+    Armijo factor, down to 1/256 of it. An iteration is an accepted step
+    or a stall, so ``marches == 1 + iterations + backtracks + refreshes``,
+    less the iteration of a stall.
     The run stops ``converged`` (norm < ``tol``), ``ill-conditioned`` (an
     endpoint map of its own that is not finite or has condition > 1e10),
     ``stalled`` (no step accepted) or ``budget-exhausted`` (``max_newton``
     iterations); it returns a ``_Newton`` and raises nothing.
     """
-    m, jac, record = yield from trial(a, *schedule, kept)
+    m, jac, records = yield from trial(a, kept)
     m_norm = float(np.linalg.norm(m))
     iterations = backtracks = refreshes = 0
     marches, reuses = 1, int(kept is not None)
@@ -632,7 +643,7 @@ def _newton(trial, a, schedule, tol, max_newton, kept=None):
             if kept is None:
                 stop = "ill-conditioned"
             else:  # the refresh
-                m, jac, record = yield from trial(a, *schedule, None)
+                m, jac, records = yield from trial(a, None)
                 marches += 1
                 refreshes += 1
                 kept, rejected = None, False
@@ -640,12 +651,12 @@ def _newton(trial, a, schedule, tol, max_newton, kept=None):
             step_dir = jac.step()
             for t in [0.5**k for k in range(1 if kept is not None else 9)]:
                 a_try = a + t * step_dir
-                m_try, jac_try, record_try = yield from trial(a_try, *schedule, kept)
+                m_try, jac_try, records_try = yield from trial(a_try, kept)
                 marches += 1
                 reuses += kept is not None
                 m_try_norm = float(np.linalg.norm(m_try))
-                if m_try_norm < (1.0 - 1e-4 * t) * m_norm:
-                    a, m, jac, m_norm, record = a_try, m_try, jac_try, m_try_norm, record_try
+                if m_try_norm < (0.5 if kept is not None else 1.0 - 1e-4 * t) * m_norm:
+                    a, m, jac, m_norm, records = a_try, m_try, jac_try, m_try_norm, records_try
                     break
                 backtracks += 1
             else:
@@ -654,7 +665,7 @@ def _newton(trial, a, schedule, tol, max_newton, kept=None):
                     continue  # not an iteration: the refresh comes first
                 stop = "stalled"
             iterations += 1
-    return _Newton(a, m_norm, m, record, jac, iterations, backtracks, refreshes, marches,
+    return _Newton(a, m_norm, m, records, jac, iterations, backtracks, refreshes, marches,
                    reuses, stop)
 
 
@@ -722,21 +733,26 @@ def _joined(records) -> _Record:
 def _shooting(model, params, x, y, tol, step, density, drift_tol):
     """The predictor and fine Newton runs of one shooting problem, as a generator.
 
-    It yields each trial's list of ``_march`` blocks ``(starts, v0, cR,
-    s_nodes, step)`` and receives their ``(p_end, v_end, record)`` triples;
-    it returns the ``PhiPath`` of the converged fine trial.
+    It yields each trial as ``(predictor, blocks)``, a phase flag and one
+    ``_march`` block ``(starts, v0, cR, gaps, n_sub)`` per segment, and
+    receives their ``(p_end, v_end, record)`` triples. It returns the
+    ``PhiPath`` of the converged fine trial, the only trial whose records
+    are joined.
 
-    Every run uses the one trial below: segments between the node indices
-    ``cuts`` with a ``_Joints`` at every inner cut, unknowns z = [a, each
-    joint's coordinates], and the joint defects, then the endpoint miss, as
-    residual. The predictor takes every coarse node as a cut, with joints
-    charted at the background geodesic's states; the fine run takes the
-    audit grid's cuts with the same charts, and starts from the predictor's
-    root and last Jacobian, or takes no cuts when the predictor failed. A
-    trial given a kept ``_Condensed`` marches row 0 only. A run with joints
-    reports its residual norm, joint defects included, as its miss. A trial
-    that overflowed has a non-finite residual, which the Armijo test
-    rejects.
+    Each run's schedule is formed once, here: the gaps of the audit grid
+    and their substep counts at ``step``, and those of the predictor's
+    coarse nodes at ``PREDICTOR_STEP_FACTOR * step``; a trial hands each
+    segment its slices. Every run uses the one trial below: segments
+    between the node indices ``cuts`` with a ``_Joints`` at every inner
+    cut, unknowns z = [a, each joint's coordinates], and the joint defects,
+    then the endpoint miss, as residual. The predictor takes every coarse
+    node as a cut, with joints charted at the background geodesic's states;
+    the fine run takes the audit grid's cuts with the same charts, and
+    starts from the predictor's root and last Jacobian, or takes no cuts
+    when the predictor failed. A trial given a kept ``_Condensed`` marches
+    row 0 only. A run with joints reports its residual norm, joint defects
+    included, as its miss. A trial that overflowed has a non-finite
+    residual, which the Armijo test rejects.
     """
     validate_point(model, x)
     validate_point(model, y)
@@ -744,7 +760,8 @@ def _shooting(model, params, x, y, tol, step, density, drift_tol):
     if s_bar <= 0.0:
         raise DegenerateEndpointsError(f"{model}: shooting needs x != y")
     s_out, pieces = quadrature.audit_grid(s_bar, density)
-    n_sub = _substep_counts(np.diff(s_out), step)
+    gaps = np.diff(s_out)
+    n_sub = _substep_counts(gaps, step)
     if n_sub.sum() > MAX_SCHEDULE_SUBSTEPS:
         raise PreconditionError(
             f"{model}: step {step} takes {n_sub.sum()} RK4 substeps over s_bar = {s_bar:.6g}, "
@@ -764,7 +781,7 @@ def _shooting(model, params, x, y, tol, step, density, drift_tol):
     starts = np.tile(x, (dim + 1, 1))
     cR = params.c * model.scalar_R
 
-    def trial(cuts, joints, z: np.ndarray, s_nodes, h: float, kept):
+    def trial(predictor, cuts, joints, gaps, n_sub, z: np.ndarray, kept):
         coords = z[dim:].reshape(-1, 2 * dim)
         # the forward-difference steps of segment 0, then of each joint
         deltas = 1e-7 * (1.0 + np.array([np.linalg.norm(z[:dim]),
@@ -777,8 +794,8 @@ def _shooting(model, params, x, y, tol, step, density, drift_tol):
         # a (1, dim) @ (dim, ambient) product per row: bitwise ``row @ basis_x``
         segment_starts = [(starts[: len(head)], (head[:, None] @ basis_x)[:, 0]),
                           *zip(*joints.states(rows, np.arange(len(coords))[:, None]))]
-        ends = yield [(p, v, cR, s_nodes[lo : hi + 1], h)
-                      for (p, v), lo, hi in zip(segment_starts, cuts, cuts[1:])]
+        ends = yield predictor, [(p, v, cR, gaps[lo:hi], n_sub[lo:hi])
+                                 for (p, v), lo, hi in zip(segment_starts, cuts, cuts[1:])]
         p_ends, v_ends, records = zip(*ends)
         # every segment but the last lands at the next joint; segment k's
         # rows start at row firsts[k] of the ends joined end to end
@@ -796,22 +813,24 @@ def _shooting(model, params, x, y, tol, step, density, drift_tol):
         else:
             flows, end_jac = kept.flows, kept.end_jac
         return (np.concatenate([defects.ravel(), miss]),
-                _condense(flows, end_jac, defects, miss), _joined(records))
+                _condense(flows, end_jac, defects, miss), records)
 
     # the node where each segment of the fine run starts, then the last node
     cuts = [*range(0, len(s_out) - 1, SEGMENT_INTERVALS), len(s_out) - 1]
     a_guess = basis_x @ v_guess
-    coarse = (np.array([0.0, *s_out[cuts[1:-1]], s_bar]), PREDICTOR_STEP_FACTOR * step)
+    coarse = np.array([0.0, *s_out[cuts[1:-1]], s_bar])
+    coarse_gaps = np.diff(coarse)
+    coarse_sub = _substep_counts(coarse_gaps, PREDICTOR_STEP_FACTOR * step)
     # the predictor's joints start at the background geodesic's states
     # there, exp_x((s / s_bar) log_x y); log_x y is undefined for an antipodal
     # pair, but log_x of the background geodesic's midpoint never is
-    s_joint = coarse[0][1:-1, None]
+    s_joint = coarse[1:-1, None]
     mid = len(bg.s) // 2
     bg_pos = exp_map(model, x, (s_joint / bg.s[mid]) * log_map(model, x, bg.pos[mid]))
     bg_joints = _Joints(model, bg_pos, log_map(model, bg_pos, y) / (s_bar - s_joint) * speed)
-    predictor = yield from _newton(partial(trial, range(len(coarse[0])), bg_joints),
-                                   np.concatenate([a_guess, bg_joints.start.ravel()]),
-                                   coarse, tol, MAX_NEWTON)
+    predictor = yield from _newton(
+        partial(trial, True, range(len(coarse)), bg_joints, coarse_gaps, coarse_sub),
+        np.concatenate([a_guess, bg_joints.start.ravel()]), tol, MAX_NEWTON)
     if predictor.stop_reason == "converged":
         # the chord run: the predictor's joints, root and last Jacobian
         joints, z, kept = bg_joints, predictor.a, predictor.jacobian
@@ -819,15 +838,15 @@ def _shooting(model, params, x, y, tol, step, density, drift_tol):
         # single shooting from the initial guess: no joints
         cuts, z, kept = [0, len(s_out) - 1], a_guess, None
         joints = _Joints(model, np.empty((0, x.size)), np.empty((0, x.size)))
-    fine = yield from _newton(partial(trial, cuts, joints), z, (s_out, step), tol, MAX_NEWTON,
-                              kept)
+    fine = yield from _newton(partial(trial, False, cuts, joints, gaps, n_sub), z, tol,
+                              MAX_NEWTON, kept)
     if fine.stop_reason in _FINE_FAILURES:
         error, message = _FINE_FAILURES[fine.stop_reason]
         raise error(f"{model}: " + message.format(s_bar=s_bar, miss=fine.miss,
                                                    max_newton=MAX_NEWTON))
-    path = _recorded_path(model, params, fine.record, s_out, pieces, step, drift_tol)
+    path = _recorded_path(model, params, _joined(fine.records), s_out, pieces, step, drift_tol)
     path.flags.append("shooting")
-    counts = fine.counts(s_out, step)
+    counts = fine.counts(n_sub)
     segments = len(cuts) - 1
     # a trial that reuses a Jacobian marches row 0 of each segment only
     counts["rows_marched"] = (fine.reuses * segments + (fine.marches - fine.reuses)
@@ -841,8 +860,8 @@ def _shooting(model, params, x, y, tol, step, density, drift_tol):
             max_joint_defect=float(np.linalg.norm(defects, axis=1).max()),
             march_steps=int(max(n_sub[lo:hi].sum() for lo, hi in zip(cuts, cuts[1:]))),
         )
-    counts["predictor"] = predictor.counts(*coarse)
-    counts["predictor"]["segments"] = len(coarse[0]) - 1
+    counts["predictor"] = predictor.counts(coarse_sub)
+    counts["predictor"]["segments"] = len(coarse_gaps)
     path.minimal_evidence["shooting"] = counts
     return path
 

@@ -34,7 +34,7 @@ MAX_DENSITY = int(sys.float_info.max)
 
 
 def _simpson_uniform(s: np.ndarray, y: np.ndarray) -> float:
-    """Composite Simpson on a grid its caller checked uniform; 3/8 tail for odd counts."""
+    """Composite Simpson on a uniform grid; 3/8 tail for odd counts."""
     n = len(s) - 1
     if n < 1:
         return 0.0
@@ -60,14 +60,13 @@ def integrate_pieces(s: np.ndarray, y: np.ndarray, pieces):
     the result is ``(sum of weight * integral, sum of piece errors)``, summed
     in piece order. A piece's error compares its Simpson value against the
     rule on the 2x-coarsened piece when the interval count is even, else
-    against the (much cruder) trapezoid rule. Each piece must be uniform.
+    against the (much cruder) trapezoid rule. Each piece must be uniform;
+    nothing here checks it. A ``PhiPath`` checks its pieces once, when it
+    is made, and the scan's window lies inside one of them.
     """
     total = 0.0
     err = 0.0
     for i0, i1, weight in pieces:
-        h = (s[i1] - s[i0]) / max(1, i1 - i0)
-        if not np.allclose(np.diff(s[i0 : i1 + 1]), h, rtol=1e-8, atol=1e-12 * (1.0 + abs(h))):
-            raise ValueError(f"piece ({i0}, {i1}) is not a uniform grid")
         fine = _simpson_uniform(s[i0 : i1 + 1], y[i0 : i1 + 1])
         if (i1 - i0) % 2 == 0:
             coarse = _simpson_uniform(s[i0 : i1 + 1 : 2], y[i0 : i1 + 1 : 2])

@@ -535,6 +535,17 @@ def test_scan_bound_uses_the_snapped_window_length(cylinder_scan):
     assert err <= 1e-8
 
 
+def test_scan_window_before_the_piece_ending_at_s_bar_minus_1_is_refused(cylinder_scan,
+                                                                       monkeypatch):
+    # a speed bound of 0.51 puts w0 = s_bar / 51 before the kink s = 1, so the
+    # window would leave the uniform piece that ends at s_bar - 1; no catalog
+    # cell gets there
+    m, path, y, _ = cylinder_scan
+    monkeypatch.setattr(audit, "_speed_bound", lambda path, params: 0.51)
+    with pytest.raises(PreconditionError, match="starts before the grid's piece"):
+        audit.good_point_on_path(m, PhiParams(0.1), y, path)
+
+
 def test_find_good_point_round_sphere():
     m = models.round_sphere(2)
     params = PhiParams(0.1)

@@ -286,16 +286,17 @@ def test_march_rows_match_single_row_marches(model, rng, rows):
     blocks = []
     for c, s_nodes, k, step in specs:
         pos, vel = _random_states(model, rng, k)
-        blocks.append((pos, vel, c * model.scalar_R, np.array(s_nodes), step))
+        gaps = np.diff(s_nodes)
+        blocks.append((pos, vel, c * model.scalar_R, gaps, phigeo._substep_counts(gaps, step)))
 
     marched = phigeo._march(dyn, blocks)
     assert len(marched) == len(blocks)
-    for (p_end, v_end, record), (pos, vel, cR, s_nodes, step) in zip(marched, blocks):
-        assert record.pos.shape == record.vel.shape == (len(s_nodes), model.ambient_dim)
-        assert record.energies.shape == (len(s_nodes),)
+    for (p_end, v_end, record), (pos, vel, cR, gaps, n_sub) in zip(marched, blocks):
+        assert record.pos.shape == record.vel.shape == (len(gaps) + 1, model.ambient_dim)
+        assert record.energies.shape == (len(gaps) + 1,)
         for i in range(len(pos)):
             ((p_i, v_i, record_i),) = phigeo._march(
-                dyn, [(pos[i:i + 1], vel[i:i + 1], cR, s_nodes, step)])
+                dyn, [(pos[i:i + 1], vel[i:i + 1], cR, gaps, n_sub)])
             assert p_end[i].tobytes() == p_i[0].tobytes()
             assert v_end[i].tobytes() == v_i[0].tobytes()
             if i == 0:  # row 0 is the recorded one, whatever the batch
@@ -367,14 +368,14 @@ def _starve_predictor(monkeypatch):
     """Give every shooting predictor run a budget of one Newton iteration.
 
     That stops it short of converging, away from the initial guess. The
-    predictor is the run that marches at more than the default step.
+    predictor's trial is bound to the phase flag True, which it yields with
+    its blocks.
     """
     newton = phigeo._newton
 
-    def starved(trial, a, schedule, tol, max_newton, kept=None):
-        _, step = schedule
-        return newton(trial, a, schedule, tol, 1 if step > phigeo.MAX_IVP_STEP else max_newton,
-                      kept)
+    def starved(trial, a, tol, max_newton, kept=None):
+        predictor = trial.args[0]
+        return newton(trial, a, tol, 1 if predictor else max_newton, kept)
 
     monkeypatch.setattr(phigeo, "_newton", starved)
 
@@ -829,11 +830,11 @@ def test_segmented_path_joins_the_converged_segment_records(monkeypatch, label, 
     # the converged trial is the last march: one block per segment
     blocks, out = rounds[-1]
     assert len(blocks) == counts["segments"] > 1
-    assert counts["march_steps"] == max(_steps(block[3], block[4]) for block in blocks)
+    assert counts["march_steps"] == max(block[4].sum() for block in blocks)
     node = 0
-    for k, ((starts, v0, _, s_nodes, _), (_, _, record)) in enumerate(zip(blocks, out)):
-        stop = len(s_nodes) if k == len(blocks) - 1 else len(s_nodes) - 1
-        assert path.s[node : node + len(s_nodes)].tobytes() == s_nodes.tobytes()
+    for k, ((starts, v0, _, gaps, _), (_, _, record)) in enumerate(zip(blocks, out)):
+        stop = len(gaps) + 1 if k == len(blocks) - 1 else len(gaps)
+        assert np.diff(path.s[node : node + len(gaps) + 1]).tobytes() == gaps.tobytes()
         # the joint node holds the solved joint state: the segment's row-0 start
         assert record.pos[0].tobytes() == starts[0].tobytes()
         assert record.vel[0].tobytes() == v0[0].tobytes()
@@ -854,16 +855,15 @@ def test_segmented_path_joins_the_converged_segment_records(monkeypatch, label, 
 def test_drift_inside_an_interior_segment_fails_the_solve(monkeypatch):
     m = models.sphere_cylinder(2, 2)
     x, y = models.base_point(m), models.canonical_target(m, 10.0)
-    s_out, _ = quadrature.audit_grid(float(models.distance(m, x, y)))
-    interior = s_out[2 * phigeo.SEGMENT_INTERVALS]  # where the third of 20 segments starts
     march = phigeo._march
 
     def drifting(dyn, blocks):
         out = march(dyn, blocks)
-        for i, block in enumerate(blocks):
-            if block[4] == phigeo.MAX_IVP_STEP and block[3][0] == interior:
-                p_end, v_end, record = out[i]
-                out[i] = (p_end, v_end, record._replace(e_max=record.e_max + 1e-5))
+        # a fine trial's blocks are its segments in order, each of
+        # SEGMENT_INTERVALS gaps; block 2 is the third of 20 segments
+        if len(blocks[2][3]) == phigeo.SEGMENT_INTERVALS:
+            p_end, v_end, record = out[2]
+            out[2] = (p_end, v_end, record._replace(e_max=record.e_max + 1e-5))
         return out
 
     assert solve_bvp_shooting(m, PhiParams(0.1), x, y).minimal_evidence["shooting"][
@@ -877,10 +877,11 @@ def _assert_coarse_rounds_first(rounds):
     """No round marches a fine block while any problem has a coarse trial pending.
 
     Every round is of one phase, and the coarse (predictor) rounds all come
-    before the fine ones.
+    before the fine ones. A coarse block's substeps are longer than the
+    default step, a fine block's are not.
     """
-    coarse = phigeo.PREDICTOR_STEP_FACTOR * phigeo.MAX_IVP_STEP
-    phases = [{block[4] == coarse for block in blocks} for blocks, _ in rounds]
+    phases = [{bool((block[3] / block[4] > phigeo.MAX_IVP_STEP).all()) for block in blocks}
+              for blocks, _ in rounds]
     assert all(len(phase) == 1 for phase in phases)
     in_order = [phase.pop() for phase in phases]
     assert in_order == sorted(in_order, reverse=True)
@@ -930,7 +931,7 @@ def test_shooting_rounds_of_the_chain_cells(monkeypatch):
     assert len(rounds) == 4 + 2
     # a round costs the substeps of its longest block
     assert len(steps) == sum(
-        max(_steps(block[3], block[4]) for block in blocks)
+        max(block[4].sum() for block in blocks)
         for blocks, _ in rounds) == 140
 
 
@@ -954,8 +955,9 @@ def test_condensed_endpoint_map_is_the_single_shooting_jacobian(monkeypatch, lab
     a = basis_x @ path.vel[0]
     delta = 1e-7 * (1.0 + np.linalg.norm(a))
     rows = np.vstack([a, a + delta * np.eye(m.n)])
-    block = (np.tile(x, (m.n + 1, 1)), rows @ basis_x, 0.5 * m.scalar_R, path.s,
-             phigeo.MAX_IVP_STEP)
+    gaps = np.diff(path.s)
+    block = (np.tile(x, (m.n + 1, 1)), rows @ basis_x, 0.5 * m.scalar_R, gaps,
+             phigeo._substep_counts(gaps, phigeo.MAX_IVP_STEP))
     ((p_end, _, _),) = phigeo._march(phigeo._Dynamics(m), [block])
     misses = np.array([basis_y @ models.log_map(m, y, p) for p in p_end])
     single = (misses[1:] - misses[0]).T / delta
@@ -1025,7 +1027,7 @@ def _linear_trial(miss, jacobian):
     Its Jacobian is the one-segment ``_Condensed`` of a trial with no
     joints: ``jacobian``, or the end map of ``kept`` when it reuses one.
     """
-    def trial(a, s_nodes, step, kept):
+    def trial(a, kept):
         m = miss(a)
         end_jac = jacobian if kept is None else kept.end_jac
         return m, phigeo._condense([], end_jac, np.empty((0, 2 * len(m))), m), None
@@ -1067,13 +1069,13 @@ def test_newton_stop_reasons(case, reason, iterations, backtracks):
         "wrong-sign": _linear_trial(lambda a: a - 1.0, -np.eye(2)),
         "too-large": _linear_trial(lambda a: a - 1.0, 1000.0 * np.eye(2)),
     }[case]
-    run = phigeo._newton(trial, np.zeros(2), ([0.0, 1.0], 1e-2), 1e-10, 3)
+    run = phigeo._newton(trial, np.zeros(2), 1e-10, 3)
     with pytest.raises(StopIteration) as done:
         next(run)
     result = done.value.value
     assert (result.stop_reason, result.iterations, result.backtracks) == (
         reason, iterations, backtracks)
-    counts = result.counts([0.0, 1.0], 1e-2)
+    counts = result.counts(np.array([100]))  # one gap of 100 substeps
     assert counts["stop_reason"] == reason
     assert counts["marches"] == 1 + iterations + backtracks - (reason == "stalled")
     assert counts["rk4_steps"] == 100 * counts["marches"]
@@ -1089,8 +1091,9 @@ def test_newton_stop_reasons(case, reason, iterations, backtracks):
     ("wrong-sign", "converged", 1, 1, 1),
     # singular: the run refreshes before its first step
     ("singular", "converged", 1, 0, 1),
-    # 1000x too large: every step is accepted, and none is refreshed
-    ("too-large", "budget-exhausted", 3, 0, 0),
+    # 1000x too large: its full step cuts the miss by 1/1000 only, short of
+    # half, so the run refreshes and converges with the miss's own Jacobian
+    ("too-large", "converged", 1, 1, 1),
 ])
 def test_newton_refreshes_a_kept_jacobian_that_fails(case, reason, iterations, backtracks,
                                                     refreshes):
@@ -1099,7 +1102,7 @@ def test_newton_refreshes_a_kept_jacobian_that_fails(case, reason, iterations, b
                 "too-large": 1000.0 * np.eye(2)}[case]
     kept = phigeo._condense([], kept_jac, np.empty((0, 4)), np.zeros(2))
     trial = _linear_trial(lambda a: a - 1.0, np.eye(2))
-    run = phigeo._newton(trial, np.zeros(2), ([0.0, 1.0], 1e-2), 1e-10, 3, kept)
+    run = phigeo._newton(trial, np.zeros(2), 1e-10, 3, kept)
     with pytest.raises(StopIteration) as done:
         next(run)
     result = done.value.value
@@ -1116,8 +1119,8 @@ def test_chord_fine_run_matches_a_fine_run_that_refreshes_every_trial(monkeypatc
     # with forward-difference rows in every trial does
     newton = phigeo._newton
 
-    def refreshing(trial, a, schedule, tol, max_newton, kept=None):
-        return newton(trial, a, schedule, tol, max_newton)
+    def refreshing(trial, a, tol, max_newton, kept=None):
+        return newton(trial, a, tol, max_newton)
 
     monkeypatch.setattr(phigeo, "_newton", refreshing)
     m = models.sphere_cylinder(2, 2)

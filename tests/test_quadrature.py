@@ -49,17 +49,6 @@ def test_short_path_grid_is_one_uniform_piece(s_bar, density, intervals):
     assert pieces == ((0, intervals),)
 
 
-@pytest.mark.parametrize("s, pieces", [
-    ([0.0, 1.0, 3.0], [(0, 2, 1.0)]),
-    ([0.0, 1.0, 2.0, 3.0, 4.0, 6.0], [(0, 5, 1.0)]),  # odd count: Simpson with a 3/8 tail
-    ([0.0, 1.0, 2.0, 3.0, 5.0], [(0, 2, 1.0), (2, 4, 1.0)]),  # only the second is not uniform
-], ids=["even", "odd", "second-piece"])
-def test_integrate_pieces_refuses_a_non_uniform_piece(s, pieces):
-    s = np.array(s)
-    with pytest.raises(ValueError, match="uniform grid"):
-        quadrature.integrate_pieces(s, np.ones(len(s)), pieces)
-
-
 @settings(max_examples=50, deadline=None)
 @given(intervals=st.sampled_from([3, 5, 7, 15, 31]), length=st.floats(0.5, 20.0),
        coeffs=_CUBIC)

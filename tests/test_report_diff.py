@@ -1,4 +1,5 @@
-"""``tools/report_diff.py``: what it lets through and what it catches."""
+"""``tools/report_diff.py``: what it lets through and what it catches; and the
+committed reference set it compares fresh runs of ``tools/reference_jobs.py`` with."""
 
 import importlib.util
 import io
@@ -8,9 +9,17 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
-_spec = importlib.util.spec_from_file_location("report_diff", ROOT / "tools" / "report_diff.py")
-report_diff = importlib.util.module_from_spec(_spec)
-_spec.loader.exec_module(report_diff)
+
+
+def _tool(name):
+    spec = importlib.util.spec_from_file_location(name, ROOT / "tools" / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+report_diff = _tool("report_diff")
+reference_jobs = _tool("reference_jobs")
 
 REPORT = {
     "all_ok": True,
@@ -93,3 +102,12 @@ def test_report_diff_reports_the_largest_float_move(tmp_path):
     rel, where = result.worst
     assert where == ".cells[0].bound" and rel == pytest.approx(4e-10, rel=1e-3)
     assert report_diff.main([str(old), str(new), "--rtol", "1e-10"]) == 1
+
+
+def test_reference_set_holds_every_job_with_its_exit_code():
+    # tools/reference is what ``python tools/reference_jobs.py tools/reference``
+    # writes; CI compares a fresh run with it byte for byte
+    reference = ROOT / "tools" / "reference"
+    assert sorted(p.name for p in reference.iterdir()) == sorted(reference_jobs.JOBS)
+    for name, (_, expected) in reference_jobs.JOBS.items():
+        assert (reference / name / "exit_code").read_text() == f"{expected}\n"
