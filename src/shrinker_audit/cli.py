@@ -8,8 +8,9 @@ Four subcommands: ``verify-identities`` (pointwise identity suite),
 Reports are JSON with sorted keys, paths are CSV; identical configuration
 and seed produce byte-identical output.
 
-Exit codes: 0 success, 2 bad configuration / degenerate endpoints, 3 solver
-failure, 4 typed refusal (precondition, degenerate model, short cutoff).
+Exit codes: 0 success, 2 bad configuration / degenerate endpoints / an
+output that cannot be written, 3 solver failure, 4 typed refusal
+(precondition, degenerate model, short cutoff).
 """
 
 from __future__ import annotations
@@ -186,6 +187,12 @@ def _config_from_args(args) -> RunConfig:
         if value is not None:
             setattr(cfg, key, value)
     cfg.validate()
+    # refused before any work: out, or the nearest part of it that exists, is a file
+    out = Path(cfg.out)
+    existing = next(part for part in (out, *out.parents) if part.exists())
+    if not existing.is_dir():
+        raise ConfigError(f"out {cfg.out!r} cannot be a directory: {str(existing)!r} "
+                          "exists and is not one")
     return cfg
 
 
@@ -407,8 +414,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return _COMMANDS[args.command](_config_from_args(args))
-    except (ConfigError, InvalidModelError, DegenerateEndpointsError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (ConfigError, InvalidModelError, DegenerateEndpointsError, OSError) as exc:
+        print(f"error: {exc}", file=sys.stderr)  # an OSError: writing a report failed
         return EXIT_CONFIG
     except (PreconditionError, DegenerateModelError, CutoffUndefinedError) as exc:
         print(f"refused: {exc}", file=sys.stderr)

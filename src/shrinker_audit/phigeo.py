@@ -17,8 +17,8 @@ Two independent boundary-value solvers are provided so each can serve as the
 other's oracle: damped-Newton shooting on the endpoint-miss map, and direct
 minimization of the discretized action over interior nodes (H¹-preconditioned
 Barzilai-Borwein descent -- the Sobolev gradient of Neuberger, *Sobolev
-Gradients and Differential Equations*, LNM 1670 (1997) -- with a nonmonotone
-Armijo backtracking line search).
+Gradients and Differential Equations*, LNM 1670 (1997) -- with an Armijo
+backtracking line search against the current action).
 """
 
 from __future__ import annotations
@@ -405,9 +405,9 @@ def solve_bvp_shooting(
     Bulirsch, *Introduction to Numerical Analysis*, §7.3.5): the residual is
     the joint defects and the endpoint miss, and every segment of a trial
     marches in the same round, so a round costs one segment's RK4 steps
-    instead of the whole grid's. The Jacobian is condensed to the n x n
-    endpoint map, which takes the conditioning check. With no joints the
-    trial is single shooting, bit for bit.
+    instead of the whole grid's. The Jacobian (``_Jacobian``) is condensed
+    to the n x n endpoint map, which takes the conditioning check. With no
+    joints the trial is single shooting, bit for bit.
 
     The path keeps the pieces of ``quadrature.audit_grid(s_bar, density)``;
     more than ``MAX_SCHEDULE_SUBSTEPS`` RK4 substeps on it are refused
@@ -425,9 +425,9 @@ def solve_bvp_shooting(
     Rheinboldt, SIAM J. Numer. Anal. 23, 1986), and a segmented round costs
     one gap's steps, so its rounds are cheap. The fine run marches the audit
     grid at ``step`` with the predictor's joints and from its root, as the
-    chord method: its trials reuse the predictor's last condensed Jacobian,
-    which differs from the fine one by that gap, and it usually needs one
-    Newton step. A kept Jacobian that fails the conditioning check, or
+    chord method: its Newton run holds the predictor's last Jacobian, which
+    differs from the fine one by that gap, and it usually needs one Newton
+    step. A kept Jacobian that fails the conditioning check, or
     whose full step does not halve the residual norm, is refreshed once
     (``_newton``). When the predictor did not converge, the fine run is
     single shooting from the initial guess with no joints, so a failed
@@ -440,8 +440,8 @@ def solve_bvp_shooting(
     residual, the other rows the Jacobian columns. Rows are independent, so
     both are bitwise those of separate marches, and an accepted line-search
     trial brings the next iteration's Jacobian with it, and its row-0
-    records. A trial that reuses a Jacobian marches row 0 of each segment
-    alone and condenses its residual with the kept blocks. Each run's RK4
+    records. A chord trial marches row 0 of each segment alone and returns
+    its residual only; the step is the held Jacobian's. Each run's RK4
     schedule (the gaps of its nodes and their substep counts) is formed
     once per solve, and every trial marches slices of it. The returned
     path is the converged fine trial's segment records joined end to end
@@ -451,7 +451,8 @@ def solve_bvp_shooting(
 
     ``minimal_evidence["shooting"]`` records the fine run's deterministic
     counts: Newton iterations, rejected line-search trials (backtracks),
-    refreshes, marches and the rows they carried, RK4 steps, the final
+    refreshes, marches and the rows they carried (the run's tally of the
+    rows its trials handed to ``_march``), RK4 steps, the final
     endpoint miss and the stop reason, with ``marches == 1 +
     newton_iterations + backtracks + refreshes`` for a converged run;
     ``predictor`` holds the same counts (rows and refreshes aside)
@@ -528,20 +529,21 @@ def solve_bvp_shooting_batch(
 class _Newton(NamedTuple):
     """Where one Newton run stopped, and what it took to get there.
 
-    ``reuses`` counts the marches that reused a kept Jacobian, and
-    ``records`` are the segment records of the last accepted trial.
+    ``jacobian`` is the Jacobian the run held last, ``records`` are the
+    segment records of the last accepted trial, and ``rows`` counts the
+    rows its marches carried.
     """
 
     a: np.ndarray
     miss: float
     residual: np.ndarray
     records: tuple
-    jacobian: _Condensed
+    jacobian: _Jacobian
     iterations: int
     backtracks: int
     refreshes: int
     marches: int
-    reuses: int
+    rows: int
     stop_reason: str
 
     def counts(self, n_sub) -> dict:
@@ -556,65 +558,63 @@ class _Newton(NamedTuple):
         }
 
 
-class _Condensed(NamedTuple):
+class _Jacobian:
     """A multiple-shooting Jacobian, condensed onto the start coefficients ``a``.
 
     The unknowns are ``a`` and the coordinates z_k of each joint; the
     residual is the joint defects D_k = F_k(z_{k-1}) - z_k, then the
     endpoint miss M. The Jacobian is block-bidiagonal: [G_{k-1}, -I] in the
-    rows of D_k and H in those of M. So the Newton step moves z_k by
-    w_k + P_k d_a, with w_k = D_k + G_{k-1} w_{k-1} and P_k = G_{k-1} P_{k-1}
-    (Stoer & Bulirsch, *Introduction to Numerical Analysis*, §7.3.5), and
-    d_a solves ``endpoint @ d_a = -miss``: ``endpoint`` = H P is the n x n
+    rows of D_k and H in those of M, with ``flows`` G_0.. and ``end_jac``
+    H. So the Newton step moves z_k by w_k + P_k d_a, with
+    w_k = D_k + G_{k-1} w_{k-1} and P_k = G_{k-1} P_{k-1} (Stoer &
+    Bulirsch, *Introduction to Numerical Analysis*, §7.3.5), and d_a solves
+    ``endpoint @ d_a = -(M + H w)``. ``endpoint`` = H P is the n x n
     Jacobian of the endpoint miss in ``a`` through the linearized segments,
-    the matrix single shooting would see, and ``miss`` = M + H w. The
-    blocks G and H are kept, to condense a later residual with them.
+    the matrix single shooting would see, and the one the conditioning
+    check sees. The sweep P and the endpoint map are formed once, here;
+    ``step`` forms the offsets w of the residual it is given. With no flows
+    (no joints) the endpoint map is H I and the step 0 + I solve(H, -(M +
+    H 0)): for finite H, bitwise H and single shooting's step, and a
+    non-finite H stays non-finite.
     """
 
-    endpoint: np.ndarray
-    miss: np.ndarray
-    offsets: np.ndarray  # w, with zeros for a
-    sweep: np.ndarray  # P, stacked under the identity for a
-    flows: list
-    end_jac: np.ndarray
+    def __init__(self, flows, end_jac):
+        self.flows, self.end_jac = flows, end_jac
+        sweep = np.eye(len(end_jac))
+        sweeps = [sweep]
+        for flow in flows:
+            sweep = flow @ sweep
+            sweeps.append(sweep)
+        self.endpoint = end_jac @ sweep
+        self.sweep = np.vstack(sweeps)  # P, stacked under the identity for a
 
-    def step(self) -> np.ndarray:
-        return self.offsets + self.sweep @ np.linalg.solve(self.endpoint, -self.miss)
-
-
-def _condense(flows, end_jac, defects, miss) -> _Condensed:
-    """Condense the Jacobian whose blocks are ``flows`` G_0.. and ``end_jac`` H.
-
-    ``defects`` are D_1.. and ``miss`` is M, as in ``_Condensed``. With no
-    flows (no joints) the endpoint map is H I, the miss M + H 0 and the step
-    0 + I solve(H, -M): for finite H, bitwise H, M and single shooting's
-    step, and a non-finite H stays non-finite.
-    """
-    offset, sweep = np.zeros(len(miss)), np.eye(len(miss))
-    offsets, sweeps = [offset], [sweep]
-    for flow, defect in zip(flows, defects):
-        offset, sweep = defect + flow @ offset, flow @ sweep
-        offsets.append(offset)
-        sweeps.append(sweep)
-    return _Condensed(end_jac @ sweep, miss + end_jac @ offset, np.concatenate(offsets),
-                      np.vstack(sweeps), flows, end_jac)
+    def step(self, residual) -> np.ndarray:
+        """The Newton step of the residual [D_1, .., M] in every unknown."""
+        n = len(self.endpoint)
+        offsets = [np.zeros(n)]  # w, with zeros for a
+        for flow, defect in zip(self.flows, residual[:-n].reshape(-1, 2 * n)):
+            offsets.append(defect + flow @ offsets[-1])
+        miss = residual[-n:] + self.end_jac @ offsets[-1]
+        return np.concatenate(offsets) + self.sweep @ np.linalg.solve(self.endpoint, -miss)
 
 
 def _newton(trial, a, tol, max_newton, kept=None):
     """Armijo-damped Newton on a shooting residual from unknowns ``a``, as a generator.
 
-    ``trial(a, kept)`` is a generator that yields what ``_march`` needs for
-    the unknowns ``a`` and returns the residual, its ``_Condensed``
-    Jacobian and the row-0 records of the trial's segments; the trial
-    carries its own schedule, and the condensed endpoint map is what the
-    conditioning check sees. With ``kept`` None the trial forms its own
-    forward-difference Jacobian; given a ``_Condensed``, it marches row 0
-    only and condenses its residual with ``kept``'s flows and end map.
+    ``trial(a, fd_rows)`` is a generator that yields what ``_march`` needs
+    for the unknowns ``a`` and returns ``(residual, records, jacobian,
+    rows)``: the residual, the row-0 records of the trial's segments, the
+    ``_Jacobian`` of its forward-difference rows, and how many rows it
+    marched. With ``fd_rows`` False it marches row 0 only and its Jacobian
+    is None; the trial carries its own schedule. The run holds one
+    Jacobian: ``kept``, or the one its last accepted forward-difference
+    trial formed, and that Jacobian's endpoint map is what the
+    conditioning check sees. No trial sees it.
 
     A run given ``kept`` starts as the chord method (Kelley, *Iterative
     Methods for Linear and Nonlinear Equations*, SIAM 1995, §5.4): every
-    trial reuses that Jacobian, and its step is tried in full only and
-    accepted only when it halves the residual norm at least, the chord
+    trial marches row 0 only and the step is ``kept``'s, tried in full only
+    and accepted only when it halves the residual norm at least, the chord
     method's contraction safeguard. When the kept Jacobian fails the
     conditioning check, or its full step is refused, the run refreshes:
     one forward-difference trial at the current ``a``, and plain Newton
@@ -627,10 +627,12 @@ def _newton(trial, a, tol, max_newton, kept=None):
     ``stalled`` (no step accepted) or ``budget-exhausted`` (``max_newton``
     iterations); it returns a ``_Newton`` and raises nothing.
     """
-    m, jac, records = yield from trial(a, kept)
+    chord = kept is not None
+    m, records, jac, rows = yield from trial(a, not chord)
+    jac = jac or kept
     m_norm = float(np.linalg.norm(m))
     iterations = backtracks = refreshes = 0
-    marches, reuses = 1, int(kept is not None)
+    marches = 1
     rejected = False  # whether the kept Jacobian's full step was refused
     stop = None
     while stop is None:
@@ -640,33 +642,32 @@ def _newton(trial, a, tol, max_newton, kept=None):
             stop = "budget-exhausted"
         elif (rejected or not np.isfinite(jac.endpoint).all()
               or np.linalg.cond(jac.endpoint) > 1e10):
-            if kept is None:
+            if not chord:
                 stop = "ill-conditioned"
             else:  # the refresh
-                m, jac, records = yield from trial(a, None)
-                marches += 1
-                refreshes += 1
-                kept, rejected = None, False
+                m, records, jac, marched = yield from trial(a, True)
+                marches, rows, refreshes = marches + 1, rows + marched, refreshes + 1
+                chord = rejected = False
         else:
-            step_dir = jac.step()
-            for t in [0.5**k for k in range(1 if kept is not None else 9)]:
+            step_dir = jac.step(m)
+            for t in [0.5**k for k in range(1 if chord else 9)]:
                 a_try = a + t * step_dir
-                m_try, jac_try, records_try = yield from trial(a_try, kept)
-                marches += 1
-                reuses += kept is not None
+                m_try, records_try, jac_try, marched = yield from trial(a_try, not chord)
+                marches, rows = marches + 1, rows + marched
                 m_try_norm = float(np.linalg.norm(m_try))
-                if m_try_norm < (0.5 if kept is not None else 1.0 - 1e-4 * t) * m_norm:
-                    a, m, jac, m_norm, records = a_try, m_try, jac_try, m_try_norm, records_try
+                if m_try_norm < (0.5 if chord else 1.0 - 1e-4 * t) * m_norm:
+                    a, m, m_norm, records = a_try, m_try, m_try_norm, records_try
+                    jac = jac_try or jac  # a chord trial forms none
                     break
                 backtracks += 1
             else:
-                rejected = kept is not None
+                rejected = chord
                 if rejected:
                     continue  # not an iteration: the refresh comes first
                 stop = "stalled"
             iterations += 1
     return _Newton(a, m_norm, m, records, jac, iterations, backtracks, refreshes, marches,
-                   reuses, stop)
+                   rows, stop)
 
 
 # the typed error and message of each way a fine shooting run can fail;
@@ -743,16 +744,20 @@ def _shooting(model, params, x, y, tol, step, density, drift_tol):
     and their substep counts at ``step``, and those of the predictor's
     coarse nodes at ``PREDICTOR_STEP_FACTOR * step``; a trial hands each
     segment its slices. Every run uses the one trial below: segments
-    between the node indices ``cuts`` with a ``_Joints`` at every inner
-    cut, unknowns z = [a, each joint's coordinates], and the joint defects,
-    then the endpoint miss, as residual. The predictor takes every coarse
-    node as a cut, with joints charted at the background geodesic's states;
-    the fine run takes the audit grid's cuts with the same charts, and
-    starts from the predictor's root and last Jacobian, or takes no cuts
-    when the predictor failed. A trial given a kept ``_Condensed`` marches
-    row 0 only. A run with joints reports its residual norm, joint defects
-    included, as its miss. A trial that overflowed has a non-finite
-    residual, which the Armijo test rejects.
+    between the node indices ``cuts``, a joint at every inner cut charted
+    by the solve's one ``_Joints``, unknowns z = [a, each joint's
+    coordinates], and the joint defects, then the endpoint miss, as
+    residual. The predictor takes every coarse node as a cut, with joints
+    charted at the background geodesic's states; the fine run takes the
+    audit grid's cuts with the same charts, and starts from the predictor's
+    root and last Jacobian, or, when the predictor failed, takes the cuts
+    [0, last] (one segment, no joint) from the initial guess. A trial
+    marches its forward-difference rows only when its bool says so, and
+    returns ``(residual, records, jacobian or None, rows marched)``;
+    ``rows_marched`` is the fine run's tally of those rows. A run with
+    joints reports its residual norm, joint defects included, as its miss.
+    A trial that overflowed has a non-finite residual, which the Armijo
+    test rejects.
     """
     validate_point(model, x)
     validate_point(model, y)
@@ -781,7 +786,7 @@ def _shooting(model, params, x, y, tol, step, density, drift_tol):
     starts = np.tile(x, (dim + 1, 1))
     cR = params.c * model.scalar_R
 
-    def trial(predictor, cuts, joints, gaps, n_sub, z: np.ndarray, kept):
+    def trial(predictor, cuts, joints, gaps, n_sub, z: np.ndarray, fd_rows: bool):
         coords = z[dim:].reshape(-1, 2 * dim)
         # the forward-difference steps of segment 0, then of each joint
         deltas = 1e-7 * (1.0 + np.array([np.linalg.norm(z[:dim]),
@@ -789,7 +794,7 @@ def _shooting(model, params, x, y, tol, step, density, drift_tol):
         head = np.vstack([z[:dim], z[:dim] + deltas[0] * np.eye(dim)])
         rows = np.concatenate(
             [coords[:, None], coords[:, None] + deltas[1:, None, None] * np.eye(2 * dim)], axis=1)
-        if kept is not None:  # row 0 of each segment only
+        if not fd_rows:  # row 0 of each segment only
             head, rows = head[:1], rows[:, :1]
         # a (1, dim) @ (dim, ambient) product per row: bitwise ``row @ basis_x``
         segment_starts = [(starts[: len(head)], (head[:, None] @ basis_x)[:, 0]),
@@ -805,15 +810,14 @@ def _shooting(model, params, x, y, tol, step, density, drift_tol):
                                np.repeat(np.arange(len(coords)), np.diff(firsts)))
         defects = landed[firsts[:-1]] - coords
         misses = (basis_y @ log_map(model, y, p_ends[-1])[..., None])[..., 0]
-        miss = misses[0]
-        if kept is None:
-            flows = [(landed[lo + 1 : hi] - landed[lo]).T / d
-                     for lo, hi, d in zip(firsts, firsts[1:], deltas)]
-            end_jac = (misses[1:] - miss).T / deltas[-1]
-        else:
-            flows, end_jac = kept.flows, kept.end_jac
-        return (np.concatenate([defects.ravel(), miss]),
-                _condense(flows, end_jac, defects, miss), records)
+        residual = np.concatenate([defects.ravel(), misses[0]])
+        marched = len(head) + rows.shape[0] * rows.shape[1]  # the rows of every block
+        if not fd_rows:
+            return residual, records, None, marched
+        flows = [(landed[lo + 1 : hi] - landed[lo]).T / d
+                 for lo, hi, d in zip(firsts, firsts[1:], deltas)]
+        end_jac = (misses[1:] - misses[0]).T / deltas[-1]
+        return residual, records, _Jacobian(flows, end_jac), marched
 
     # the node where each segment of the fine run starts, then the last node
     cuts = [*range(0, len(s_out) - 1, SEGMENT_INTERVALS), len(s_out) - 1]
@@ -833,12 +837,11 @@ def _shooting(model, params, x, y, tol, step, density, drift_tol):
         np.concatenate([a_guess, bg_joints.start.ravel()]), tol, MAX_NEWTON)
     if predictor.stop_reason == "converged":
         # the chord run: the predictor's joints, root and last Jacobian
-        joints, z, kept = bg_joints, predictor.a, predictor.jacobian
+        z, kept = predictor.a, predictor.jacobian
     else:
-        # single shooting from the initial guess: no joints
+        # single shooting from the initial guess: one segment, so no joint
         cuts, z, kept = [0, len(s_out) - 1], a_guess, None
-        joints = _Joints(model, np.empty((0, x.size)), np.empty((0, x.size)))
-    fine = yield from _newton(partial(trial, False, cuts, joints, gaps, n_sub), z, tol,
+    fine = yield from _newton(partial(trial, False, cuts, bg_joints, gaps, n_sub), z, tol,
                               MAX_NEWTON, kept)
     if fine.stop_reason in _FINE_FAILURES:
         error, message = _FINE_FAILURES[fine.stop_reason]
@@ -847,11 +850,9 @@ def _shooting(model, params, x, y, tol, step, density, drift_tol):
     path = _recorded_path(model, params, _joined(fine.records), s_out, pieces, step, drift_tol)
     path.flags.append("shooting")
     counts = fine.counts(n_sub)
-    segments = len(cuts) - 1
-    # a trial that reuses a Jacobian marches row 0 of each segment only
-    counts["rows_marched"] = (fine.reuses * segments + (fine.marches - fine.reuses)
-                              * (dim + 1 + (segments - 1) * (2 * dim + 1)))
+    counts["rows_marched"] = fine.rows
     counts["refreshes"] = fine.refreshes
+    segments = len(cuts) - 1
     if segments > 1:
         defects = fine.residual[:-dim].reshape(-1, 2 * dim)
         counts.update(
@@ -920,10 +921,10 @@ def minimize_action_discrete(
     Riemannian gradient mapped through the inverse of the kinetic Hessian
     M = (2/ds) tridiag(-1, 2, -1) and projected onto the tangent spaces, so
     the iteration count does not grow with N. BB step lengths are measured
-    in M, under a nonmonotone (10-step memory) Armijo safeguard (Raydan,
-    SIAM J. Optim. 7, 1997); if backtracking hits its floor without progress
-    the last iterate is returned with a ``stalled`` flag. Convergence is
-    judged on the Euclidean norm of the Riemannian gradient. Velocities are
+    in M, and each trial step is halved until it passes the Armijo test
+    against the current action J; if backtracking hits its floor without
+    progress the last iterate is returned with a ``stalled`` flag.
+    Convergence is judged on the Euclidean norm of the Riemannian gradient. Velocities are
     reconstructed by central differences of log maps (second-order one-sided
     at endpoints). A grid whose spacing s_bar / N leaves two neighbouring
     nodes of the start path equal is below float resolution and refused.
@@ -944,7 +945,6 @@ def minimize_action_discrete(
     j_val = _discrete_action(model, params, pos, ds, weights)
     grad = _discrete_gradient(model, params, pos, ds)
     g_norm = float(np.linalg.norm(grad))
-    recent = [j_val]
     eta = 1.0
     prev_mid = None
     prev_grad = None
@@ -967,14 +967,13 @@ def minimize_action_discrete(
             model, mid, _solve_dirichlet_laplacian(grad) * (0.5 * ds)
         )
         slope = float(np.sum(grad * direction))
-        j_ref = max(recent)
         accepted = False
         trial = eta
         for _ in range(40):
             cand = pos.copy()
             cand[1:-1] = exp_map(model, mid, -trial * direction)
             j_new = _discrete_action(model, params, cand, ds, weights)
-            if j_new <= j_ref - 1e-4 * trial * slope:
+            if j_new <= j_val - 1e-4 * trial * slope:
                 accepted = True
                 break
             trial *= 0.5
@@ -986,9 +985,6 @@ def minimize_action_discrete(
         prev_grad = grad
         pos = cand
         j_val = j_new
-        recent.append(j_val)
-        if len(recent) > 10:
-            recent.pop(0)
         grad = _discrete_gradient(model, params, pos, ds)
         g_norm = float(np.linalg.norm(grad))
     if g_norm > DESCENT_GRAD_TOL * (1.0 + abs(j_val)) and "stalled" not in flags:

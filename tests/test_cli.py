@@ -423,6 +423,44 @@ def test_samples_above_the_bound_exit_2_before_any_draw(tmp_path, capsys, monkey
     assert captured.out == "" and not out.exists()
 
 
+def _tree(root):
+    """Every path under ``root`` with its bytes, None for a directory."""
+    return {path: path.read_bytes() if path.is_file() else None for path in root.rglob("*")}
+
+
+@pytest.mark.parametrize("where", ["file", "under-a-file"])
+@pytest.mark.parametrize("command", ["verify-identities", "geodesic", "audit-chain", "scan"])
+def test_out_that_cannot_be_a_directory_exit_2_before_any_work(tmp_path, capsys, monkeypatch,
+                                                                command, where):
+    def no_work(*args, **kwargs):
+        raise AssertionError("work began")
+
+    monkeypatch.setattr(cli, "random_points", no_work)
+    monkeypatch.setattr(phigeo, "solve_bvp_shooting_batch", no_work)
+    blocker = tmp_path / "blocker"
+    blocker.write_text("a file\n")
+    out = blocker if where == "file" else blocker / "reports" / "run"
+    before = _tree(tmp_path)
+    assert main([command, "--out", str(out)]) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"error: out {str(out)!r} cannot be a directory: "
+                            f"{str(blocker)!r} exists and is not one\n")
+    assert _tree(tmp_path) == before
+
+
+def test_report_that_cannot_be_written_exits_2_with_its_message(tmp_path, capsys,
+                                                               monkeypatch):
+    def denied(self, *args, **kwargs):
+        raise PermissionError(13, "Permission denied", str(self))
+
+    monkeypatch.setattr(cli.Path, "mkdir", denied)
+    out = tmp_path / "out"
+    assert main(["verify-identities", "--samples", "5", "--out", str(out)]) == EXIT_CONFIG
+    assert capsys.readouterr().err == f"error: [Errno 13] Permission denied: {str(out)!r}\n"
+    assert not out.exists()
+
+
 def test_geodesic_shooting_failure_exits_3(tmp_path, capsys, monkeypatch):
     # a Newton budget of 0 leaves the fine run budget-exhausted
     monkeypatch.setattr(phigeo, "MAX_NEWTON", 0)

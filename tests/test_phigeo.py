@@ -1,3 +1,4 @@
+import copy
 import hashlib
 import math
 import re
@@ -456,15 +457,17 @@ def _fail_fine_run(monkeypatch, reason):
     if reason == "budget-exhausted":
         monkeypatch.setattr(phigeo, "MAX_NEWTON", 0)
         return
-    condense = phigeo._condense
 
-    def broken(*args):
-        jac = condense(*args)
-        if reason == "ill-conditioned":
-            return jac._replace(endpoint=np.zeros_like(jac.endpoint))
-        return jac._replace(endpoint=-jac.endpoint, offsets=-jac.offsets)
+    class Broken(phigeo._Jacobian):
+        def __init__(self, *args):
+            super().__init__(*args)
+            if reason == "ill-conditioned":
+                self.endpoint = np.zeros_like(self.endpoint)
 
-    monkeypatch.setattr(phigeo, "_condense", broken)
+        def step(self, residual):
+            return -super().step(residual)
+
+    monkeypatch.setattr(phigeo, "_Jacobian", Broken)
 
 
 MISS = r"\d\.\d{3}e[+-]\d\d"
@@ -941,14 +944,14 @@ def test_condensed_endpoint_map_is_the_single_shooting_jacobian(monkeypatch, lab
     # at the converged a: one march of the whole grid with n difference rows
     m = models.parse_model(label)
     x, y = models.base_point(m), models.canonical_target(m, ry)
-    condensed = []
-    condense = phigeo._condense
+    formed = []
 
-    def spy(*args):
-        condensed.append(condense(*args))
-        return condensed[-1]
+    class Spy(phigeo._Jacobian):
+        def __init__(self, *args):
+            super().__init__(*args)
+            formed.append(self)
 
-    monkeypatch.setattr(phigeo, "_condense", spy)
+    monkeypatch.setattr(phigeo, "_Jacobian", Spy)
     path = solve_bvp_shooting(m, PhiParams(0.5), x, y)
     assert path.minimal_evidence["shooting"]["segments"] > 2
     basis_x, basis_y = models.tangent_basis(m, x), models.tangent_basis(m, y)
@@ -961,7 +964,8 @@ def test_condensed_endpoint_map_is_the_single_shooting_jacobian(monkeypatch, lab
     ((p_end, _, _),) = phigeo._march(phigeo._Dynamics(m), [block])
     misses = np.array([basis_y @ models.log_map(m, y, p) for p in p_end])
     single = (misses[1:] - misses[0]).T / delta
-    endpoint = condensed[-1].endpoint
+    # the last Jacobian formed is the one the converged run held
+    endpoint = formed[-1].endpoint
     assert np.linalg.norm(endpoint - single) <= 1e-5 * np.linalg.norm(single)
     assert np.linalg.cond(endpoint) == pytest.approx(np.linalg.cond(single), rel=1e-5)
 
@@ -1024,13 +1028,15 @@ def test_trial_row_products_are_bitwise_the_per_row_loops(label):
 def _linear_trial(miss, jacobian):
     """A ``_newton`` trial that marches nothing: the miss of ``a`` is ``miss(a)``.
 
-    Its Jacobian is the one-segment ``_Condensed`` of a trial with no
-    joints: ``jacobian``, or the end map of ``kept`` when it reuses one.
+    With forward-difference rows its Jacobian is the one-segment
+    ``_Jacobian`` of a trial with no joints, ``jacobian``, and it counts
+    n + 1 rows; without, it forms none and counts row 0 only.
     """
-    def trial(a, kept):
+    def trial(a, fd_rows):
         m = miss(a)
-        end_jac = jacobian if kept is None else kept.end_jac
-        return m, phigeo._condense([], end_jac, np.empty((0, 2 * len(m))), m), None
+        if not fd_rows:
+            return m, None, None, 1
+        return m, None, phigeo._Jacobian([], jacobian), len(m) + 1
         yield  # a generator, like the real trials
 
     return trial
@@ -1043,13 +1049,33 @@ def test_condensing_no_joints_is_single_shooting_bitwise(seed):
     n = 2 + seed
     end_jac = rng.normal(size=(n, n)) + n * np.eye(n)  # well conditioned
     miss = rng.normal(size=n)
-    no_defects = np.empty((0, 2 * n))
-    condensed = phigeo._condense([], end_jac, no_defects, miss)
-    assert condensed.endpoint.tobytes() == end_jac.tobytes()
-    assert condensed.miss.tobytes() == miss.tobytes()
-    assert condensed.step().tobytes() == np.linalg.solve(end_jac, -miss).tobytes()
+    jacobian = phigeo._Jacobian([], end_jac)
+    assert jacobian.endpoint.tobytes() == end_jac.tobytes()
+    # the condensed miss M + H 0 is M, so the step is single shooting's
+    assert jacobian.step(miss).tobytes() == np.linalg.solve(end_jac, -miss).tobytes()
     end_jac[0, -1] = np.nan
-    assert not np.isfinite(phigeo._condense([], end_jac, no_defects, miss).endpoint).all()
+    assert not np.isfinite(phigeo._Jacobian([], end_jac).endpoint).all()
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+@pytest.mark.parametrize("joints", [1, 2, 3, 4])
+def test_condensed_step_with_joints_is_the_dense_newton_step(n, joints):
+    # the unknowns are a, then z_1..z_K; the residual is D_1..D_K, then M,
+    # with D_k = F_k(z_{k-1}) - z_k (z_0 = a) and M a function of z_K
+    rng = np.random.default_rng(10 * n + joints)
+    flows = [rng.normal(size=(2 * n, n))] + [rng.normal(size=(2 * n, 2 * n))
+                                             for _ in range(joints - 1)]
+    end_jac = rng.normal(size=(n, 2 * n))
+    residual = rng.normal(size=2 * n * joints + n)
+    dense = np.zeros((len(residual), len(residual)))
+    for k, flow in enumerate(flows):
+        rows = slice(2 * n * k, 2 * n * (k + 1))
+        dense[rows, max(0, 2 * n * k - n) : n + 2 * n * k] = flow
+        dense[rows, n + 2 * n * k : n + 2 * n * (k + 1)] = -np.eye(2 * n)
+    dense[-n:, -2 * n :] = end_jac
+    expected = np.linalg.solve(dense, -residual)
+    step = phigeo._Jacobian(flows, end_jac).step(residual)
+    assert np.linalg.norm(step - expected) <= 1e-12 * np.linalg.norm(expected)
 
 
 @pytest.mark.parametrize("case, reason, iterations, backtracks", [
@@ -1100,7 +1126,7 @@ def test_newton_refreshes_a_kept_jacobian_that_fails(case, reason, iterations, b
     kept_jac = {"right": np.eye(2), "wrong-sign": -np.eye(2),
                 "singular": np.array([[1.0, 0.0], [0.0, 0.0]]),
                 "too-large": 1000.0 * np.eye(2)}[case]
-    kept = phigeo._condense([], kept_jac, np.empty((0, 4)), np.zeros(2))
+    kept = phigeo._Jacobian([], kept_jac)
     trial = _linear_trial(lambda a: a - 1.0, np.eye(2))
     run = phigeo._newton(trial, np.zeros(2), 1e-10, 3, kept)
     with pytest.raises(StopIteration) as done:
@@ -1109,8 +1135,10 @@ def test_newton_refreshes_a_kept_jacobian_that_fails(case, reason, iterations, b
     assert (result.stop_reason, result.iterations, result.backtracks, result.refreshes) == (
         reason, iterations, backtracks, refreshes)
     assert result.marches == 1 + iterations + backtracks + refreshes
-    # every march before the refresh reused the kept Jacobian, and none after it
-    assert result.reuses == (1 + backtracks if refreshes else result.marches)
+    # every march before the refresh reused the kept Jacobian and carried
+    # row 0 only, and every march after it carried its 3 rows
+    reuses = 1 + backtracks if refreshes else result.marches
+    assert result.rows == reuses + 3 * (result.marches - reuses)
 
 
 def test_chord_fine_run_matches_a_fine_run_that_refreshes_every_trial(monkeypatch,
@@ -1135,6 +1163,39 @@ def test_chord_fine_run_matches_a_fine_run_that_refreshes_every_trial(monkeypatc
         assert abs(chord.action_J - fresh.action_J) <= 1e-10 * abs(fresh.action_J)
         assert abs(chord.C_value - fresh.C_value) <= 1e-10 * abs(fresh.C_value)
         assert np.max(np.abs(chord.pos - fresh.pos)) <= 1e-10 * np.max(np.abs(fresh.pos))
+
+
+@pytest.mark.parametrize("run", ["chord", "refresh"])
+def test_rows_marched_are_the_rows_the_fine_run_handed_to_march(monkeypatch, run):
+    # one chain cell; "refresh" hands the fine run a kept Jacobian that
+    # fails the conditioning check, so it refreshes before its first step
+    m = models.sphere_cylinder(2, 2)
+    if run == "refresh":
+        newton = phigeo._newton
+
+        def singular(trial, a, tol, max_newton, kept=None):
+            if kept is not None:
+                kept = copy.copy(kept)
+                kept.endpoint = np.zeros_like(kept.endpoint)
+            return newton(trial, a, tol, max_newton, kept)
+
+        monkeypatch.setattr(phigeo, "_newton", singular)
+    rounds = _spy_rounds(monkeypatch)
+    path = solve_bvp_shooting(m, PhiParams(0.1), models.base_point(m),
+                              models.canonical_target(m, 10.12))
+    counts = path.minimal_evidence["shooting"]
+    # a fine block's substeps are no longer than the default step
+    fine = [blocks for blocks, _ in rounds
+            if (blocks[0][3] / blocks[0][4] <= phigeo.MAX_IVP_STEP).all()]
+    assert len(fine) == counts["marches"]
+    assert counts["rows_marched"] == sum(len(block[0]) for blocks in fine for block in blocks)
+    if run == "chord":
+        assert counts["refreshes"] == 0
+        assert counts["rows_marched"] == counts["marches"] * counts["segments"]
+    else:
+        assert counts["refreshes"] == 1
+        assert counts["rows_marched"] == (counts["segments"] + (counts["marches"] - 1)
+                                          * _rows_per_trial(m, counts))
 
 
 def test_shooting_gaussian_straight_segment(rng):

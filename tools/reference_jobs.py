@@ -14,6 +14,9 @@ There is one job per subcommand, then one refusal per error exit code,
 so that the comparison covers stderr and the exit codes of the error
 paths too. OUT_DIR must be absent or empty. Uses the standard library
 only. Exits 0 when every job exited with its expected code, 1 otherwise.
+
+The committed set in ``tools/reference`` was generated with numpy 2.4.6
+on Python 3.11; another numpy may move its bytes.
 """
 
 from __future__ import annotations
