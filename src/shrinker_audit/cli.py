@@ -415,7 +415,7 @@ def main(argv=None) -> int:
     try:
         return _COMMANDS[args.command](_config_from_args(args))
     except (ConfigError, InvalidModelError, DegenerateEndpointsError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)  # an OSError: writing a report failed
+        print(f"error: {exc}", file=sys.stderr)  # an OSError: out cannot be checked or written
         return EXIT_CONFIG
     except (PreconditionError, DegenerateModelError, CutoffUndefinedError) as exc:
         print(f"refused: {exc}", file=sys.stderr)
