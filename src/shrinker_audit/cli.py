@@ -315,12 +315,14 @@ def cmd_audit_chain(config: RunConfig) -> int:
     model = _grid_model(config, "the audit chain")
     cells, lines = [], []
     for c_val, ry, params, x, y, shoot in _solved_cells(config, model):
-        _discrete(config, model, params, x, y, shoot)  # its evidence joins minimal_evidence
+        # the certification joins shoot.minimal_evidence
+        disc, _ = _discrete(config, model, params, x, y, shoot)
         reports = audit_mod.run_audit_chain(
             model, params, shoot, tol=config.audit_tol, cfg=FDConfig(h=config.fd_h)
         )
         lines += [f"cell c={c_val} ry={ry}:", *(f"  {r.summary_line()}" for r in reports)]
-        cells.append({"c": c_val, "ry": ry, "minimal_evidence": shoot.minimal_evidence,
+        evidence = {**shoot.minimal_evidence, "descent": disc.minimal_evidence["descent"]}
+        cells.append({"c": c_val, "ry": ry, "minimal_evidence": evidence,
                       "reports": [r.to_dict() for r in reports],
                       "ok": all(r.ok for r in reports)})
     print("\n".join(lines))

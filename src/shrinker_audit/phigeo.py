@@ -56,7 +56,8 @@ from .models import (
 )
 from .paths import PhiPath
 
-MAX_IVP_STEP = 1e-2
+# the default RK4 step and its cap
+MAX_IVP_STEP = 1.0 / 64
 DEFAULT_DRIFT_TOL = 1e-6
 # shooting's endpoint tolerance; a path shorter than 1 scales it by s_bar
 DEFAULT_SHOOT_TOL = 1e-10
@@ -209,7 +210,7 @@ def _substep_counts(gaps, step):
 
 # Most RK4 substeps shooting's fine schedule may take: as many per interval of
 # the largest grid quadrature.audit_grid admits as an interval of the default
-# density takes at MAX_IVP_STEP (7 for 1/16 at 1e-2). More are refused.
+# density takes at MAX_IVP_STEP (4 for 1/16 at 1/64). More are refused.
 MAX_SCHEDULE_SUBSTEPS = (int(_substep_counts(1.0 / quadrature.DEFAULT_DENSITY, MAX_IVP_STEP))
                          * quadrature.MAX_GRID_INTERVALS)
 

@@ -1,5 +1,6 @@
 import argparse
 import contextlib
+import functools
 import io
 import json
 import math
@@ -188,17 +189,15 @@ def test_density_beyond_any_float_exits_2(tmp_path, capsys, text, field):
     RunConfig(density=quadrature.MAX_DENSITY).validate()
 
 
-@pytest.mark.parametrize("command", ["scan", "geodesic"])
-def test_tiny_step_refused_before_marching(tmp_path, capsys, monkeypatch, command):
-    # step 1e-7 over r_y = 10 is 1e8 RK4 substeps; a march would fail the test at once
+def _assert_refused_before_marching(tmp_path, capsys, monkeypatch, command, ry, step):
     def no_march(*args):
         raise AssertionError("marched a schedule beyond MAX_SCHEDULE_SUBSTEPS")
 
     monkeypatch.setattr(phigeo, "_march", no_march)
     cfg_path = tmp_path / "step.json"
-    cfg_path.write_text(json.dumps({"step": 1e-7}))
+    cfg_path.write_text(json.dumps({"step": step}))
     out = tmp_path / "out"
-    assert main([command, "--ry", "10", "--config", str(cfg_path), "--out", str(out)]) \
+    assert main([command, "--ry", str(ry), "--config", str(cfg_path), "--out", str(out)]) \
         == EXIT_REFUSED
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1 and err[0].startswith("refused:")
@@ -206,12 +205,33 @@ def test_tiny_step_refused_before_marching(tmp_path, capsys, monkeypatch, comman
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["scan", "geodesic"])
+def test_tiny_step_refused_before_marching(tmp_path, capsys, monkeypatch, command):
+    # step 1e-7 over r_y = 10 is 1e8 RK4 substeps; a march would fail the test at once
+    _assert_refused_before_marching(tmp_path, capsys, monkeypatch, command, 10, 1e-7)
+
+
+@pytest.mark.parametrize("command", ["scan", "geodesic"])
+def test_step_0_01_on_a_grid_past_the_bound_is_refused(tmp_path, capsys, monkeypatch, command):
+    # step 0.01 splits a 1/16 interval in 7 substeps, so a grid of more than
+    # MAX_SCHEDULE_SUBSTEPS // 7 = 37 449 intervals is refused at it, though
+    # the default step's 4 substeps per interval admit the grid
+    ry = 3000.0
+    gaps = np.diff(quadrature.audit_grid(ry)[0])
+    assert len(gaps) > phigeo.MAX_SCHEDULE_SUBSTEPS // 7
+    assert (phigeo._substep_counts(gaps, phigeo.MAX_IVP_STEP).sum()
+            <= phigeo.MAX_SCHEDULE_SUBSTEPS < phigeo._substep_counts(gaps, 0.01).sum())
+    _assert_refused_before_marching(tmp_path, capsys, monkeypatch, command, ry, 0.01)
+
+
 def test_substep_bound_admits_every_default_grid():
     # the largest grid audit_grid admits at the default density, at the default step
     s, _ = quadrature.audit_grid(4096.0)
     assert len(s) - 1 == quadrature.MAX_GRID_INTERVALS
     substeps = phigeo._substep_counts(np.diff(s), phigeo.MAX_IVP_STEP).sum()
-    assert substeps == 7 * quadrature.MAX_GRID_INTERVALS <= phigeo.MAX_SCHEDULE_SUBSTEPS
+    per_interval = phigeo._substep_counts(1.0 / quadrature.DEFAULT_DENSITY, phigeo.MAX_IVP_STEP)
+    assert substeps == per_interval * quadrature.MAX_GRID_INTERVALS \
+        <= phigeo.MAX_SCHEDULE_SUBSTEPS
 
 
 @pytest.mark.parametrize("N", [quadrature.MAX_GRID_INTERVALS + 1, 10**8])
@@ -273,15 +293,35 @@ def test_audit_chain_small_grid(tmp_path):
 
 def test_geodesic_and_one_cell_audit_chain_shoot_the_same_path(tmp_path):
     # both shoot, solve discretely and certify through the same code, so a
-    # one-cell grid's evidence is the geodesic's, shooting counts included
+    # one-cell grid's evidence is the geodesic's, shooting counts included,
+    # and its descent entry is the geodesic's discrete one
     grid = ["--model", "cylinder:k=2,m=2", "--c", "0.1", "--ry", "5"]
     assert main(["geodesic", *grid, "--out", str(tmp_path / "geo")]) == EXIT_OK
     assert main(["audit-chain", *grid, "--out", str(tmp_path / "chain")]) == EXIT_OK
-    geo = read_json(tmp_path / "geo" / "geodesic_summary.json")["shooting"]
+    geo = read_json(tmp_path / "geo" / "geodesic_summary.json")
     (cell,) = read_json(tmp_path / "chain" / "audit_chain.json")["cells"]
-    assert "shooting" in cell["minimal_evidence"] and "J_agree" in cell["minimal_evidence"]
-    assert json.dumps(cell["minimal_evidence"], sort_keys=True) == json.dumps(
-        geo["minimal_evidence"], sort_keys=True)
+    evidence = dict(cell["minimal_evidence"])
+    assert evidence.pop("descent") == geo["discrete"]["minimal_evidence"]["descent"]
+    assert "shooting" in evidence and "J_agree" in evidence
+    assert json.dumps(evidence, sort_keys=True) == json.dumps(
+        geo["shooting"]["minimal_evidence"], sort_keys=True)
+
+
+def test_audit_chain_reports_each_cells_descent(tmp_path):
+    # a cell's descent entry is that of a lone discrete solve of its problem
+    model = models.sphere_cylinder(2, 2)
+    assert main(["audit-chain", "--model", "cylinder:k=2,m=2", "--c", "0.1,0.5",
+                 "--ry", "5,7", "--N", "64", "--out", str(tmp_path)]) == EXIT_OK
+    cells = read_json(tmp_path / "audit_chain.json")["cells"]
+    assert [(cell["c"], cell["ry"]) for cell in cells] == [(0.1, 5), (0.1, 7), (0.5, 5), (0.5, 7)]
+    for cell in cells:
+        alone = phigeo.minimize_action_discrete(
+            model, phigeo.PhiParams(cell["c"]), models.base_point(model),
+            models.canonical_target(model, cell["ry"]), N=64)
+        descent = alone.minimal_evidence["descent"]
+        assert set(descent) == {"backtracks", "discrete_action", "grad_norm", "grad_tol",
+                                "iterations", "stop_reason"}
+        assert cell["minimal_evidence"]["descent"] == json.loads(json.dumps(descent))
 
 
 def test_audit_chain_rejects_c_at_least_one(tmp_path, capsys):
@@ -608,22 +648,43 @@ def test_fuzzed_verify_identities_exits_with_a_documented_code(tmp_path_factory,
         assert "NaN" not in report.read_text()
 
 
+@functools.cache
+def _drift_threshold():
+    """A ``drift_tol`` that the c = 0.1 cells pass and the c = 0.9 cell fails.
+
+    Shooting's drift on cylinder:k=2,m=2 at r_y = 5 grows with c and with
+    the step. The threshold is the geometric mean of the c = 0.1 and c = 0.9
+    drifts, measured at least 10x apart, so a change of step moves it with
+    them. Returns the threshold and the failing cell's drift.
+    """
+    m = models.sphere_cylinder(2, 2)
+    x = models.base_point(m)
+    passing, failing = (
+        phigeo.solve_bvp_shooting(m, phigeo.PhiParams(c), x, models.canonical_target(m, ry)).drift
+        for c, ry in [(0.1, 5.0), (0.9, 5.0)])
+    assert 10.0 * passing <= failing
+    return math.sqrt(passing * failing), failing
+
+
+DRIFT = "measured"  # stands for _drift_threshold()'s drift_tol
+
+
 @pytest.mark.parametrize(
     "argv, drift_tol, code, err",
     [
         # cell 0 is refused after its solve, cell 1 before any solve
         (["scan", "--c", "0.1", "--ry", "3,1.5"], None, EXIT_REFUSED,
          "refused: cylinder:k=2,m=2: scan precondition r(y) >= max(sqrt(2n), 3A) = "
-         "3.0518582978101723 fails at r(y) = 3.0"),
+         "3.0518582978098383 fails at r(y) = 3.0"),
         # cell 0 passes; cell 1 is refused before any solve; cell 2 fails its solve
-        (["scan", "--c", "0.1,0.9", "--ry", "5,1.5"], 1e-12, EXIT_REFUSED,
+        (["scan", "--c", "0.1,0.9", "--ry", "5,1.5"], DRIFT, EXIT_REFUSED,
          "refused: cylinder:k=2,m=2: scan needs r(y) >= 2 for the cutoff (got 1.5)"),
         # cell 0 passes; cell 1 fails in shooting
-        (["audit-chain", "--c", "0.1,0.9", "--ry", "5", "--N", "16"], 1e-12, EXIT_SOLVER,
-         "solver failure: conserved-quantity drift 1.038e-11 exceeds 1.0e-12; "
-         "step 0.01 is too large"),
+        (["audit-chain", "--c", "0.1,0.9", "--ry", "5", "--N", "16"], DRIFT, EXIT_SOLVER,
+         "solver failure: conserved-quantity drift {drift:.3e} exceeds {drift_tol:.1e}; "
+         "step {step} is too large"),
         # cell 0 is refused in its audits, after cell 3's solve has failed
-        (["audit-chain", "--c", "0.1,0.9", "--ry", "1.5,5", "--N", "16"], 1e-12, EXIT_REFUSED,
+        (["audit-chain", "--c", "0.1,0.9", "--ry", "1.5,5", "--N", "16"], DRIFT, EXIT_REFUSED,
          "refused: trapezoid cutoff needs s_bar >= 2 (got 1.5)"),
         # the compared values are printed in full: each is refused by a
         # rounding error that fewer digits would hide
@@ -633,7 +694,7 @@ def test_fuzzed_verify_identities_exits_with_a_documented_code(tmp_path_factory,
          "refused: sphere:n=3: scan needs r(y) >= 2 for the cutoff (got 1.9999999999999998)"),
         (["scan", "--model", "sphere:n=3", "--c", "0.5", "--ry", "3"], None, EXIT_REFUSED,
          "refused: sphere:n=3: scan precondition r(y) >= max(sqrt(2n), 3A) = "
-         "3.000000000009927 fails at r(y) = 3.0"),
+         "3.0000000000928893 fails at r(y) = 3.0"),
     ],
     ids=["scan-precondition-then-cutoff", "scan-pass-cutoff-drift", "audit-chain-pass-drift",
          "audit-chain-cutoff-then-drift", "audit-chain-cutoff-digits", "scan-cutoff-digits",
@@ -645,6 +706,9 @@ def test_grid_errors_come_in_grid_order(tmp_path, capsys, argv, drift_tol, code,
     if "--model" not in argv:
         argv = argv + ["--model", "cylinder:k=2,m=2"]
     cfg = []
+    if drift_tol is DRIFT:
+        drift_tol, drift = _drift_threshold()
+        err = err.format(drift=drift, drift_tol=drift_tol, step=phigeo.MAX_IVP_STEP)
     if drift_tol is not None:
         cfg_path = tmp_path / "run.json"
         cfg_path.write_text(json.dumps({"drift_tol": drift_tol}))

@@ -587,39 +587,45 @@ def test_segmented_predictor_starts_an_antipodal_pair_on_the_tie_break(label):
 
 
 def test_shooting_batch_keeps_each_failure_in_its_slot(monkeypatch):
-    # x == y fails before any march; at drift_tol 5e-12 the c = 0.9 cell
-    # fails its drift check after its last fine march. Every fine run starts
-    # once the last coarse trial has marched, so a cell is stepped after that
-    # failure only if its fine run takes more marches. With every predictor
-    # starved, it stops after two marches, each fine run starts from its
-    # initial guess, and the c = 0.5 cells, the longer r_y = 20.21 one among
-    # them, need one march more.
+    # x == y fails before any march; the c = 0.9 cell fails its drift check
+    # after its last fine march. Every fine run starts once the last coarse
+    # trial has marched, so a cell is stepped after that failure only if its
+    # fine run takes more marches. With every predictor starved, it stops
+    # after two marches, each fine run starts from its initial guess, and the
+    # c = 0.15 cells need one march more.
     _starve_predictor(monkeypatch)
     m = models.sphere_cylinder(2, 2)
     x = models.base_point(m)
     problems = [(PhiParams(0.1), x, models.canonical_target(m, 4.0)),
                 (PhiParams(0.1), x, x.copy()),
                 (PhiParams(0.9), x, models.canonical_target(m, 5.0)),
-                (PhiParams(0.5), x, models.canonical_target(m, 7.0)),
-                (PhiParams(0.5), x, models.canonical_target(m, 20.21))]
+                (PhiParams(0.15), x, models.canonical_target(m, 12.0)),
+                (PhiParams(0.15), x, models.canonical_target(m, 20.21))]
+    # the drift grows with c: drift_tol sits at the geometric mean of the
+    # failing cell's drift and the largest passing one, measured at least
+    # 10x apart, so it holds its place when the step changes
+    alone = {i: solve_bvp_shooting(m, *problems[i]) for i in (0, 2, 3, 4)}
+    passing = max(alone[i].drift for i in (0, 3, 4))
+    assert 10.0 * passing <= alone[2].drift
+    drift_tol = math.sqrt(passing * alone[2].drift)
     rounds = _spy_rounds(monkeypatch)
-    results = solve_bvp_shooting_batch(m, problems, drift_tol=5e-12)
+    results = solve_bvp_shooting_batch(m, problems, drift_tol=drift_tol)
     batch_rounds = rounds[:]
     assert isinstance(results[1], DegenerateEndpointsError)
     assert isinstance(results[2], DriftExceededError)
-    # the failed cell marched as it does at the default drift_tol
-    failed = solve_bvp_shooting(m, *problems[2])
+    assert f"drift {alone[2].drift:.3e} exceeds" in str(results[2])
     for i in (0, 3, 4):
-        _assert_same_path(results[i], solve_bvp_shooting(m, *problems[i], drift_tol=5e-12))
+        _assert_same_path(results[i], alone[i])
 
-    cells = [results[0], failed, results[3], results[4]]
+    # the failed cell marched as it does at the default drift_tol
+    cells = [alone[i] for i in (0, 2, 3, 4)]
     counts = [path.minimal_evidence["shooting"] for path in cells]
     assert [k["predictor"]["marches"] for k in counts] == [2, 2, 2, 2]
     assert [k["marches"] for k in counts] == [3, 3, 4, 4]
-    # the failure comes after round 2 + 3, and the c = 0.5 cells march on
+    # the failure comes after round 2 + 3, and the c = 0.15 cells march on
     assert len(batch_rounds) == 2 + 4
     last_blocks, _ = batch_rounds[-1]
-    assert {cR for _, _, cR, _, _ in last_blocks} == {0.5 * m.scalar_R}
+    assert {cR for _, _, cR, _, _ in last_blocks} == {0.15 * m.scalar_R}
     _assert_coarse_rounds_first(batch_rounds)
 
 
@@ -686,10 +692,10 @@ def test_failed_predictor_leaves_the_fine_run_as_it_was(monkeypatch, perfbench_p
     predictor = counts.pop("predictor")
     assert predictor["stop_reason"] == "budget-exhausted"
     assert predictor["newton_iterations"] == 1 and predictor["final_miss"] >= 1e-10
-    assert counts == {"newton_iterations": 2, "backtracks": 0, "marches": 3, "rk4_steps": 3444,
-                      "final_miss": 8.881784197001252e-12, "stop_reason": "converged",
+    assert counts == {"newton_iterations": 2, "backtracks": 0, "marches": 3, "rk4_steps": 1968,
+                      "final_miss": 9.908518450174597e-12, "stop_reason": "converged",
                       "rows_marched": 15, "refreshes": 0}
-    assert (path.C_value, path.action_J) == (0.9734003114616471, 10.39312938357688)
+    assert (path.C_value, path.action_J) == (0.9734003114614642, 10.393129383575397)
     assert abs(path.C_value - perfbench_paths[0].C_value) <= 1e-10
     assert abs(path.action_J - perfbench_paths[0].action_J) <= 1e-10
 
@@ -911,8 +917,8 @@ def test_shooting_batch_mixing_predictor_and_segment_trials_matches_solo_solves(
 def test_shooting_rounds_of_the_chain_cells(monkeypatch):
     # perfbench's chain workload shoots these four cells in one batch: the
     # c = 0.5 predictors take four marches and the c = 0.1 ones three, and
-    # every fine run two, so the batch marches 4 coarse rounds of 7 steps,
-    # then 2 fine ones of 56
+    # every fine run two, so the batch marches 4 coarse rounds of 4 steps,
+    # then 2 fine ones of 32
     m = models.sphere_cylinder(2, 2)
     x = models.base_point(m)
     problems = [(PhiParams(c), x, models.canonical_target(m, ry))
@@ -935,7 +941,7 @@ def test_shooting_rounds_of_the_chain_cells(monkeypatch):
     # a round costs the substeps of its longest block
     assert len(steps) == sum(
         max(block[4].sum() for block in blocks)
-        for blocks, _ in rounds) == 140
+        for blocks, _ in rounds) == 80
 
 
 @pytest.mark.parametrize("label, ry", [("cylinder:k=2,m=2", 40.3), ("sphere:n=3", 5.5)])
@@ -993,14 +999,14 @@ def test_single_shooting_cases_keep_their_bits(monkeypatch, case):
     counts = path.minimal_evidence["shooting"]
     predictor = counts.pop("predictor")
     expected = {
-        "one-segment": ({"newton_iterations": 1, "backtracks": 0, "marches": 2, "rk4_steps": 400,
-                         "final_miss": 1.7763568394002505e-15, "stop_reason": "converged",
+        "one-segment": ({"newton_iterations": 1, "backtracks": 0, "marches": 2, "rk4_steps": 256,
+                         "final_miss": 4.440892098500626e-16, "stop_reason": "converged",
                          "rows_marched": 2, "refreshes": 0},
-                        0.9216545781977804, 2.1569501351383495, "701a30ddadba299f"),
+                        0.9216545781973368, 2.156950135138625, "8fcd9078a1894869"),
         "starved-predictor": ({"newton_iterations": 3, "backtracks": 0, "marches": 4,
-                               "rk4_steps": 9072, "final_miss": 3.170796958329447e-11,
+                               "rk4_steps": 5184, "final_miss": 3.115729896308039e-11,
                                "stop_reason": "converged", "rows_marched": 20, "refreshes": 0},
-                              0.935833586593772, 21.61903500346927, "29f4a816838fb3b3"),
+                              0.9358335865939783, 21.619035003480107, "1ce4098320073006"),
     }[case]
     assert (counts, path.C_value, path.action_J, _digest(path)) == expected
     assert predictor["stop_reason"] == ("converged" if case == "one-segment"
@@ -1211,6 +1217,18 @@ def test_shooting_gaussian_straight_segment(rng):
     offsets = path.pos - x
     residual = offsets - np.outer(offsets @ direction, direction)
     assert np.max(np.abs(residual)) <= 1e-8
+
+
+@pytest.mark.parametrize("c", [0.1, 0.5])
+def test_default_step_is_in_the_rk4_asymptotic_range(c):
+    # on the sphere:n=2 quarter arc, where C* = 1 - c, each halving of the
+    # default step divides |C - C*| by 2^4: the observed order lies in 4 +- 0.2
+    m = models.parse_model("sphere:n=2")
+    x, y = models.base_point(m), models.canonical_target(m, math.pi / math.sqrt(2.0))
+    errors = [abs(solve_bvp_shooting(m, PhiParams(c), x, y, step=phigeo.MAX_IVP_STEP / k).C_value
+                  - (1.0 - c)) for k in (1, 2, 4)]
+    orders = np.log2(np.array(errors[:-1]) / np.array(errors[1:]))
+    assert np.all(np.abs(orders - 4.0) <= 0.2)
 
 
 def test_shooting_round_sphere_unit_speed():
