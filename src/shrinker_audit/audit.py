@@ -6,14 +6,9 @@ estimate. Audits never claim more than the numerics support: a report is
 ``conclusive`` only when the quadrature error is at most 1% of the margin,
 and the pass flag always carries its tolerance.
 
-Path audits integrate against the trapezoid cutoff (ramp up on [0, 1],
-plateau, ramp down on [s_bar - 1, s_bar]), so they require pieces of the
-path to start at both kinks; ``solve_bvp_shooting``'s ``audit_grid`` pieces
-do whenever s_bar >= 2, and the scan snaps its window to that grid.
-``_cutoff`` checks both once per audit and hands zeta at the nodes, the
-path's pieces and the two slope-weighted ramp pieces to
-``quadrature.integrate_pieces``, which forms every integral and its error
-estimate, the scan's window integral included.
+Path audits integrate against ``quadrature.cutoff``, the trapezoid cutoff
+on the path's ``audit_grid`` pieces, through ``quadrature.integrate_pieces``,
+and the scan snaps its window to that grid.
 
 The scan comes in three parts so that a grid of cells can share its solves:
 ``check_good_point_target`` (the refusals that need no path), the shooting
@@ -50,7 +45,7 @@ from .models import (
     validate_point,
 )
 from .numgeom import Chart, FDConfig, ricci_fd, weighted_laplacians_at_centers
-from .paths import PhiPath
+from .quadrature import PhiPath, cutoff
 from .phigeo import MAX_IVP_STEP, PhiParams, phi_value, solve_bvp_shooting
 
 DEFAULT_TOL = 1e-6
@@ -118,31 +113,8 @@ class AuditReport:
 
 
 # ---------------------------------------------------------------------------
-# Grid plumbing for cutoff-weighted quadrature
+# Path audit plumbing
 # ---------------------------------------------------------------------------
-
-
-def _cutoff(path: PhiPath):
-    """The trapezoid cutoff on a path with pieces starting at s = 1 and at
-    s = s_bar - 1, ready for ``quadrature.integrate_pieces``: ``(zeta,
-    whole, ramps)``. ``zeta`` is the cutoff at the nodes, ``whole`` the
-    path's pieces ``(i0, i1, 1.0)``, and ``ramps`` the two ramp pieces
-    weighted by their slope zeta' = +1 / -1, read off each piece's end
-    nodes (so s_bar = 2, which has no plateau piece, needs no special case).
-    """
-    s, s_bar = path.s, path.s_bar
-    if s_bar < 2.0:
-        raise CutoffUndefinedError(f"trapezoid cutoff needs s_bar >= 2 (got {s_bar!r})")
-    starts = s[[i0 for i0, _ in path.pieces]]
-    for kink in (1.0, s_bar - 1.0):
-        if not np.any(np.abs(starts - kink) <= 1e-9 * (1.0 + kink)):
-            raise ValueError("path grid is not aligned to the cutoff kinks; sample it "
-                             "on quadrature.audit_grid (solve_bvp_shooting does so)")
-    zeta = np.minimum(np.minimum(s, 1.0), s_bar - s)
-    whole = [(i0, i1, 1.0) for i0, i1 in path.pieces]
-    slopes = [round((zeta[i1] - zeta[i0]) / (s[i1] - s[i0])) for i0, i1 in path.pieces]
-    ramps = [(i0, i1, float(k)) for (i0, i1), k in zip(path.pieces, slopes) if k]
-    return zeta, whole, ramps
 
 
 def _boundary_coupling(model: ModelSpec, path: PhiPath, zeta: np.ndarray, ramps):
@@ -324,7 +296,7 @@ def second_variation_audit(model: ModelSpec, params: PhiParams, path: PhiPath,
     FD-evaluated along the path. RHS: n * integral of slope^2 minus twice
     the slope-weighted boundary coupling with grad f.
     """
-    zs, whole, ramps = _cutoff(path)
+    zs, whole, ramps = cutoff(path)
     rc_term = 0.5 * path.speed_sq()
     (lap_phi,) = _drifted_laplacians(model, path.pos, cfg,
                                      lambda q: phi_value(model, params, q))
@@ -343,7 +315,7 @@ def combined_integral_audit(model: ModelSpec, params: PhiParams, path: PhiPath,
     """Combined inequality mixing the curvature ratio, the speed, and the
     boundary coupling, all weighted by the cutoff."""
     validate_point(model, path.pos)
-    zs, whole, ramps = _cutoff(path)
+    zs, whole, ramps = cutoff(path)
     n = model.n
     f = potential_f(model, path.pos)
     safe = f > 0.0
@@ -365,7 +337,7 @@ def combined_integral_audit(model: ModelSpec, params: PhiParams, path: PhiPath,
 def boundary_term_audit(model: ModelSpec, params: PhiParams, path: PhiPath,
                         tol: float = DEFAULT_TOL) -> AuditReport:
     """Slope-weighted boundary coupling against its closed-form estimate."""
-    zs, _, ramps = _cutoff(path)
+    zs, _, ramps = cutoff(path)
     boundary, err_b = _boundary_coupling(model, path, zs, ramps)
     lhs = -boundary
     a_bound = _speed_bound(path, params)
@@ -414,13 +386,10 @@ def _weighted_ricci_bound(model: ModelSpec, params: PhiParams, a_bound: float,
 def weighted_ricci_integral_audit(model: ModelSpec, params: PhiParams, path: PhiPath,
                                   tol: float = DEFAULT_TOL) -> AuditReport:
     """Cutoff-weighted integral of |Rc|^2/f against its explicit bound."""
-    if model.degenerate:
-        raise DegenerateModelError(
-            f"{model}: weighted curvature integral needs f(O) > 0 (degenerate: R == 0)"
-        )
+    _require_f_origin(model, "weighted curvature integral")
     validate_point(model, path.pos)
     x, y = path.pos[0], path.pos[-1]
-    zs, whole, _ = _cutoff(path)
+    zs, whole, _ = cutoff(path)
     f = potential_f(model, path.pos)
     lhs, qerr = quadrature.integrate_pieces(path.s, zs * zs * model.ricci_norm_sq / f, whole)
     d_xy = float(distance(model, x, y))
@@ -431,6 +400,19 @@ def weighted_ricci_integral_audit(model: ModelSpec, params: PhiParams, path: Phi
     ctx = _path_context(model, params, path)
     ctx.update({"f_origin": f_origin, "d_xy": d_xy, "r_x": r_x, "r_y": r_y})
     return AuditReport("weighted-ricci-integral", lhs, rhs, tol, qerr, context=ctx)
+
+
+def _require_f_origin(model: ModelSpec, task: str) -> None:
+    if model.degenerate:
+        raise DegenerateModelError(f"{model}: {task} needs f(O) > 0 (degenerate: R == 0)")
+
+
+def check_audit_chain_target(model: ModelSpec, y: np.ndarray) -> None:
+    """Refuse an audit-chain target before any solve, with the error the
+    chain would raise on its path: r(y) < 2 for the cutoff, then R == 0 for
+    the weighted curvature integral. The path from O runs over s_bar = r(y)."""
+    quadrature.check_cutoff_length(float(distance(model, base_point(model), y)))
+    _require_f_origin(model, "weighted curvature integral")
 
 
 def run_audit_chain(model: ModelSpec, params: PhiParams, path: PhiPath,
@@ -495,10 +477,7 @@ def find_good_point(model: ModelSpec, params: PhiParams, y: np.ndarray,
 
 def check_good_point_target(model: ModelSpec, y: np.ndarray) -> None:
     """Refuse a scan target before any solve: a degenerate model, or r(y) < 2."""
-    if model.degenerate:
-        raise DegenerateModelError(
-            f"{model}: scan needs f(O) > 0 (degenerate: R == 0)"
-        )
+    _require_f_origin(model, "scan")
     r_y = float(distance(model, base_point(model), y))
     if r_y < 2.0:
         raise CutoffUndefinedError(

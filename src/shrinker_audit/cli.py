@@ -5,8 +5,9 @@ Four subcommands: ``verify-identities`` (pointwise identity suite),
 ``audit-chain`` (the displayed inequality chain over a (c, r_y) grid), and
 ``scan`` (the good-point scanner with the empirical uniform constant).
 
-Reports are JSON with sorted keys, paths are CSV; identical configuration
-and seed produce byte-identical output.
+This module writes every output file: reports are JSON with sorted keys,
+paths are CSV; identical configuration and seed produce byte-identical
+output.
 
 Exit codes: 0 success, 2 bad configuration / degenerate endpoints / an
 output that cannot be written, 3 solver failure, 4 typed refusal
@@ -36,15 +37,17 @@ from .errors import (
     ShrinkerAuditError,
     SolverError,
 )
-from .models import base_point, canonical_target, parse_model, random_points
-from .numgeom import CHART_RADIUS, FDConfig
-from .phigeo import (
-    PhiParams,
-    certify_minimal_candidate,
-    minimize_action_discrete,
-    path_json_dict,
-    write_path_csv,
+from .models import (
+    ModelSpec,
+    base_point,
+    canonical_target,
+    parse_model,
+    radial_distance,
+    random_points,
 )
+from .numgeom import CHART_RADIUS, FDConfig
+from .phigeo import PhiParams, certify_minimal_candidate, minimize_action_discrete, phi_value
+from .quadrature import PhiPath
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -220,6 +223,52 @@ def _report(config: RunConfig, command: str, filename: str, ok: bool, **fields) 
     return EXIT_OK if ok else 1
 
 
+def path_csv_lines(model: ModelSpec, params: PhiParams, path: PhiPath):
+    """CSV rows: s, point coords, velocity coords, |S|^2, phi, r."""
+    dim = model.ambient_dim
+    header = (
+        ["s"]
+        + [f"p{i}" for i in range(dim)]
+        + [f"v{i}" for i in range(dim)]
+        + ["speed_sq", "phi", "r"]
+    )
+    yield ",".join(header)
+    speed_sq = path.speed_sq()
+    phis = phi_value(model, params, path.pos)
+    radii = radial_distance(model, path.pos)
+    for i in range(path.n_nodes):
+        row = (
+            [repr(float(path.s[i]))]
+            + [repr(float(v)) for v in path.pos[i]]
+            + [repr(float(v)) for v in path.vel[i]]
+            + [repr(float(speed_sq[i])), repr(float(phis[i])), repr(float(radii[i]))]
+        )
+        yield ",".join(row)
+
+
+def write_path_csv(dest, model: ModelSpec, params: PhiParams, path: PhiPath) -> None:
+    with open(dest, "w", encoding="utf-8") as handle:
+        for line in path_csv_lines(model, params, path):
+            handle.write(line + "\n")
+
+
+def path_json_dict(model: ModelSpec, params: PhiParams, path: PhiPath) -> dict:
+    return {
+        "model": model.label,
+        "c": params.c,
+        "s_bar": path.s_bar,
+        "n_nodes": path.n_nodes,
+        "C_value": path.C_value,
+        "drift": path.drift,
+        "action_J": path.action_J,
+        "is_minimal_candidate": path.is_minimal_candidate,
+        "minimal_evidence": path.minimal_evidence,
+        "flags": list(path.flags),
+        "start": [float(v) for v in path.pos[0]],
+        "end": [float(v) for v in path.pos[-1]],
+    }
+
+
 def _solved_cells(config: RunConfig, model, check=None):
     """Shoot every (c, r_y) cell of the config's grid in one lockstep
     ``solve_bvp_shooting_batch``, with the config's solver fields.
@@ -314,7 +363,8 @@ def cmd_geodesic(config: RunConfig) -> int:
 def cmd_audit_chain(config: RunConfig) -> int:
     model = _grid_model(config, "the audit chain")
     cells, lines = [], []
-    for c_val, ry, params, x, y, shoot in _solved_cells(config, model):
+    for c_val, ry, params, x, y, shoot in _solved_cells(
+            config, model, audit_mod.check_audit_chain_target):
         # the certification joins shoot.minimal_evidence
         disc, _ = _discrete(config, model, params, x, y, shoot)
         reports = audit_mod.run_audit_chain(

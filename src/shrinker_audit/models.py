@@ -45,7 +45,7 @@ from .errors import (
     InvalidPointError,
     PreconditionError,
 )
-from .paths import PhiPath
+from .quadrature import PhiPath
 
 # Validation tolerances: stored points are kept machine-normalized, these are
 # the thresholds at which inputs are rejected as off-manifold.

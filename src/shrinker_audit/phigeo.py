@@ -49,12 +49,11 @@ from .models import (
     potential_f,
     project_point,
     project_tangent,
-    radial_distance,
     tangent_basis,
     validate_point,
     validate_tangent,
 )
-from .paths import PhiPath
+from .quadrature import PhiPath
 
 # the default RK4 step and its cap
 MAX_IVP_STEP = 1.0 / 64
@@ -1046,53 +1045,3 @@ def certify_minimal_candidate(
         path.minimal_evidence.update(evidence)
     return evidence
 
-
-# ---------------------------------------------------------------------------
-# Serialization
-# ---------------------------------------------------------------------------
-
-
-def path_csv_lines(model: ModelSpec, params: PhiParams, path: PhiPath):
-    """CSV rows: s, point coords, velocity coords, |S|^2, phi, r."""
-    dim = model.ambient_dim
-    header = (
-        ["s"]
-        + [f"p{i}" for i in range(dim)]
-        + [f"v{i}" for i in range(dim)]
-        + ["speed_sq", "phi", "r"]
-    )
-    yield ",".join(header)
-    speed_sq = path.speed_sq()
-    phis = phi_value(model, params, path.pos)
-    radii = radial_distance(model, path.pos)
-    for i in range(path.n_nodes):
-        row = (
-            [repr(float(path.s[i]))]
-            + [repr(float(v)) for v in path.pos[i]]
-            + [repr(float(v)) for v in path.vel[i]]
-            + [repr(float(speed_sq[i])), repr(float(phis[i])), repr(float(radii[i]))]
-        )
-        yield ",".join(row)
-
-
-def write_path_csv(dest, model: ModelSpec, params: PhiParams, path: PhiPath) -> None:
-    with open(dest, "w", encoding="utf-8") as handle:
-        for line in path_csv_lines(model, params, path):
-            handle.write(line + "\n")
-
-
-def path_json_dict(model: ModelSpec, params: PhiParams, path: PhiPath) -> dict:
-    return {
-        "model": model.label,
-        "c": params.c,
-        "s_bar": path.s_bar,
-        "n_nodes": path.n_nodes,
-        "C_value": path.C_value,
-        "drift": path.drift,
-        "action_J": path.action_J,
-        "is_minimal_candidate": path.is_minimal_candidate,
-        "minimal_evidence": path.minimal_evidence,
-        "flags": list(path.flags),
-        "start": [float(v) for v in path.pos[0]],
-        "end": [float(v) for v in path.pos[-1]],
-    }

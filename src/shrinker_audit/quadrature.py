@@ -1,12 +1,15 @@
-"""Piecewise composite Simpson quadrature on kink-aligned path grids.
+"""The path grid: sampled paths, their kink-aligned pieces, the trapezoid
+cutoff and piecewise composite Simpson quadrature.
 
-The trapezoid cutoff used by the audits is piecewise polynomial with kinks
-at s = 1 and s = s_bar - 1. Integrating it with a quadrature whose nodes
-straddle a kink would degrade the order, so ``audit_grid``, the one
+The trapezoid cutoff zeta used by the path audits ramps up on [0, 1], is 1
+on the plateau and ramps down on [s_bar - 1, s_bar]. It is piecewise
+polynomial with kinks at s = 1 and s = s_bar - 1, and a quadrature whose
+nodes straddle a kink would degrade the order. So ``audit_grid``, the one
 path-grid builder, puts a node at every kink and is uniform between them.
 It hands back those uniform pieces as node index ranges, which a
-``PhiPath`` carries as its ``pieces``. Simpson's rule is exact for cubics,
-which makes the cutoff factors integrate exactly piece by piece.
+``PhiPath`` carries and checks as its ``pieces``, and ``cutoff`` reads the
+kinks back off them. Simpson's rule is exact for cubics, which makes the
+cutoff factors integrate exactly piece by piece.
 
 ``integrate_pieces`` is the package's one quadrature-with-error routine:
 the path audits, the scan window and the action all integrate through it.
@@ -16,6 +19,7 @@ from __future__ import annotations
 
 import math
 import sys
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -60,9 +64,7 @@ def integrate_pieces(s: np.ndarray, y: np.ndarray, pieces):
     the result is ``(sum of weight * integral, sum of piece errors)``, summed
     in piece order. A piece's error compares its Simpson value against the
     rule on the 2x-coarsened piece when the interval count is even, else
-    against the (much cruder) trapezoid rule. Each piece must be uniform;
-    nothing here checks it. A ``PhiPath`` checks its pieces once, when it
-    is made, and the scan's window lies inside one of them.
+    against the (much cruder) trapezoid rule. Each piece must be uniform.
     """
     total = 0.0
     err = 0.0
@@ -105,3 +107,92 @@ def audit_grid(s_bar: float, density: int = DEFAULT_DENSITY):
     s = np.concatenate([p if i == 0 else p[1:] for i, p in enumerate(nodes)])
     edges = np.cumsum([0, *counts]).astype(int).tolist()
     return s, tuple(zip(edges[:-1], edges[1:]))
+
+
+@dataclass
+class PhiPath:
+    """Sampled path ``gamma: [0, s_bar] -> M`` with velocities ``S = gamma'``.
+
+    ``pos`` and ``vel`` have one row per grid node, in the model's ambient
+    representation. ``C_value`` is the conserved ``|S|^2 - 2*phi`` extracted
+    from the node data and ``drift`` its maximal deviation across nodes.
+    ``pieces`` are the ``(i0, i1)`` node ranges the grid is uniform on, as
+    ``audit_grid`` returns them; ``()`` means one piece over the whole grid.
+    They must cover the grid with consecutive ranges, and each must be
+    uniform: its gaps all equal its mean gap h within a relative 1e-8 and
+    an absolute 1e-12 * (1 + |h|). A path checks this once, when it is
+    made, so that every quadrature on its pieces can rely on it. Solvers
+    fill a path in; audits only read it.
+    """
+
+    s: np.ndarray
+    pos: np.ndarray
+    vel: np.ndarray
+    C_value: float = float("nan")
+    drift: float = float("nan")
+    action_J: float = float("nan")
+    pieces: tuple = ()
+    is_minimal_candidate: bool = False
+    minimal_evidence: dict = field(default_factory=dict)
+    flags: list = field(default_factory=list)
+
+    def __post_init__(self):
+        self.s = np.asarray(self.s, dtype=float)
+        self.pos = np.asarray(self.pos, dtype=float)
+        self.vel = np.asarray(self.vel, dtype=float)
+        if self.pos.shape != self.vel.shape or self.pos.shape[0] != self.s.shape[0]:
+            raise ValueError("grid, positions and velocities must have matching shapes")
+        gaps = np.diff(self.s)
+        if np.any(gaps <= 0):
+            raise ValueError("parameter grid must be strictly increasing")
+        last = self.s.shape[0] - 1
+        self.pieces = tuple((int(i0), int(i1)) for i0, i1 in self.pieces) or ((0, last),)
+        # consecutive ranges from node 0, strictly increasing to the last node
+        edges = [0, *(i1 for _, i1 in self.pieces)]
+        if self.pieces != tuple(zip(edges, edges[1:])) or edges != sorted({*edges, last}):
+            raise ValueError(f"pieces {self.pieces} do not cover the grid's nodes 0..{last} "
+                             "with consecutive ranges")
+        for i0, i1 in self.pieces:
+            h = (self.s[i1] - self.s[i0]) / (i1 - i0)
+            if not np.allclose(gaps[i0:i1], h, rtol=1e-8, atol=1e-12 * (1.0 + abs(h))):
+                raise ValueError(f"piece ({i0}, {i1}) is not a uniform grid")
+
+    @property
+    def s_bar(self) -> float:
+        return float(self.s[-1])
+
+    @property
+    def n_nodes(self) -> int:
+        return int(self.s.shape[0])
+
+    def speed_sq(self) -> np.ndarray:
+        """Squared node speeds |S|^2 (ambient dot; the embedding is isometric)."""
+        return np.einsum("ij,ij->i", self.vel, self.vel)
+
+
+def check_cutoff_length(s_bar: float) -> None:
+    """Refuse a path too short to carry the trapezoid cutoff: s_bar < 2."""
+    if s_bar < 2.0:
+        raise CutoffUndefinedError(f"trapezoid cutoff needs s_bar >= 2 (got {s_bar!r})")
+
+
+def cutoff(path: PhiPath):
+    """The trapezoid cutoff on a path with pieces starting at s = 1 and at
+    s = s_bar - 1, ready for ``integrate_pieces``: ``(zeta, whole, ramps)``.
+    ``zeta`` is the cutoff at the nodes, ``whole`` the path's pieces
+    ``(i0, i1, 1.0)``, and ``ramps`` the two ramp pieces weighted by their
+    slope zeta' = +1 / -1, read off each piece's end nodes (so s_bar = 2,
+    which has no plateau piece, needs no special case).
+    """
+    s, s_bar = path.s, path.s_bar
+    check_cutoff_length(s_bar)
+    starts = s[[i0 for i0, _ in path.pieces]]
+    for kink in (1.0, s_bar - 1.0):
+        if not np.any(np.abs(starts - kink) <= 1e-9 * (1.0 + kink)):
+            raise ValueError("path grid is not aligned to the cutoff kinks; sample it "
+                             "on quadrature.audit_grid (solve_bvp_shooting does so)")
+    zeta = np.minimum(np.minimum(s, 1.0), s_bar - s)
+    whole = [(i0, i1, 1.0) for i0, i1 in path.pieces]
+    slopes = [round((zeta[i1] - zeta[i0]) / (s[i1] - s[i0])) for i0, i1 in path.pieces]
+    ramps = [(i0, i1, float(k)) for (i0, i1), k in zip(path.pieces, slopes) if k]
+    return zeta, whole, ramps

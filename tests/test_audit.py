@@ -9,7 +9,6 @@ from shrinker_audit.audit import (
     RICCI_FD_SAMPLES,
     RICCI_FD_TOL,
     AuditReport,
-    _cutoff,
     boundary_term_audit,
     check_deltaf_Rf,
     check_pointwise_identities,
@@ -28,8 +27,8 @@ from shrinker_audit.errors import (
     DegenerateModelError,
     PreconditionError,
 )
-from shrinker_audit.paths import PhiPath
 from shrinker_audit.phigeo import PhiParams, minimize_action_discrete, solve_bvp_shooting
+from shrinker_audit.quadrature import PhiPath, cutoff
 
 
 def cylinder_path(c=0.1, ry=10.0, model=None):
@@ -53,7 +52,7 @@ def _grid_path(s, pieces=()):
 
 def test_cutoff_shape():
     s, pieces = quadrature.audit_grid(6.0, density=2)
-    zeta, whole, ramps = _cutoff(_grid_path(s, pieces))
+    zeta, whole, ramps = cutoff(_grid_path(s, pieces))
     nodes = np.searchsorted(s, [0.0, 0.5, 1.0, 3.0, 5.0, 5.5, 6.0])
     assert np.allclose(zeta[nodes], [0.0, 0.5, 1.0, 1.0, 1.0, 0.5, 0.0])
     # slope +1 on [0, 1], 0 on the plateau [1, 5], -1 on [5, 6]: the kink
@@ -63,7 +62,7 @@ def test_cutoff_shape():
     assert ramps == [(0, i_up, 1.0), (i_down, len(s) - 1, -1.0)]
     assert zeta[0] == 0.0
     fine, fine_pieces = quadrature.audit_grid(6.0, density=100)
-    vals = _cutoff(_grid_path(fine, fine_pieces))[0]
+    vals = cutoff(_grid_path(fine, fine_pieces))[0]
     assert np.all(vals >= 0.0) and np.all(vals <= 1.0)
 
 
@@ -71,18 +70,18 @@ def test_cutoff_shape():
 def test_cutoff_refuses_a_grid_without_kink_nodes(pieces):
     # nodes every 6/7: none at s = 1 or s = 5
     with pytest.raises(ValueError, match="not aligned to the cutoff kinks"):
-        _cutoff(_grid_path(np.linspace(0.0, 6.0, 8), pieces))
+        cutoff(_grid_path(np.linspace(0.0, 6.0, 8), pieces))
 
 
 def test_cutoff_requires_long_interval():
     with pytest.raises(CutoffUndefinedError, match=r"\(got 1\.9\)"):
-        _cutoff(_grid_path(np.linspace(0.0, 1.9, 9)))
+        cutoff(_grid_path(np.linspace(0.0, 1.9, 9)))
 
 
 def test_cutoff_analytic_integrals_via_quadrature():
     for s_bar in [2.0, 3.0, 10.0, 25.5]:
         s, pieces = quadrature.audit_grid(s_bar, density=8)
-        zeta, whole, ramps = _cutoff(_grid_path(s, pieces))
+        zeta, whole, ramps = cutoff(_grid_path(s, pieces))
         val = quadrature.integrate_pieces(s, zeta**2, whole)[0]
         assert abs(val - (s_bar - 4.0 / 3.0)) <= 1e-10
         slope_sq_total = sum(slope**2 * (s[i1] - s[i0]) for i0, i1, slope in ramps)

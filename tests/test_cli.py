@@ -333,6 +333,36 @@ def test_audit_chain_rejects_c_at_least_one(tmp_path, capsys):
     assert "c" in capsys.readouterr().err
 
 
+_CUTOFF_REFUSAL = "refused: trapezoid cutoff needs s_bar >= 2 (got 1.5)"
+
+
+@pytest.mark.parametrize("argv, solved, err", [
+    (["--ry", "1.5"], 0, _CUTOFF_REFUSAL),
+    (["--model", "gaussian:n=3", "--ry", "5"], 0,
+     "refused: gaussian:n=3: weighted curvature integral needs f(O) > 0 (degenerate: R == 0)"),
+    # both refusals hold; the cutoff's comes first, as it did in the audits
+    (["--model", "gaussian:n=3", "--ry", "1.5"], 0, _CUTOFF_REFUSAL),
+    # the refused cell 0 is not shot; cell 1 is, and cell 0's error still comes first
+    (["--ry", "1.5,10"], 1, _CUTOFF_REFUSAL),
+], ids=["cutoff", "R-zero", "cutoff-before-R-zero", "cutoff-before-a-solved-cell"])
+def test_audit_chain_refuses_a_cell_before_it_solves(tmp_path, capsys, monkeypatch, argv,
+                                                     solved, err):
+    shot = []
+    batch = phigeo.solve_bvp_shooting_batch
+
+    def spy(model, problems, **kwargs):
+        shot.extend(problems)
+        return batch(model, problems, **kwargs)
+
+    monkeypatch.setattr(phigeo, "solve_bvp_shooting_batch", spy)
+    out = tmp_path / "out"
+    assert main(["audit-chain", "--c", "0.1", *argv, "--out", str(out)]) == EXIT_REFUSED
+    assert len(shot) == solved
+    captured = capsys.readouterr()
+    assert captured.err == err + "\n" and captured.out == ""
+    assert not out.exists()
+
+
 def test_scan_cylinder_and_high_c(tmp_path):
     code = main([
         "scan", "--model", "cylinder:k=2,m=2", "--c", "0.99",
@@ -683,7 +713,7 @@ DRIFT = "measured"  # stands for _drift_threshold()'s drift_tol
         (["audit-chain", "--c", "0.1,0.9", "--ry", "5", "--N", "16"], DRIFT, EXIT_SOLVER,
          "solver failure: conserved-quantity drift {drift:.3e} exceeds {drift_tol:.1e}; "
          "step {step} is too large"),
-        # cell 0 is refused in its audits, after cell 3's solve has failed
+        # cell 0 is refused before any solve; cell 3 fails its solve
         (["audit-chain", "--c", "0.1,0.9", "--ry", "1.5,5", "--N", "16"], DRIFT, EXIT_REFUSED,
          "refused: trapezoid cutoff needs s_bar >= 2 (got 1.5)"),
         # the compared values are printed in full: each is refused by a

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from shrinker_audit.paths import PhiPath
+from shrinker_audit.quadrature import PhiPath
 
 
 def _path(pieces):

@@ -9,6 +9,7 @@ import pytest
 
 from conftest import random_tangent
 from shrinker_audit import audit, models, phigeo, quadrature
+from shrinker_audit.cli import path_csv_lines, path_json_dict, write_path_csv
 from shrinker_audit.errors import (
     ConfigError,
     DegenerateEndpointsError,
@@ -26,8 +27,6 @@ from shrinker_audit.phigeo import (
     conserved_quantity,
     integrate_ivp,
     minimize_action_discrete,
-    path_csv_lines,
-    path_json_dict,
     grad_phi,
     phi_value,
     solve_bvp_shooting,
@@ -1445,7 +1444,7 @@ def test_path_serialization(tmp_path):
     )
     assert len(lines) == path.n_nodes + 1
     dest = tmp_path / "path.csv"
-    phigeo.write_path_csv(dest, m, params, path)
+    write_path_csv(dest, m, params, path)
     assert dest.read_text().count("\n") == path.n_nodes + 1
     meta = path_json_dict(m, params, path)
     assert meta["model"] == m.label
