@@ -69,14 +69,17 @@ def test_run_alternates_workloads_and_pairs_and_writes_the_file(tmp_path, monkey
         return bench.parse_run(_stdout(_result(value)))
 
     monkeypatch.setattr(bench, "run_perfbench", fake)
+    (tmp_path / "change").mkdir()
     monkeypatch.setattr(bench, "ROOT", tmp_path / "change")
     monkeypatch.setattr(bench, "git_head", lambda checkout: f"{checkout.name}-head")
     monkeypatch.setattr(bench, "counts", lambda reference: {"reference": str(reference)})
-    out = tmp_path / "BENCH_7.json"
     assert bench.main(["run", "--pr", "7", "--seeds", "2", "--seconds", "0.5",
-                       "--baseline", str(tmp_path / "base"), "--out", str(out)]) == 0
-    assert calls == [(checkout, workload, seed) for seed in (1, 2)
-                     for workload in bench.WORKLOADS for checkout in ("base", "change")]
+                       "--baseline", str(tmp_path / "base")]) == 0
+    # workloads alternate within a seed, and each side runs first in every other pair
+    pairs = [(workload, seed) for seed in (1, 2) for workload in bench.WORKLOADS]
+    assert calls == [(side, workload, seed) for k, (workload, seed) in enumerate(pairs)
+                     for side in (("base", "change") if k % 2 == 0 else ("change", "base"))]
+    out = tmp_path / "change" / "BENCH_7.json"
     record = json.loads(out.read_text())
     assert record["pr"] == 7 and record["head"] == "change-head"
     assert record["env"] == {"nproc": 2, "python": "3.11.7", "numpy": "2.4.6"}

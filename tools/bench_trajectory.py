@@ -13,11 +13,12 @@ and every ``correct`` flag. It also records nproc, the Python and numpy
 versions and the git HEAD, and the deterministic counts below.
 
 ``--baseline CHECKOUT`` runs the same command in another checkout (such as
-the parent commit's, unpacked with ``git archive``) just before each run
-of this one, so the two form alternating pairs. The file then also holds
-the baseline's statistics and, per metric, how many pairs read lower,
-equal and higher on this checkout. Seconds from different sessions on a
-noisy host do not compare; pairs taken in one session do.
+the parent commit's, unpacked with ``git archive``) next to each run of
+this one, so the two form pairs; each side runs first in every other
+pair. The file then also holds the baseline's statistics and, per
+metric, how many pairs read lower, equal and higher on this checkout.
+Seconds from different sessions on a noisy host do not compare; pairs
+taken in one session do.
 
 ``counts`` prints the deterministic counts, which compare across hosts:
 the RK4 steps (fine run and predictor), Newton iterations (the same two)
@@ -194,16 +195,19 @@ def git_head(checkout: Path):
 
 
 def trajectory(pr: int, seeds: int, seconds: float, reference: Path, baseline=None) -> dict:
-    results, base_results, pairs, env = [], [], [], None
+    results, base_results, pairs = [], [], []
     for seed in range(1, seeds + 1):
         for workload in WORKLOADS:
-            if baseline is not None:
-                _, base = run_perfbench(baseline, workload, seed, seconds)
+            if baseline is None:
+                env, result = run_perfbench(ROOT, workload, seed, seconds)
+            else:
+                # each side runs first in every other pair
+                sides = [baseline, ROOT][:: 1 if len(pairs) % 2 == 0 else -1]
+                runs = {side: run_perfbench(side, workload, seed, seconds) for side in sides}
+                (_, base), (env, result) = runs[baseline], runs[ROOT]
                 base_results.append((workload, base))
-            env, result = run_perfbench(ROOT, workload, seed, seconds)
-            results.append((workload, result))
-            if baseline is not None:
                 pairs.append((workload, base, result))
+            results.append((workload, result))
             print(f"seed {seed} {workload}: correct={result['correct']} " + " ".join(
                 f"{m}={result['metrics'][m]['value']:.4g}" for m in END_TO_END))
     record = {
@@ -231,7 +235,6 @@ def main(argv=None) -> int:
     p_run.add_argument("--seeds", type=int, default=5)
     p_run.add_argument("--seconds", type=float, default=1.0)
     p_run.add_argument("--baseline", type=Path, help="another checkout, run alternately")
-    p_run.add_argument("--out", type=Path, help="default: BENCH_<pr>.json at the repo root")
     p_counts = sub.add_parser("counts", help="print the deterministic counts")
     for p in (p_run, p_counts):
         p.add_argument("--reference", type=Path, default=ROOT / "tools" / "reference",
@@ -243,7 +246,7 @@ def main(argv=None) -> int:
     if args.seeds < 1:
         parser.error("--seeds must be >= 1")
     record = trajectory(args.pr, args.seeds, args.seconds, args.reference, args.baseline)
-    out = args.out or ROOT / f"BENCH_{args.pr}.json"
+    out = ROOT / f"BENCH_{args.pr}.json"
     out.write_text(json.dumps(record, indent=1, sort_keys=True) + "\n", encoding="utf-8")
     print(f"wrote {out}")
     return 0
