@@ -72,7 +72,7 @@ def test_run_alternates_workloads_and_pairs_and_writes_the_file(tmp_path, monkey
     (tmp_path / "change").mkdir()
     monkeypatch.setattr(bench, "ROOT", tmp_path / "change")
     monkeypatch.setattr(bench, "git_head", lambda checkout: f"{checkout.name}-head")
-    monkeypatch.setattr(bench, "counts", lambda reference: {"reference": str(reference)})
+    monkeypatch.setattr(bench, "counts", lambda reference: {"src_modules": 8})
     assert bench.main(["run", "--pr", "7", "--seeds", "2", "--seconds", "0.5",
                        "--baseline", str(tmp_path / "base")]) == 0
     # workloads alternate within a seed, and each side runs first in every other pair
@@ -85,6 +85,7 @@ def test_run_alternates_workloads_and_pairs_and_writes_the_file(tmp_path, monkey
     assert record["env"] == {"nproc": 2, "python": "3.11.7", "numpy": "2.4.6"}
     assert record["seeds"] == [1, 2] and "--seconds 0.5 " in record["command"]
     assert set(record["workloads"]) == set(bench.WORKLOADS)
+    assert record["counts"] == {"src_modules": 8}
     assert record["workloads"]["identities"]["runs"] == 2
     assert record["workloads"]["scan"]["metrics"]["wall_s"]["median"] == pytest.approx(0.215)
     baseline = record["baseline"]

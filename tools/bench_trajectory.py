@@ -12,11 +12,11 @@ file holds the median, q1 and q3 of every end-to-end metric, the run count
 and every ``correct`` flag. It also records nproc, the Python and numpy
 versions and the git HEAD, and the deterministic counts below.
 
-``--baseline CHECKOUT`` runs the same command in another checkout (such as
-the parent commit's, unpacked with ``git archive``) next to each run of
-this one, so the two form pairs; each side runs first in every other
-pair. The file then also holds the baseline's statistics and, per
-metric, how many pairs read lower, equal and higher on this checkout.
+``--baseline CHECKOUT`` runs the same command in another checkout, such as
+a ``git clone`` of the parent commit, next to each run of this one, so the
+two form pairs; each side runs first in every other pair. The file then
+also holds the baseline's git HEAD, its statistics and, per metric, how
+many pairs read lower, equal and higher on this checkout.
 Seconds from different sessions on a noisy host do not compare; pairs
 taken in one session do.
 
@@ -108,7 +108,6 @@ def counts(reference: Path, root: Path = ROOT) -> dict:
                for path in sorted((root / "src" / "shrinker_audit").glob("*.py"))]
     jobs = {job.name: job_counts(job) for job in sorted(reference.iterdir()) if job.is_dir()}
     return {
-        "reference": str(reference),
         "jobs": {name: c for name, c in jobs.items() if any(c.values())},
         "total": {key: sum(c[key] for c in jobs.values()) for key in COUNT_KEYS},
         "src_lines": sum(text.count("\n") for text in modules),
@@ -221,7 +220,7 @@ def trajectory(pr: int, seeds: int, seconds: float, reference: Path, baseline=No
         "counts": counts(reference),
     }
     if baseline is not None:
-        record["baseline"] = {"checkout": str(baseline), "head": git_head(baseline),
+        record["baseline"] = {"head": git_head(baseline),
                               "workloads": summarize(base_results),
                               "pairs": pair_counts(pairs)}
     return record
