@@ -27,11 +27,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import quadrature
-from .errors import (
-    CutoffUndefinedError,
-    DegenerateModelError,
-    PreconditionError,
-)
+from .errors import DegenerateModelError, PreconditionError
 from .models import (
     GeometryEval,
     ModelSpec,
@@ -478,11 +474,8 @@ def find_good_point(model: ModelSpec, params: PhiParams, y: np.ndarray,
 def check_good_point_target(model: ModelSpec, y: np.ndarray) -> None:
     """Refuse a scan target before any solve: a degenerate model, or r(y) < 2."""
     _require_f_origin(model, "scan")
-    r_y = float(distance(model, base_point(model), y))
-    if r_y < 2.0:
-        raise CutoffUndefinedError(
-            f"{model}: scan needs r(y) >= 2 for the cutoff (got {r_y!r})"
-        )
+    quadrature.check_cutoff_length(float(distance(model, base_point(model), y)),
+                                   f"{model}: scan needs r(y) >= 2 for the cutoff")
 
 
 def good_point_on_path(model: ModelSpec, params: PhiParams, y: np.ndarray, path: PhiPath,

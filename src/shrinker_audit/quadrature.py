@@ -170,10 +170,12 @@ class PhiPath:
         return np.einsum("ij,ij->i", self.vel, self.vel)
 
 
-def check_cutoff_length(s_bar: float) -> None:
-    """Refuse a path too short to carry the trapezoid cutoff: s_bar < 2."""
+def check_cutoff_length(s_bar: float,
+                        need: str = "trapezoid cutoff needs s_bar >= 2") -> None:
+    """Refuse a path too short to carry the trapezoid cutoff: s_bar < 2.
+    ``need`` opens the message; ``(got s_bar)`` closes it."""
     if s_bar < 2.0:
-        raise CutoffUndefinedError(f"trapezoid cutoff needs s_bar >= 2 (got {s_bar!r})")
+        raise CutoffUndefinedError(f"{need} (got {s_bar!r})")
 
 
 def cutoff(path: PhiPath):

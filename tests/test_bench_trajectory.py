@@ -63,18 +63,18 @@ def test_run_alternates_workloads_and_pairs_and_writes_the_file(tmp_path, monkey
                                                                 capsys):
     calls = []
 
-    def fake(checkout, workload, seed, seconds):
+    def fake(checkout, workload, seed):
         calls.append((checkout.name, workload, seed))
         value = {"base": 0.3, "change": 0.2}[checkout.name] + seed / 100
         return bench.parse_run(_stdout(_result(value)))
 
     monkeypatch.setattr(bench, "run_perfbench", fake)
+    monkeypatch.setattr(bench, "SEEDS", 2)
     (tmp_path / "change").mkdir()
     monkeypatch.setattr(bench, "ROOT", tmp_path / "change")
     monkeypatch.setattr(bench, "git_head", lambda checkout: f"{checkout.name}-head")
     monkeypatch.setattr(bench, "counts", lambda reference: {"src_modules": 8})
-    assert bench.main(["run", "--pr", "7", "--seeds", "2", "--seconds", "0.5",
-                       "--baseline", str(tmp_path / "base")]) == 0
+    assert bench.main(["run", "--pr", "7", "--baseline", str(tmp_path / "base")]) == 0
     # workloads alternate within a seed, and each side runs first in every other pair
     pairs = [(workload, seed) for seed in (1, 2) for workload in bench.WORKLOADS]
     assert calls == [(side, workload, seed) for k, (workload, seed) in enumerate(pairs)
@@ -83,7 +83,8 @@ def test_run_alternates_workloads_and_pairs_and_writes_the_file(tmp_path, monkey
     record = json.loads(out.read_text())
     assert record["pr"] == 7 and record["head"] == "change-head"
     assert record["env"] == {"nproc": 2, "python": "3.11.7", "numpy": "2.4.6"}
-    assert record["seeds"] == [1, 2] and "--seconds 0.5 " in record["command"]
+    assert record["seeds"] == [1, 2]
+    assert f"--seconds {bench.RUN_SECONDS} " in record["command"]
     assert set(record["workloads"]) == set(bench.WORKLOADS)
     assert record["counts"] == {"src_modules": 8}
     assert record["workloads"]["identities"]["runs"] == 2
@@ -93,6 +94,11 @@ def test_run_alternates_workloads_and_pairs_and_writes_the_file(tmp_path, monkey
     assert baseline["workloads"]["chain"]["metrics"]["setup_s"]["median"] == pytest.approx(0.315)
     assert baseline["pairs"]["chain"]["setup_s"] == {"lower": 2, "equal": 0, "higher": 0}
     assert f"wrote {out}" in capsys.readouterr().out
+
+
+def test_runs_use_the_benchmarks_own_run_length():
+    declared = json.loads((ROOT / "BENCHMARK.json").read_text())["run_seconds"]
+    assert bench.RUN_SECONDS == declared and bench.SEEDS >= 10
 
 
 def test_counts_sum_every_minimal_evidence_of_a_reference_dir(tmp_path):

@@ -1,12 +1,13 @@
 """Record one point of the benchmark trajectory: ``BENCH_<pr>.json``.
 
-    python tools/bench_trajectory.py run --pr 31 [--seeds 5] [--seconds 1]
-                                         [--reference DIR] [--baseline CHECKOUT]
+    python tools/bench_trajectory.py run --pr 31 [--reference DIR] [--baseline CHECKOUT]
     python tools/bench_trajectory.py counts [--reference DIR]
 
 ``run`` runs ``perfbench/run.py --workload W --seed S --seconds T --trace 0``
-of this checkout in a fresh process for seeds 1..R, alternating the three
-workloads within each seed. It reads each run's last line, the JSON object
+of this checkout in a fresh process for seeds 1..10, alternating the three
+workloads within each seed. T is BENCHMARK.json's ``run_seconds``, the run
+length every benchmark run uses; ten seeds give the ten pairs that a claimed
+gain is judged on. It reads each run's last line, the JSON object
 with ``correct`` and ``metrics``, and its ``# env`` line. Per workload the
 file holds the median, q1 and q3 of every end-to-end metric, the run count
 and every ``correct`` flag. It also records nproc, the Python and numpy
@@ -45,6 +46,8 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 WORKLOADS = ("chain", "scan", "identities")
 END_TO_END = ("setup_s", "wall_s", "peak_rss_mb", "pass_frac")
+SEEDS = 10
+RUN_SECONDS = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))["run_seconds"]
 COUNT_KEYS = ("rk4_steps_fine", "rk4_steps_predictor", "newton_iterations_fine",
               "newton_iterations_predictor", "descent_iterations")
 
@@ -143,9 +146,9 @@ def parse_run(stdout: str):
     return env, json.loads(lines[-1])
 
 
-def run_perfbench(checkout: Path, workload: str, seed: int, seconds: float):
+def run_perfbench(checkout: Path, workload: str, seed: int):
     argv = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
-            "--seconds", repr(seconds), "--trace", "0"]
+            "--seconds", str(RUN_SECONDS), "--trace", "0"]
     proc = subprocess.run(argv, cwd=checkout, capture_output=True, text=True)
     if proc.returncode != 0:
         raise SystemExit(f"error: {' '.join(argv[1:])} in {checkout} exited "
@@ -193,16 +196,16 @@ def git_head(checkout: Path):
     return proc.stdout.strip() if proc.returncode == 0 else None
 
 
-def trajectory(pr: int, seeds: int, seconds: float, reference: Path, baseline=None) -> dict:
+def trajectory(pr: int, reference: Path, baseline=None) -> dict:
     results, base_results, pairs = [], [], []
-    for seed in range(1, seeds + 1):
+    for seed in range(1, SEEDS + 1):
         for workload in WORKLOADS:
             if baseline is None:
-                env, result = run_perfbench(ROOT, workload, seed, seconds)
+                env, result = run_perfbench(ROOT, workload, seed)
             else:
                 # each side runs first in every other pair
                 sides = [baseline, ROOT][:: 1 if len(pairs) % 2 == 0 else -1]
-                runs = {side: run_perfbench(side, workload, seed, seconds) for side in sides}
+                runs = {side: run_perfbench(side, workload, seed) for side in sides}
                 (_, base), (env, result) = runs[baseline], runs[ROOT]
                 base_results.append((workload, base))
                 pairs.append((workload, base, result))
@@ -212,9 +215,9 @@ def trajectory(pr: int, seeds: int, seconds: float, reference: Path, baseline=No
     record = {
         "pr": pr,
         "head": git_head(ROOT),
-        "command": f"python3 perfbench/run.py --workload W --seed S --seconds {seconds!r} "
+        "command": f"python3 perfbench/run.py --workload W --seed S --seconds {RUN_SECONDS} "
                    "--trace 0",
-        "seeds": list(range(1, seeds + 1)),
+        "seeds": list(range(1, SEEDS + 1)),
         "env": {key: env[key] for key in ("nproc", "python", "numpy")},
         "workloads": summarize(results),
         "counts": counts(reference),
@@ -231,8 +234,6 @@ def main(argv=None) -> int:
     sub = parser.add_subparsers(dest="mode", required=True)
     p_run = sub.add_parser("run", help="run perfbench and write BENCH_<pr>.json")
     p_run.add_argument("--pr", type=int, required=True)
-    p_run.add_argument("--seeds", type=int, default=5)
-    p_run.add_argument("--seconds", type=float, default=1.0)
     p_run.add_argument("--baseline", type=Path, help="another checkout, run alternately")
     p_counts = sub.add_parser("counts", help="print the deterministic counts")
     for p in (p_run, p_counts):
@@ -242,9 +243,7 @@ def main(argv=None) -> int:
     if args.mode == "counts":
         print_counts(counts(args.reference))
         return 0
-    if args.seeds < 1:
-        parser.error("--seeds must be >= 1")
-    record = trajectory(args.pr, args.seeds, args.seconds, args.reference, args.baseline)
+    record = trajectory(args.pr, args.reference, args.baseline)
     out = ROOT / f"BENCH_{args.pr}.json"
     out.write_text(json.dumps(record, indent=1, sort_keys=True) + "\n", encoding="utf-8")
     print(f"wrote {out}")
