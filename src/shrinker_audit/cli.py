@@ -9,9 +9,9 @@ This module writes every output file: reports are JSON with sorted keys,
 paths are CSV; identical configuration and seed produce byte-identical
 output.
 
-Exit codes: 0 success, 2 bad configuration / degenerate endpoints / an
-output that cannot be written, 3 solver failure, 4 typed refusal
-(precondition, degenerate model, short cutoff).
+Exit codes: 0 success, 1 an audit failed, 2 bad configuration /
+degenerate endpoints / an output that cannot be written, 3 solver failure,
+4 typed refusal (precondition, degenerate model, short cutoff).
 """
 
 from __future__ import annotations

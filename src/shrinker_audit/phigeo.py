@@ -224,20 +224,20 @@ class _Record(NamedTuple):
     e_max: float
 
 
-def _march(dyn: _Dynamics, blocks) -> list:
+def _march(model: ModelSpec, blocks) -> list:
     """March blocks of ``(batch, ambient)`` states in lockstep, each landing on its own nodes.
 
     A block is ``(starts, v0, cR, gaps, n_sub)``: its nodes are 0 and the
     running sums of ``gaps``, and gap k is split into ``n_sub[k]`` equal
     substeps. The march takes the schedule as given and decides no step
-    size. One batched RK4 step advances every row of every block that
-    still has substeps left, so blocks of different step sizes and lengths
-    share the rounds. The rows are stacked once into the columns
-    of one component-major ``_Dynamics`` state, with their step sizes and
-    cR as ``(1, batch)`` rows. Blocks run longest schedule first, so the
-    live columns are a prefix that shrinks as schedules end; a finished
-    column is never stepped again. Every row comes out bitwise as if
-    marched alone.
+    size. The rows of every block, in the given order, are stacked once
+    into the columns of one component-major ``_Dynamics`` state, with their
+    step sizes and cR as ``(1, batch)`` rows, and one batched RK4 step
+    advances every column on every substep, so blocks of different step
+    sizes and lengths share the rounds. A block whose schedule has ended
+    is stepped at size 0: its rows are read at its own last substep, and
+    its row 0 past that substep is kept out of its energy bounds. Every row
+    comes out bitwise as if marched alone.
 
     Returns, per block in the given order, its rows' final positions and
     velocities and the ``_Record`` of its row 0, whose state is kept after
@@ -247,55 +247,53 @@ def _march(dyn: _Dynamics, blocks) -> list:
     trials of every cell of a grid (each trial, or each segment of one, a
     block with its forward-difference rows) share this routine.
     """
+    dyn = _Dynamics(model)
+    index = np.arange(len(blocks))
     # every gap of every block, block after block, and its substeps
     n_gaps = np.array([len(block[3]) for block in blocks])
     gaps = np.concatenate([block[3] for block in blocks])
     n_sub = np.concatenate([block[4] for block in blocks])
     lengths = np.add.reduceat(n_sub, _starts(n_gaps))  # each block's substeps
-    # blocks take slots longest schedule first; slot k marches the columns
-    # heads[k]:ends[k], and takes its substep j at size h[j, k]
-    order = np.argsort(-lengths, kind="stable")
-    slot = np.argsort(order)
-    counts = np.array([len(blocks[b][0]) for b in order])
-    heads = _starts(counts)
-    ends = heads + counts
+    counts = np.array([len(block[0]) for block in blocks])
+    heads = _starts(counts)  # each block's row 0
+    columns = np.repeat(index, counts)  # the block of each column
+    # block b takes its substep j at size h[j, b], and size 0 once it has ended
     h = np.zeros((lengths.max(), len(blocks)))
     h[np.arange(lengths.sum()) - np.repeat(_starts(lengths), lengths),
-      np.repeat(slot, lengths)] = np.repeat(gaps / n_sub, n_sub)
-    columns = np.repeat(np.arange(len(blocks)), counts)  # the slot of each column
-    cR = np.array([blocks[b][2] for b in order], dtype=float)
-    state = np.concatenate([np.concatenate(blocks[b][:2], axis=1, dtype=float)
-                            for b in order]).T.copy()
-    # each slot's row 0 after every substep; an ended slot's states stay 0
-    trace = np.zeros((len(state), len(h) + 1, len(blocks)))
+      np.repeat(index, lengths)] = np.repeat(gaps / n_sub, n_sub)
+    cR = np.array([block[2] for block in blocks], dtype=float)
+    h_rows, cR_row = h[:, columns], cR[columns][None]
+    state = np.concatenate([np.concatenate(block[:2], axis=1, dtype=float)
+                            for block in blocks]).T.copy()
+    # the state after each block's last substep, by schedule length
+    finals = dict.fromkeys(lengths.tolist())
+    # each block's row 0 after every substep
+    trace = np.empty((len(state), len(h) + 1, len(blocks)))
     trace[:, 0] = state[:, heads]
-    live = len(blocks)
     # a row that overflows turns inf or NaN quietly; the caller rejects it
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(len(h)):
-            while lengths[order[live - 1]] == k:
-                live -= 1
-            n = ends[live - 1]
-            state[:, :n] = dyn.rk4_step(state[:, :n], h[k, columns[:n]][None],
-                                        cR[columns[:n]][None])
-            trace[:, k + 1, :live] = state[:, heads[:live]]
+            state = dyn.rk4_step(state, h_rows[k : k + 1], cR_row)
+            trace[:, k + 1] = state[:, heads]
+            if k + 1 in finals:
+                finals[k + 1] = state  # each step makes a new array
         energies = dyn.energy(trace, cR)
-        kept = np.arange(len(h) + 1)[:, None] <= lengths[order]
+        kept = np.arange(len(h) + 1)[:, None] <= lengths
         e_min = np.where(kept, energies, np.inf).min(axis=0)
         e_max = np.where(kept, energies, -np.inf).max(axis=0)
     # each block's nodes: substep 0, then the last substep of each gap
     nodes = np.insert(np.cumsum(n_sub) - np.repeat(_starts(lengths), n_gaps), _starts(n_gaps), 0)
-    node_slots = np.repeat(slot, n_gaps + 1)
+    node_blocks = np.repeat(index, n_gaps + 1)
     a = dyn.ambient
-    pos = trace[:a, nodes, node_slots].T
-    vel = trace[a:, nodes, node_slots].T
-    node_energies = energies[nodes, node_slots]
-    final = state.T.copy()
+    pos = trace[:a, nodes, node_blocks].T
+    vel = trace[a:, nodes, node_blocks].T
+    node_energies = energies[nodes, node_blocks]
     out = []
-    for k, lo, hi in zip(slot, _starts(n_gaps + 1), np.cumsum(n_gaps + 1)):
+    for b, (lo, hi) in enumerate(zip(_starts(n_gaps + 1), np.cumsum(n_gaps + 1))):
+        rows = finals[lengths[b]][:, heads[b] : heads[b] + counts[b]].T.copy()
         record = _Record(pos[lo:hi].copy(), vel[lo:hi].copy(), node_energies[lo:hi],
-                         e_min[k], e_max[k])
-        out.append((final[heads[k] : ends[k], :a], final[heads[k] : ends[k], a:], record))
+                         e_min[b], e_max[b])
+        out.append((rows[:, :a], rows[:, a:], record))
     return out
 
 
@@ -356,7 +354,7 @@ def integrate_ivp(
     vel = project_tangent(model, pos, v0)
     gaps = np.diff(s_nodes)
     block = (pos[None], vel[None], params.c * model.scalar_R, gaps, _substep_counts(gaps, step))
-    ((_, _, record),) = _march(_Dynamics(model), [block])
+    ((_, _, record),) = _march(model, [block])
     return _recorded_path(model, params, record, s_nodes, (), step, drift_tol)
 
 
@@ -501,7 +499,6 @@ def solve_bvp_shooting_batch(
     order, each problem's ``PhiPath``, or the exception it raised; a failed
     problem stops marching and the others carry on.
     """
-    dyn = _Dynamics(model)
     results = [None] * len(problems)
     pending = []
 
@@ -520,7 +517,7 @@ def solve_bvp_shooting_batch(
         coarse = [entry for entry in pending if entry[2]]
         fine = [entry for entry in pending if not entry[2]]
         batch, pending = (coarse, fine) if coarse else (fine, [])
-        ends = iter(_march(dyn, [block for *_, blocks in batch for block in blocks]))
+        ends = iter(_march(model, [block for *_, blocks in batch for block in blocks]))
         for i, solver, _, blocks in batch:
             advance(i, solver, [next(ends) for _ in blocks])
     return results

@@ -363,6 +363,27 @@ def test_audit_chain_refuses_a_cell_before_it_solves(tmp_path, capsys, monkeypat
     assert not out.exists()
 
 
+@pytest.mark.parametrize("argv, err", [
+    (["audit-chain", "--c", "0.1", "--ry", "1.5"], _CUTOFF_REFUSAL),
+    (["scan", "--model", "gaussian:n=3", "--c", "0.1", "--ry", "5"],
+     "refused: gaussian:n=3: scan needs f(O) > 0 (degenerate: R == 0)"),
+], ids=["audit-chain", "scan"])
+def test_a_grid_refused_before_it_solves_builds_no_dynamics(tmp_path, capsys, monkeypatch,
+                                                            argv, err):
+    built = []
+
+    class Counted(phigeo._Dynamics):
+        def __init__(self, model):
+            built.append(model)
+            super().__init__(model)
+
+    monkeypatch.setattr(phigeo, "_Dynamics", Counted)
+    assert main([*argv, "--out", str(tmp_path / "out")]) == EXIT_REFUSED
+    assert built == []
+    captured = capsys.readouterr()
+    assert captured.err == err + "\n" and captured.out == ""
+
+
 def test_scan_cylinder_and_high_c(tmp_path):
     code = main([
         "scan", "--model", "cylinder:k=2,m=2", "--c", "0.99",

@@ -268,11 +268,10 @@ def test_rk4_step_matches_scalar_reference(model, rng):
 
 @pytest.mark.parametrize("rows", ["1", "3", "n+1", "blocks", "mixed-steps"])
 def test_march_rows_match_single_row_marches(model, rng, rows):
-    dyn = phigeo._Dynamics(model)
     nodes = [0.0, 0.4, 0.45, 1.3]
     if rows == "blocks":
-        # different c, nodes and row counts, shortest schedule first so that
-        # the march has to reorder them
+        # different c, nodes and row counts, shortest schedule first, so
+        # that the longer blocks step on after it has ended
         specs = [(0.9, [0.0, 0.2, 0.35], 2, 1e-2), (0.1, nodes, 3, 1e-2),
                  (0.5, [0.0, 0.5, 0.8], model.n + 1, 1e-2), (0.3, nodes, 1, 1e-2)]
     elif rows == "mixed-steps":
@@ -289,20 +288,47 @@ def test_march_rows_match_single_row_marches(model, rng, rows):
         gaps = np.diff(s_nodes)
         blocks.append((pos, vel, c * model.scalar_R, gaps, phigeo._substep_counts(gaps, step)))
 
-    marched = phigeo._march(dyn, blocks)
+    marched = phigeo._march(model, blocks)
     assert len(marched) == len(blocks)
     for (p_end, v_end, record), (pos, vel, cR, gaps, n_sub) in zip(marched, blocks):
         assert record.pos.shape == record.vel.shape == (len(gaps) + 1, model.ambient_dim)
         assert record.energies.shape == (len(gaps) + 1,)
         for i in range(len(pos)):
             ((p_i, v_i, record_i),) = phigeo._march(
-                dyn, [(pos[i:i + 1], vel[i:i + 1], cR, gaps, n_sub)])
+                model, [(pos[i:i + 1], vel[i:i + 1], cR, gaps, n_sub)])
             assert p_end[i].tobytes() == p_i[0].tobytes()
             assert v_end[i].tobytes() == v_i[0].tobytes()
             if i == 0:  # row 0 is the recorded one, whatever the batch
                 assert (record.e_min, record.e_max) == (record_i.e_min, record_i.e_max)
                 for name in ("pos", "vel", "energies"):
                     assert getattr(record, name).tobytes() == getattr(record_i, name).tobytes()
+
+
+def test_march_steps_ended_blocks_without_touching_the_others():
+    # two short blocks end, one of them overflowed to inf and one to NaN,
+    # while a normal block marches on: the short ones are stepped on at
+    # size 0 without a warning, and the normal one is bitwise its solo march
+    m = models.parse_model("cylinder:k=2,m=2")
+    x = models.base_point(m)
+    cR = 0.1 * m.scalar_R
+    euclid, sphere = np.zeros(5), np.zeros(5)
+    euclid[3] = sphere[1] = 1e200
+    pos, vel = _random_states(m, np.random.default_rng(3), 3)
+    normal = (pos, vel, cR, np.full(8, 0.1), np.full(8, 7))
+    blocks = [(x[None], euclid[None], cR, np.full(2, 0.1), np.full(2, 7)),
+              (x[None], sphere[None], cR, np.array([0.1]), np.array([7])),
+              normal]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        marched = phigeo._march(m, blocks)
+        ((p_alone, v_alone, alone),) = phigeo._march(m, [normal])
+    p_end, v_end, record = marched[2]
+    assert p_end.tobytes() == p_alone.tobytes() and v_end.tobytes() == v_alone.tobytes()
+    assert (record.e_min, record.e_max) == (alone.e_min, alone.e_max)
+    for name in ("pos", "vel", "energies"):
+        assert getattr(record, name).tobytes() == getattr(alone, name).tobytes()
+    assert marched[0][2].e_max == math.inf
+    assert math.isnan(marched[1][2].e_max)
 
 
 def _random_endpoints(label, pair):
@@ -815,8 +841,8 @@ def _spy_rounds(monkeypatch):
     rounds = []
     march = phigeo._march
 
-    def spy(dyn, blocks):
-        out = march(dyn, blocks)
+    def spy(model, blocks):
+        out = march(model, blocks)
         rounds.append((blocks, out))
         return out
 
@@ -865,8 +891,8 @@ def test_drift_inside_an_interior_segment_fails_the_solve(monkeypatch):
     x, y = models.base_point(m), models.canonical_target(m, 10.0)
     march = phigeo._march
 
-    def drifting(dyn, blocks):
-        out = march(dyn, blocks)
+    def drifting(model, blocks):
+        out = march(model, blocks)
         # a fine trial's blocks are its segments in order, each of
         # SEGMENT_INTERVALS gaps; block 2 is the third of 20 segments
         if len(blocks[2][3]) == phigeo.SEGMENT_INTERVALS:
@@ -966,7 +992,7 @@ def test_condensed_endpoint_map_is_the_single_shooting_jacobian(monkeypatch, lab
     gaps = np.diff(path.s)
     block = (np.tile(x, (m.n + 1, 1)), rows @ basis_x, 0.5 * m.scalar_R, gaps,
              phigeo._substep_counts(gaps, phigeo.MAX_IVP_STEP))
-    ((p_end, _, _),) = phigeo._march(phigeo._Dynamics(m), [block])
+    ((p_end, _, _),) = phigeo._march(m, [block])
     misses = np.array([basis_y @ models.log_map(m, y, p) for p in p_end])
     single = (misses[1:] - misses[0]).T / delta
     # the last Jacobian formed is the one the converged run held

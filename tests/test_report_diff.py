@@ -4,6 +4,7 @@ committed reference set it compares fresh runs of ``tools/reference_jobs.py`` wi
 import importlib.util
 import io
 import json
+import math
 from pathlib import Path
 
 import pytest
@@ -28,6 +29,8 @@ REPORT = {
                "minimal_evidence": {"shooting": {"marches": 3, "final_miss": 1e-12}}}],
 }
 CSV = "s,p0,speed_sq\n0.0,1.5,0.97\n0.0625,1.4375,0.9700000001\n"
+NON_FINITE = {"inf against 5.0": (math.inf, 5.0), "-inf against inf": (-math.inf, math.inf),
+              "inf against inf": (math.inf, math.inf)}
 
 
 def _write(root, report, csv_text=CSV, exit_code="0\n"):
@@ -61,11 +64,27 @@ def _edited(**changes):
     ("csv cell beyond rtol", False),
     ("exit code", False),
     ("missing file", False),
+    ("json inf against 5.0", False),
+    ("json -inf against inf", False),
+    ("json inf against inf", True),
+    ("csv inf against 5.0", False),
+    ("csv -inf against inf", False),
+    ("csv inf against inf", True),
 ])
 def test_report_diff_cases(tmp_path, case, passes):
-    old = _write(tmp_path / "old", REPORT)
+    old_report, old_csv = REPORT, CSV
     report, csv_text, exit_code = REPORT, CSV, "0\n"
-    if case == "float within rtol":
+    kind, _, pair = case.partition(" ")
+    if pair in NON_FINITE:
+        # beside a float moved within rtol, so that the file is compared value by value
+        a, b = NON_FINITE[pair]
+        if kind == "json":
+            old_report = _edited(bound=a)
+            report = _edited(bound=b, c=0.1 * (1.0 + 1e-12))
+        else:
+            old_csv = CSV.replace("1.5", repr(a))
+            csv_text = CSV.replace("1.5", repr(b)).replace("0.9700000001", "0.97000000010000001")
+    elif case == "float within rtol":
         report = _edited(bound=3.25 * (1.0 + 1e-12))
         csv_text = CSV.replace("0.9700000001", "0.97000000010000001")
     elif case == "excluded path":
@@ -84,6 +103,7 @@ def test_report_diff_cases(tmp_path, case, passes):
         csv_text = CSV.replace("0.9700000001", "0.9700001")
     elif case == "exit code":
         exit_code = "1\n"
+    old = _write(tmp_path / "old", old_report, old_csv)
     new = _write(tmp_path / "new", report, csv_text, exit_code)
     if case == "missing file":
         (new / "geodesic_shooting.csv").unlink()

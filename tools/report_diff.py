@@ -5,8 +5,9 @@
 
 Both directories must hold the same files. JSON reports are compared value
 by value: keys, list lengths, strings, booleans, integers and nulls must be
-equal, so verdicts, flags, notices and counts cannot move. Floats pass when
-they agree within ``--rtol`` relative or ``--atol`` absolute. CSV files are
+equal, so verdicts, flags, notices and counts cannot move. Finite floats pass
+when they agree within ``--rtol`` relative or ``--atol`` absolute; an inf or
+NaN must meet the same value (NaN matching NaN). CSV files are
 compared cell by cell the same way, a cell that parses as a float being a
 float. Any other file, such as an ``exit_code`` or ``stderr`` file the
 caller saved beside a run's reports, must be byte-identical.
@@ -44,6 +45,11 @@ class Comparison:
 
     def floats(self, a: float, b: float, where: str) -> None:
         if math.isnan(a) and math.isnan(b):
+            return
+        if not (math.isfinite(a) and math.isfinite(b)):
+            # inf is within any relative tolerance of anything, so it must be equal
+            if a != b:
+                self.mismatches.append(f"{where}: {a!r} != {b!r}")
             return
         diff = abs(a - b)
         rel = diff / max(abs(a), abs(b)) if diff else 0.0
