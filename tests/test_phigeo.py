@@ -270,8 +270,8 @@ def test_rk4_step_matches_scalar_reference(model, rng):
 def test_march_rows_match_single_row_marches(model, rng, rows):
     nodes = [0.0, 0.4, 0.45, 1.3]
     if rows == "blocks":
-        # different c, nodes and row counts, shortest schedule first, so
-        # that the longer blocks step on after it has ended
+        # different c, nodes and row counts, shortest schedule first; the
+        # march steps it on at size 0 after it has ended
         specs = [(0.9, [0.0, 0.2, 0.35], 2, 1e-2), (0.1, nodes, 3, 1e-2),
                  (0.5, [0.0, 0.5, 0.8], model.n + 1, 1e-2), (0.3, nodes, 1, 1e-2)]
     elif rows == "mixed-steps":
