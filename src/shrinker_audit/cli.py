@@ -7,7 +7,9 @@ Four subcommands: ``verify-identities`` (pointwise identity suite),
 
 This module writes every output file: reports are JSON with sorted keys,
 paths are CSV; identical configuration and seed produce byte-identical
-output.
+output. ``RunConfig.validate`` makes every check on a run's values, c < 1
+for audit-chain and scan and one case for geodesic among them, before the
+``out`` check and before the model string is parsed.
 
 Exit codes: 0 success, 1 an audit failed, 2 bad configuration /
 degenerate endpoints / an output that cannot be written, 3 solver failure,
@@ -81,12 +83,20 @@ class RunConfig:
     fd_h: float = FDConfig.h
     max_iters: int = phigeo.DEFAULT_DESCENT_ITERS
 
-    def validate(self) -> None:
+    def validate(self, command: str | None = None) -> None:
+        """Check every field's value, then the rules of ``command``, if given.
+
+        ``c`` and ``ry`` may be a finite number or a list of them; each
+        becomes a tuple of floats.
+        """
         for f in fields(self):
             value = getattr(self, f.name)
             kind = type(f.default)
             if kind is tuple:
-                ok = isinstance(value, tuple) and all(_is_finite_number(v) for v in value)
+                items = value if isinstance(value, (list, tuple)) else [value]
+                ok = all(_is_finite_number(v) for v in items)
+                if ok:
+                    setattr(self, f.name, tuple(float(v) for v in items))
             elif kind is float:
                 ok = _is_finite_number(value)
             else:  # int or str
@@ -121,6 +131,13 @@ class RunConfig:
             for value in getattr(self, name):
                 if not value > 0.0:
                     raise ConfigError(f"{name} must be positive (got {value})")
+        if command in _C_BELOW_ONE:
+            for c_val in self.c:
+                if not c_val < 1.0:
+                    raise ConfigError(f"c must be < 1 for {_C_BELOW_ONE[command]} (got {c_val})")
+        if command == "geodesic" and (len(self.c) > 1 or len(self.ry) > 1):
+            raise ConfigError(f"geodesic solves one (c, ry) case; got c={list(self.c)}, "
+                              f"ry={list(self.ry)}")
 
     def to_dict(self) -> dict:
         out = asdict(self)
@@ -135,6 +152,9 @@ _KIND_NAMES = {
     str: "a string",
 }
 
+
+# The subcommands whose audits need the paper's c < 1, as their errors name them.
+_C_BELOW_ONE = {"audit-chain": "the audit chain", "scan": "the scan"}
 
 # The config fields each subcommand reads; a config file may set no others.
 # model, c, ry and out are common so one config file drives every subcommand;
@@ -178,18 +198,12 @@ def _config_from_args(args) -> RunConfig:
                 raise ConfigError(f"unknown config field {key!r}")
             if key not in read:
                 raise ConfigError(f"config field {key!r} is not read by {command}")
-            if key in ("c", "ry"):
-                items = value if isinstance(value, list) else [value]
-                if not all(_is_finite_number(v) for v in items):
-                    raise ConfigError(f"{key} must be a finite number or a list of them "
-                                      f"(got {value!r})")
-                value = tuple(float(v) for v in items)
             setattr(cfg, key, value)
     for key in known:
         value = getattr(args, key, None)
         if value is not None:
             setattr(cfg, key, value)
-    cfg.validate()
+    cfg.validate(command)
     # refused before any work: out, or the nearest part of it that exists, is a file
     out = Path(cfg.out)
     existing = next(part for part in (out, *out.parents) if part.exists())
@@ -302,15 +316,6 @@ def _solved_cells(config: RunConfig, model, check=None):
         yield (*cell, path)
 
 
-def _grid_model(config: RunConfig, task: str):
-    """Parse the model of a grid the audits read; they need every c < 1."""
-    model = parse_model(config.model)
-    for c_val in config.c:
-        if not c_val < 1.0:
-            raise ConfigError(f"c must be < 1 for {task} (got {c_val})")
-    return model
-
-
 def _discrete(config: RunConfig, model, params, x, y, shoot):
     """The discrete minimizer's path and the evidence certifying ``shoot``."""
     disc = minimize_action_discrete(model, params, x, y, N=config.N, max_iters=config.max_iters)
@@ -322,8 +327,7 @@ def _discrete(config: RunConfig, model, params, x, y, shoot):
 # ---------------------------------------------------------------------------
 
 
-def cmd_verify_identities(config: RunConfig) -> int:
-    model = parse_model(config.model)
+def cmd_verify_identities(config: RunConfig, model: ModelSpec) -> int:
     rng = np.random.default_rng(config.seed)
     fd_cfg = FDConfig(h=config.fd_h)
     points = random_points(model, rng, config.samples)
@@ -340,11 +344,7 @@ def cmd_verify_identities(config: RunConfig) -> int:
                    notices=notices, reports=[r.to_dict() for r in reports], all_pass=all_pass)
 
 
-def cmd_geodesic(config: RunConfig) -> int:
-    if len(config.c) > 1 or len(config.ry) > 1:
-        raise ConfigError(f"geodesic solves one (c, ry) case; got c={list(config.c)}, "
-                          f"ry={list(config.ry)}")
-    model = parse_model(config.model)
+def cmd_geodesic(config: RunConfig, model: ModelSpec) -> int:
     ((_, _, params, x, y, shoot),) = _solved_cells(config, model)
     disc, evidence = _discrete(config, model, params, x, y, shoot)
     out_dir = Path(config.out)
@@ -360,8 +360,7 @@ def cmd_geodesic(config: RunConfig) -> int:
                    discrete=path_json_dict(model, params, disc))
 
 
-def cmd_audit_chain(config: RunConfig) -> int:
-    model = _grid_model(config, "the audit chain")
+def cmd_audit_chain(config: RunConfig, model: ModelSpec) -> int:
     cells, lines = [], []
     for c_val, ry, params, x, y, shoot in _solved_cells(
             config, model, audit_mod.check_audit_chain_target):
@@ -380,8 +379,7 @@ def cmd_audit_chain(config: RunConfig) -> int:
     return _report(config, "audit-chain", "audit_chain.json", all_ok, cells=cells, all_ok=all_ok)
 
 
-def cmd_scan(config: RunConfig) -> int:
-    model = _grid_model(config, "the scan")
+def cmd_scan(config: RunConfig, model: ModelSpec) -> int:
     cells = []
     for c_val, ry, params, _, y, path in _solved_cells(config, model,
                                                        audit_mod.check_good_point_target):
@@ -465,7 +463,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return _COMMANDS[args.command](_config_from_args(args))
+        config = _config_from_args(args)
+        return _COMMANDS[args.command](config, parse_model(config.model))
     except (ConfigError, InvalidModelError, DegenerateEndpointsError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)  # an OSError: out cannot be checked or written
         return EXIT_CONFIG

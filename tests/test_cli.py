@@ -333,6 +333,28 @@ def test_audit_chain_rejects_c_at_least_one(tmp_path, capsys):
     assert "c" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command, c_val, task",
+                         [("audit-chain", "1.5", "the audit chain"), ("scan", "1.0", "the scan")])
+def test_value_error_is_named_before_the_model_error(tmp_path, capsys, command, c_val, task):
+    # RunConfig.validate checks every value before the model string is parsed
+    out = tmp_path / "out"
+    code = main([command, "--model", "nosuch:n=1", "--c", c_val, "--out", str(out)])
+    assert code == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.err == f"error: c must be < 1 for {task} (got {c_val})\n"
+    assert captured.out == "" and not out.exists()
+
+
+def test_config_file_c_and_ry_become_tuples_of_floats(tmp_path):
+    # the reports write c and ry as lists of floats, so 5 must read as 5.0
+    cfg_path = tmp_path / "grid.json"
+    cfg_path.write_text(json.dumps({"c": 0.1, "ry": [5]}))
+    cfg = _config_from_args(argparse.Namespace(command="audit-chain", config=str(cfg_path),
+                                               out=str(tmp_path)))
+    assert cfg.c == (0.1,) and cfg.ry == (5.0,)
+    assert all(type(value) is float for value in cfg.c + cfg.ry)
+
+
 _CUTOFF_REFUSAL = "refused: trapezoid cutoff needs s_bar >= 2 (got 1.5)"
 
 
